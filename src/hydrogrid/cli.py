@@ -14,9 +14,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,125 +48,87 @@ class RunConfig:
     out_path: str | None = None
 
 
-def _fmt_float(value: float) -> str:
-    return format(value, ".17g")
+# Each table is a header plus a generator of rows of typed cells.
+# `_csv_cell` and `_json_value` render every cell, so CSV and JSON rows
+# carry the same fields; a float cell is converted once, and no surd
+# outlives the row that holds it.
+Cell = int | Fraction | QuadraticSurd | float | None
 
 
-def _scalar_cell(value: QuadraticSurd, mode: str, bits: int) -> str:
-    if mode == "exact":
-        return str(value)
-    return _fmt_float(surd_to_float(value, bits))
+def _surd(cfg: RunConfig, value: QuadraticSurd) -> QuadraticSurd | float:
+    """A surd cell: kept exact, or converted once to a float in float mode."""
+    if cfg.mode == "exact":
+        return value
+    return surd_to_float(value, cfg.precision_bits)
 
 
-def _scalar_json(value: QuadraticSurd, mode: str, bits: int):
-    if mode == "exact":
-        return surd_to_json(value)
-    return surd_to_float(value, bits)
-
-
-def _rows_spectrum(cfg: RunConfig):
-    header = ["n", "mu", "E", "q"]
-    rows = []
-    records = []
+def _rows_spectrum(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         ed = eigen_data(n, cfg.delta)
-        rows.append([str(n)] + [_scalar_cell(v, cfg.mode, cfg.precision_bits)
-                                for v in (ed.mu, ed.E, ed.q)])
-        records.append({
-            "n": n,
-            "mu": _scalar_json(ed.mu, cfg.mode, cfg.precision_bits),
-            "E": _scalar_json(ed.E, cfg.mode, cfg.precision_bits),
-            "q": _scalar_json(ed.q, cfg.mode, cfg.precision_bits),
-        })
-    return header, rows, records
+        yield [n, _surd(cfg, ed.mu), _surd(cfg, ed.E), _surd(cfg, ed.q)]
 
 
-def _rows_wavefunction(cfg: RunConfig):
-    header = ["n", "k", "u"]
-    rows = []
-    records = []
+def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         for k in range(1, cfg.k_max + 1):
-            u = wavefunction(n, cfg.delta, k)
-            rows.append([str(n), str(k),
-                         _scalar_cell(u, cfg.mode, cfg.precision_bits)])
-            records.append({"n": n, "k": k,
-                            "u": _scalar_json(u, cfg.mode, cfg.precision_bits)})
-    return header, rows, records
+            yield [n, k, _surd(cfg, wavefunction(n, cfg.delta, k))]
 
 
-def _rows_pollaczek(cfg: RunConfig):
-    header = ["m", "j", "P"]
-    rows = []
-    records = []
+def _rows_pollaczek(cfg: RunConfig) -> Iterator[list[Cell]]:
     for m in range(cfg.n_lo, cfg.n_hi + 1):
         mp = mass_point(m, cfg.delta)
         for j in range(cfg.j_max + 1):
-            value = pollaczek_mass_closed(j, mp)
-            rows.append([str(m), str(j),
-                         _scalar_cell(value, cfg.mode, cfg.precision_bits)])
-            records.append({"m": m, "j": j,
-                            "P": _scalar_json(value, cfg.mode,
-                                              cfg.precision_bits)})
-    return header, rows, records
+            yield [m, j, _surd(cfg, pollaczek_mass_closed(j, mp))]
 
 
-def _rows_coeffs(cfg: RunConfig):
-    header = ["n", "k", "m", "ell_n_minus_k", "inner", "assembled",
-              "order_normalized"]
-    rows = []
-    records = []
+def _rows_coeffs(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         kmax = min(cfg.k_max, n - 1)
         table = alpha_inner(n, kmax)
         ell = laguerre_ref(n).coefficients
         for k in range(0, kmax + 1):
-            assembled = table.assembled(k, cfg.delta)
+            assembled = _surd(cfg, table.assembled(k, cfg.delta))
             for m in range(0, k // 2 + 1):
-                inner = table.inner_coeff(k, m)
-                if m >= 1:
-                    normalized = str(inner * n ** (2 * m)
-                                     * Fraction(math.factorial(n - k + 2 * m - 1),
-                                                math.factorial(n - k))
-                                     / math.comb(k // 2, m))
-                else:
-                    normalized = ""
-                rows.append([str(n), str(k), str(m), str(ell[n - k]),
-                             str(inner),
-                             _scalar_cell(assembled, cfg.mode,
-                                          cfg.precision_bits),
-                             normalized])
-                records.append({
-                    "n": n, "k": k, "m": m,
-                    "ell_n_minus_k": str(ell[n - k]),
-                    "inner": str(inner),
-                    "assembled": _scalar_json(assembled, cfg.mode,
-                                              cfg.precision_bits),
-                    "order_normalized": normalized or None,
-                })
-    return header, rows, records
+                yield [n, k, m, ell[n - k], table.inner_coeff(k, m), assembled,
+                       table.order_normalized(k, m) if m >= 1 else None]
 
 
-def _rows_converge(cfg: RunConfig):
-    header = ["n", "delta", "E", "E_plus_continuum", "ratio_to_delta_sq"]
-    rows = []
-    records = []
-    deltas = cfg.deltas or (cfg.delta,)
+def _rows_converge(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        for delta in deltas:
-            ed = eigen_data(n, delta)
-            energy = surd_to_float(ed.E, cfg.precision_bits)
+        for delta in cfg.deltas or (cfg.delta,):
+            energy = surd_to_float(eigen_data(n, delta).E, cfg.precision_bits)
             gap = energy - float(continuum_energy(n))
-            ratio = gap / float(delta) ** 2
-            rows.append([str(n), str(delta), _fmt_float(energy),
-                         _fmt_float(gap), _fmt_float(ratio)])
-            records.append({"n": n, "delta": str(delta), "E": energy,
-                            "E_plus_continuum": gap,
-                            "ratio_to_delta_sq": ratio})
-    return header, rows, records
+            yield [n, delta, energy, gap, gap / float(delta) ** 2]
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+TABLES = {
+    "spectrum": (("n", "mu", "E", "q"), _rows_spectrum),
+    "wavefunction": (("n", "k", "u"), _rows_wavefunction),
+    "pollaczek": (("m", "j", "P"), _rows_pollaczek),
+    "coeffs": (("n", "k", "m", "ell_n_minus_k", "inner", "assembled",
+                "order_normalized"), _rows_coeffs),
+    "converge": (("n", "delta", "E", "E_plus_continuum", "ratio_to_delta_sq"),
+                 _rows_converge),
+}
+
+
+def _csv_cell(value: Cell) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _json_value(value: Cell):
+    if isinstance(value, QuadraticSurd):
+        return surd_to_json(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
@@ -215,22 +177,17 @@ def run(cfg: RunConfig) -> int:
                 print(line, file=sys.stderr)
             return 0 if report["all_passed"] else 1
 
-        builders = {
-            "spectrum": _rows_spectrum,
-            "wavefunction": _rows_wavefunction,
-            "pollaczek": _rows_pollaczek,
-            "coeffs": _rows_coeffs,
-            "converge": _rows_converge,
-        }
-        header, rows, records = builders[cfg.command](cfg)
+        header, build = TABLES[cfg.command]
         if cfg.output == "csv":
-            text = _csv_text(header, rows)
+            text = _csv_text(header, ([_csv_cell(v) for v in row]
+                                      for row in build(cfg)))
         else:
             payload = {
                 "command": cfg.command,
                 "delta": str(cfg.delta),
                 "mode": cfg.mode,
-                "rows": records,
+                "rows": [dict(zip(header, map(_json_value, row)))
+                         for row in build(cfg)],
             }
             if cfg.command == "converge":
                 payload["deltas"] = [str(d) for d in (cfg.deltas or (cfg.delta,))]
@@ -316,6 +273,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "deltas", None):
         deltas = tuple(parse_rational(part, allow_exponent=allow_exp)
                        for part in args.deltas.split(","))
+    for step in (delta,) + deltas:
+        if step <= 0:
+            raise ValueError(f"delta must be > 0, got {step}")
+    if args.command == "wavefunction" and args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.command == "pollaczek" and args.jmax < 0:
+        raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
     return RunConfig(
         command=args.command,
         delta=delta,

@@ -82,6 +82,16 @@ class AlphaTable:
             return Fraction(0)  # impossible coefficients
         return self.inner[(k, m)]
 
+    def order_normalized(self, k: int, m: int) -> Fraction:
+        """inner * n^(2m) (n-k+2m-1)!/(n-k)! / C(k//2, m), for 1 <= m <= k//2."""
+        if not 1 <= m <= k // 2:
+            raise ValueError(f"order normalization needs 1 <= m <= {k // 2}")
+        n = self.n
+        return (self.inner_coeff(k, m) * n ** (2 * m)
+                * Fraction(math.factorial(n - k + 2 * m - 1),
+                           math.factorial(n - k))
+                / math.comb(k // 2, m))
+
     def assembled(self, k: int, delta: RationalLike) -> QuadraticSurd:
         return alpha_assemble(self, k, delta)
 
@@ -173,14 +183,8 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
     if kmax > n - 1:
         raise ValueError(f"kmax={kmax} exceeds n-1={n - 1}")
     inner: dict[tuple[int, int], Fraction] = {}
-
-    def get(k: int, m: int) -> Fraction:
-        if m == 0 and k >= 0:
-            return Fraction(1)
-        if k < 0 or m < 0 or m > k // 2:
-            return Fraction(0)
-        return inner[(k, m)]
-
+    table = AlphaTable(n=n, kmax=kmax, inner=inner)
+    get = table.inner_coeff
     for k in range(0, kmax + 1):
         inner[(k, 0)] = Fraction(1)
         kp = k // 2
@@ -209,7 +213,7 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
                          * get(2 * l, l + m - kp)
                          for l in range(kp - m, kp + 1))
                 inner[(k, m)] = (-t1 + t2) / denom
-    return AlphaTable(n=n, kmax=kmax, inner=inner)
+    return table
 
 
 def alpha_assemble(table: AlphaTable, k: int, delta: RationalLike) -> QuadraticSurd:

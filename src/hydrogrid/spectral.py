@@ -190,25 +190,18 @@ def eigen_residual(v: SpectralVector, mu) -> QuadraticSurd | float:
         exact = len(radicands) <= 1
     else:
         exact = False
-    if exact:
-        best = as_surd(0)
-        for k in range(1, len(entries)):
-            u_prev = entries[k - 2] if k >= 2 else as_surd(0)
-            row = (u_prev / 2 + entries[k] / 2
-                   + entries[k - 1] * (v.delta / k) - mu * entries[k - 1])
-            row = abs(row)
-            if best < row:
-                best = row
-        return best
-    mu_f = float(mu)
-    uf = [float(u) for u in entries]
-    delta_f = float(v.delta)
-    best_f = 0.0
-    for k in range(1, len(uf)):
-        u_prev = uf[k - 2] if k >= 2 else 0.0
-        row = u_prev / 2 + uf[k] / 2 + (delta_f / k) * uf[k - 1] - mu_f * uf[k - 1]
-        best_f = max(best_f, abs(row))
-    return best_f
+    delta, zero = v.delta, as_surd(0)
+    if not exact:
+        entries = [float(u) for u in entries]
+        mu, delta, zero = float(mu), float(delta), 0.0
+    best = zero
+    for k in range(1, len(entries)):
+        u_prev = entries[k - 2] if k >= 2 else zero
+        row = abs(u_prev / 2 + entries[k] / 2
+                  + entries[k - 1] * (delta / k) - mu * entries[k - 1])
+        if best < row:
+            best = row
+    return best
 
 
 def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:

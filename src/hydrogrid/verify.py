@@ -277,11 +277,7 @@ def _diag_alpha_order_normalized(n_values: list[int], kmax: int) -> dict:
         table = coordinate.alpha_inner(n, min(kmax, n - 1))
         for k in range(2, table.kmax + 1):
             for m in range(1, k // 2 + 1):
-                value = (table.inner_coeff(k, m) * n ** (2 * m)
-                         * Fraction(math.factorial(n - k + 2 * m - 1),
-                                    math.factorial(n - k))
-                         / math.comb(k // 2, m))
-                out[f"n={n},k={k},m={m}"] = str(value)
+                out[f"n={n},k={k},m={m}"] = str(table.order_normalized(k, m))
     return out
 
 

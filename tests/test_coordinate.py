@@ -99,6 +99,21 @@ def test_alpha_inner_leading_terms(n):
             15 * n ** 4 * (n - 1) * (n - 2) * (n - 3))
 
 
+@pytest.mark.parametrize("n", range(5, 13))
+def test_alpha_order_normalized_leading_forms(n):
+    table = alpha_inner(n, 4)
+    assert table.order_normalized(2, 1) == Fraction(3 * n - 1, 3)
+    assert table.order_normalized(3, 1) == n
+    assert table.order_normalized(4, 1) == n - 1
+
+
+def test_alpha_order_normalized_rejects_unnormalized_orders():
+    table = alpha_inner(6, 5)
+    for k, m in ((2, 0), (3, 2), (4, 3)):
+        with pytest.raises(ValueError):
+            table.order_normalized(k, m)
+
+
 def test_alpha_inner_base_row_and_impossible_entries():
     table = alpha_inner(6, 5)
     for k in range(6):
