@@ -20,6 +20,7 @@ from .coordinate import (
     solve_constraint_system,
     wavefunction,
     wavefunction_float,
+    wavefunction_values,
 )
 from .numerics import (
     DEFAULT_ABS_TOL,
@@ -38,11 +39,13 @@ from .numerics import (
     surd_to_json,
 )
 from .pollaczek import (
+    ClosedFormSequence,
     MassPoint,
     PollaczekParams,
     PolynomialSequence,
     beta_coeff,
     chebyshev_u,
+    closed_form_sequence,
     mass_point,
     pollaczek_explicit_trig,
     pollaczek_mass_closed,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
-                         eigen_data, laguerre_ref, wavefunction)
+                         eigen_data, laguerre_ref, wavefunction_values)
 from .numerics import (QuadraticSurd, parse_rational, surd_to_float,
                        surd_to_json)
 from .pollaczek import mass_point, pollaczek_mass_closed
@@ -70,8 +70,9 @@ def _rows_spectrum(cfg: RunConfig) -> Iterator[list[Cell]]:
 
 def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        for k in range(1, cfg.k_max + 1):
-            yield [n, k, _surd(cfg, wavefunction(n, cfg.delta, k))]
+        values = wavefunction_values(n, cfg.delta, cfg.k_max)
+        for k, u in enumerate(values, start=1):
+            yield [n, k, _surd(cfg, u)]
 
 
 def _rows_pollaczek(cfg: RunConfig) -> Iterator[list[Cell]]:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
 
@@ -127,6 +127,8 @@ def eigen_data(n: int, delta: RationalLike) -> EigenData:
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("E is undefined at delta=0; the limit is -1/(2n^2)")
+    if delta < 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     t = delta / n
     mu = QuadraticSurd(0, 1, 1 + t * t)
     energy = (1 - mu) / (delta * delta)
@@ -322,19 +324,58 @@ def _alpha_vector(n: int, delta: Fraction) -> tuple[QuadraticSurd, ...]:
     return tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
 
 
+def _polynomial(n: int, delta: Fraction) -> Callable[[int], QuadraticSurd]:
+    """k -> sum_j alpha_j ell_j r^j at r = k*delta, the wavefunction's
+    polynomial factor.
+
+    Each coefficient alpha_j ell_j is split once into a + b sqrt(D), so
+    every evaluation runs in Fraction arithmetic and builds one surd.
+    """
+    alphas = _alpha_vector(n, delta)
+    ell = laguerre_ref(n).coefficients
+    coeffs = [alphas[j - 1] * ell[j] for j in range(1, n + 1)]
+    d = eigen_data(n, delta).mu.D
+
+    def at(k: int) -> QuadraticSurd:
+        r = k * delta
+        a = b = Fraction(0)
+        power = Fraction(1)
+        for c in coeffs:
+            power *= r
+            a += c.a * power
+            b += c.b * power
+        return QuadraticSurd(a, b, d)
+
+    return at
+
+
 def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     """Exact lattice eigenfunction value u^n_k at grid point r = k*delta."""
     if k < 1:
         raise ValueError("grid index must be >= 1")
     delta = Fraction(delta)
     ed = eigen_data(n, delta)
-    alphas = _alpha_vector(n, delta)
-    ell = laguerre_ref(n).coefficients
-    r = k * delta
-    poly = as_surd(0)
-    for j in range(1, n + 1):
-        poly = poly + alphas[j - 1] * (ell[j] * r ** j)
-    return poly * surd_pow(ed.q, k)
+    return _polynomial(n, delta)(k) * surd_pow(ed.q, k)
+
+
+def wavefunction_values(n: int, delta: RationalLike,
+                        kmax: int) -> Iterator[QuadraticSurd]:
+    """u^n_1, ..., u^n_kmax in one pass, equal to `wavefunction` at each k.
+
+    q^k is carried as an exact running product; no value is kept once
+    the caller has moved past it.
+    """
+    delta = Fraction(delta)
+    q = eigen_data(n, delta).q  # validates n and delta before iteration
+    poly = _polynomial(n, delta)
+
+    def values() -> Iterator[QuadraticSurd]:
+        qpow = as_surd(1)
+        for k in range(1, kmax + 1):
+            qpow = qpow * q
+            yield poly(k) * qpow
+
+    return values()
 
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
@@ -346,6 +387,12 @@ def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     poly = sum(float(alphas[j - 1]) * float(ell[j]) * r ** j
                for j in range(1, n + 1))
     return poly * math.exp(ed.beta * r)
+
+
+def residual_row(u_prev, u_here, u_next, k: int, delta, mu):
+    """Row k of the difference equation,
+    u_{k-1}/2 + u_{k+1}/2 + (delta/k) u_k - mu u_k, in the entries' type."""
+    return u_prev / 2 + u_next / 2 + u_here * (delta / k) - mu * u_here
 
 
 def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
@@ -360,7 +407,7 @@ def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     u_prev = wavefunction(n, delta, k - 1) if k >= 2 else as_surd(0)
     u_here = wavefunction(n, delta, k)
     u_next = wavefunction(n, delta, k + 1)
-    return u_prev / 2 + u_next / 2 + u_here * (delta / k) - ed.mu * u_here
+    return residual_row(u_prev, u_here, u_next, k, delta, ed.mu)
 
 
 def difference0_residual(u: Callable[[float], float], r: float,

@@ -124,28 +124,76 @@ def _closed_branch_low(j: int, mp: MassPoint) -> QuadraticSurd:
     return (j + 1) * acc
 
 
-def _closed_branch_high(j: int, mp: MassPoint) -> QuadraticSurd:
-    # (j+1) q^{j-m} sum_{l=0}^{m} C(m,l) x^{m-l} (-s)^l beta_{j,l}
-    acc = as_surd(0)
-    for l in range(mp.m + 1):
-        term = surd_pow(mp.x, mp.m - l) * (math.comb(mp.m, l) * (-mp.s) ** l
-                                           * beta_coeff(j, l))
-        acc = acc + term
-    return (j + 1) * surd_pow(mp.q, j - mp.m) * acc
+class ClosedFormSequence:
+    """P_0(x_m), P_1(x_m), ... by the closed form, each computed once.
+
+    The sequence extends in order on demand: j <= m uses the degree-j
+    sum; j > m uses (j+1) q^{j-m} Q_m(j), with the weights
+    C(m,l) x^{m-l} (-s)^l of Q_m(j) = sum_l weight_l beta_{j,l} computed
+    once and q^{j-m} carried as an exact running product.  Each value
+    is floated at most once, on first use.
+    """
+
+    def __init__(self, mp: MassPoint) -> None:
+        self.mp = mp
+        self._weights = tuple(surd_pow(mp.x, mp.m - l)
+                              * (math.comb(mp.m, l) * (-mp.s) ** l)
+                              for l in range(mp.m + 1))
+        self._values: list[QuadraticSurd] = []
+        self._floats: list[float] = []
+        self._qpow = as_surd(1)  # q^{j-m} of the last high-branch value
+
+    def high_branch(self, j: int, qpow: QuadraticSurd) -> QuadraticSurd:
+        """(j+1) q^{j-m} sum_{l=0}^{m} C(m,l) x^{m-l} (-s)^l beta_{j,l},
+        given qpow = q^{j-m}."""
+        # The sum is a + b sqrt(D) with rational a, b: summing the parts
+        # keeps it in Fraction arithmetic, one surd built per entry.
+        a = b = Fraction(0)
+        for l, weight in enumerate(self._weights):
+            beta = beta_coeff(j, l)
+            a += weight.a * beta
+            b += weight.b * beta
+        return qpow * QuadraticSurd((j + 1) * a, (j + 1) * b, self.mp.x.D)
+
+    def value(self, j: int) -> QuadraticSurd:
+        values, m = self._values, self.mp.m
+        while len(values) <= j:
+            i = len(values)
+            if i <= m:
+                values.append(_closed_branch_low(i, self.mp))
+            else:
+                self._qpow = self._qpow * self.mp.q
+                values.append(self.high_branch(i, self._qpow))
+        return values[j]
+
+    def float_value(self, j: int) -> float:
+        floats = self._floats
+        while len(floats) <= j:
+            floats.append(float(self.value(len(floats))))
+        return floats[j]
 
 
 @lru_cache(maxsize=None)
+def closed_form_sequence(mp: MassPoint) -> ClosedFormSequence:
+    """The one closed-form sequence of mass point mp, shared by every caller."""
+    return ClosedFormSequence(mp)
+
+
+def _closed_branch_high(j: int, mp: MassPoint) -> QuadraticSurd:
+    # The j > m form at any j, with q^{j-m} by a fresh power.
+    return closed_form_sequence(mp).high_branch(j, surd_pow(mp.q, j - mp.m))
+
+
 def pollaczek_mass_closed(j: int, mp: MassPoint) -> QuadraticSurd:
     """P_j(x_m) by the explicit closed form, exact in Q(sqrt(D)).
 
     Uses the degree-j sum for j <= m and the factorized q^{j-m} form for
-    j > m; the two agree identically at j = m.
+    j > m; the two agree identically at j = m.  Values are read from the
+    mass point's `closed_form_sequence`.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    if j <= mp.m:
-        return _closed_branch_low(j, mp)
-    return _closed_branch_high(j, mp)
+    return closed_form_sequence(mp).value(j)
 
 
 def qfactor_split(j: int, mp: MassPoint, value: QuadraticSurd) -> QuadraticSurd:

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coordinate import wavefunction
+from .coordinate import eigen_data, residual_row, wavefunction
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
-from .pollaczek import mass_point, pollaczek_mass_closed
+from .pollaczek import closed_form_sequence, mass_point
 
 
 class BracketError(ValueError):
@@ -166,8 +166,10 @@ def closed_form_vector(n: int, delta: RationalLike, length: int) -> SpectralVect
     if n < 1:
         raise ValueError("state index must be positive")
     delta = Fraction(delta)
-    mp = mass_point(n - 1, delta)
-    entries = tuple(pollaczek_mass_closed(k - 1, mp) for k in range(1, length + 1))
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    seq = closed_form_sequence(mass_point(n - 1, delta))
+    entries = tuple(seq.value(j) for j in range(length))
     return SpectralVector(n=n, delta=delta, entries=entries,
                           provenance="closed_form")
 
@@ -197,8 +199,8 @@ def eigen_residual(v: SpectralVector, mu) -> QuadraticSurd | float:
     best = zero
     for k in range(1, len(entries)):
         u_prev = entries[k - 2] if k >= 2 else zero
-        row = abs(u_prev / 2 + entries[k] / 2
-                  + entries[k - 1] * (delta / k) - mu * entries[k - 1])
+        row = abs(residual_row(u_prev, entries[k - 1], entries[k], k, delta,
+                               mu))
         if best < row:
             best = row
     return best
@@ -208,11 +210,7 @@ def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
     """(sqrt(1 + (delta/n)**2) - delta/n)**k, exact."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    if n < 1:
-        raise ValueError("state index must be positive")
-    t = Fraction(delta) / n
-    q = QuadraticSurd(-t, 1, 1 + t * t)
-    return surd_pow(q, k)
+    return surd_pow(eigen_data(n, delta).q, k)
 
 
 def exp_part_float_reference(k: int, n: int, delta: RationalLike) -> float:
@@ -224,8 +222,9 @@ def inner_product(n: int, n2: int, delta: RationalLike,
                   tail_tol: float = 1e-12) -> float:
     """Truncated l2 inner product sum_k u_k^n u_k^n2.
 
-    Entries come from the exact closed form (floated adaptively), and the
-    truncation point is chosen from the geometric decay envelope
+    Entries come from the exact closed form, each floated once per state
+    (see `closed_form_sequence`), and the truncation point is chosen from
+    the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
     few computed terms, so the discarded tail is below tail_tol.
     """
@@ -234,6 +233,8 @@ def inner_product(n: int, n2: int, delta: RationalLike,
         raise ValueError("tail bound requires delta > 0")
     mp1 = mass_point(n - 1, delta)
     mp2 = mass_point(n2 - 1, delta)
+    seq1 = closed_form_sequence(mp1)
+    seq2 = closed_form_sequence(mp2)
     t = float(mp1.q) * float(mp2.q)
     if t >= 1.0:
         raise ValueError("non-convergent tail (decay factor >= 1)")
@@ -243,8 +244,7 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     k = 0
     while True:
         k += 1
-        term = (float(pollaczek_mass_closed(k - 1, mp1))
-                * float(pollaczek_mass_closed(k - 1, mp2)))
+        term = seq1.float_value(k - 1) * seq2.float_value(k - 1)
         total += term
         window.append(abs(term))
         if len(window) > 3:

@@ -142,10 +142,17 @@ def _check_ansatz_equivalence(delta: Fraction, n_max: int) -> bool:
 
 
 def _check_difference_residual(delta: Fraction, n_max: int, k_max: int) -> bool:
+    # Rows 1..k_max over a window (u_{k-1}, u_k, u_{k+1}) sliding along one
+    # pass of u_1..u_{k_max+1}, with u_0 = 0.
     for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            if not coordinate.difference_residual(n, delta, k).is_zero():
+        mu = coordinate.eigen_data(n, delta).mu
+        u_prev = u_here = QuadraticSurd(0)
+        values = coordinate.wavefunction_values(n, delta, k_max + 1)
+        for k, u_next in enumerate(values):
+            if k >= 1 and not coordinate.residual_row(
+                    u_prev, u_here, u_next, k, delta, mu).is_zero():
                 return False
+            u_prev, u_here = u_here, u_next
     return True
 
 

@@ -234,6 +234,16 @@ GOLDEN_STDOUT = [
      "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output json",
      "3f6641350af5b8acdfa3f775e8f73906958c2fdbdbacd03da8947214cb160fc0"),
+    ("verify --delta 3/4 --n 1..8 --kmax 41 --output json",
+     "75eed157b98156b8f34428fd30be7e110919f8948f3aa891af750e29c1ee8382"),
+    ("pollaczek --delta 1/2 --n 0..2 --jmax 150 --mode exact",
+     "c7dc6da7effe6a175f985d82be8be2aaa8cefac23de43e650c50724572d3b1bd"),
+    ("pollaczek --delta 1/2 --n 0..2 --jmax 150 --mode float",
+     "26ca41ac23d2c0f7406d7e9944ea2a88084d4dca3e8484f5906e3cd4ab2533f5"),
+    ("wavefunction --delta 3/4 --n 1..3 --kmax 150 --mode exact",
+     "c44b0f056e16295c76f1a49f8ffaf711b2189c88996c9151dd02d6bde09a08f6"),
+    ("wavefunction --delta 3/4 --n 1..3 --kmax 150 --mode float",
+     "ec6d56ce29182552aef26c6bb2d1a17cba4b935dd7a5a494412bbfa6c570c4b6"),
 ]
 
 

@@ -17,8 +17,11 @@ from hydrogrid.coordinate import (
     solve_constraint_system,
     wavefunction,
     wavefunction_float,
+    wavefunction_values,
 )
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
+from hydrogrid.spectral import closed_form_vector
+from hydrogrid.verify import _check_difference_residual
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
@@ -54,6 +57,20 @@ def test_eigen_data_rejects_bad_input():
         eigen_data(0, 1)
     with pytest.raises(ValueError):
         eigen_data(2, 0)
+
+
+@pytest.mark.parametrize("delta", [Fraction(-1), Fraction(-1, 2)])
+@pytest.mark.parametrize("entry", [
+    lambda d: eigen_data(1, d),
+    lambda d: wavefunction(1, d, 3),
+    lambda d: list(wavefunction_values(1, d, 3)),
+    lambda d: ansatz_constraint_system(2, d),
+    lambda d: closed_form_vector(1, d, 3),
+], ids=["eigen_data", "wavefunction", "wavefunction_values",
+        "ansatz_constraint_system", "closed_form_vector"])
+def test_negative_delta_rejected(entry, delta):
+    with pytest.raises(ValueError):
+        entry(delta)
 
 
 def test_continuum_energy():
@@ -212,6 +229,38 @@ def test_wavefunction_small_delta_tends_to_continuum():
 def test_difference_residual_exactly_zero(n, delta):
     for k in range(1, 41):
         assert difference_residual(n, delta, k).is_zero()
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_wavefunction_values_equal_pointwise(n, delta):
+    assert list(wavefunction_values(n, delta, 30)) \
+        == [wavefunction(n, delta, k) for k in range(1, 31)]
+
+
+def test_wavefunction_values_empty_for_no_rows():
+    assert list(wavefunction_values(3, 1, 0)) == []
+
+
+@pytest.mark.parametrize("broken", [None, 1, 2, 7, 11, 12])
+def test_windowed_residual_check_agrees_with_pointwise(broken, monkeypatch):
+    # Entry u_broken of state 3 is perturbed (None: none is); the windowed
+    # check over rows 1..10 must fail exactly when some pointwise row is
+    # nonzero.  Rows 1..10 read u_1..u_11, so breaking u_12 is invisible.
+    delta, k_max = Fraction(1, 2), 10
+    values = {n: [QuadraticSurd(0)] + list(wavefunction_values(n, delta, 12))
+              for n in (1, 2, 3)}
+    if broken is not None:
+        values[3][broken] += Fraction(1, 10 ** 6)
+
+    monkeypatch.setattr("hydrogrid.coordinate.wavefunction",
+                        lambda n, d, k: values[n][k])
+    monkeypatch.setattr("hydrogrid.coordinate.wavefunction_values",
+                        lambda n, d, kmax: iter(values[n][1:kmax + 1]))
+    pointwise = all(difference_residual(n, delta, k).is_zero()
+                    for n in (1, 2, 3) for k in range(1, k_max + 1))
+    assert pointwise == (broken in (None, 12))
+    assert _check_difference_residual(delta, 3, k_max) == pointwise
 
 
 def test_perturbed_eigenvalue_leaves_residual():

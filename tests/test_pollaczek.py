@@ -11,6 +11,7 @@ from hydrogrid.pollaczek import (
     _closed_branch_low,
     beta_coeff,
     chebyshev_u,
+    closed_form_sequence,
     mass_point,
     mass_point_invariants_hold,
     pollaczek_explicit_trig,
@@ -132,6 +133,29 @@ def test_closed_form_equals_recursion(delta):
         seq = pollaczek_seq(delta, mp.x, 20)
         for j in range(21):
             assert pollaczek_mass_closed(j, mp) == seq.values[j]
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
+def test_streamed_closed_form_equals_recursion(delta):
+    closed_form_sequence.cache_clear()
+    for m in range(7):
+        mp = mass_point(m, delta)
+        seq = pollaczek_seq(delta, mp.x, 80)
+        assert [pollaczek_mass_closed(j, mp) for j in range(81)] \
+            == list(seq.values)
+
+
+def test_closed_form_sequence_out_of_order_reads():
+    delta = Fraction(2, 5)
+    closed_form_sequence.cache_clear()
+    mp = mass_point(3, delta)
+    seq = pollaczek_seq(delta, mp.x, 41)
+    for j in (40, 2, 17, 0, 3, 4, 39):
+        assert pollaczek_mass_closed(j, mp) == seq.values[j]
+    sequence = closed_form_sequence(mp)
+    for j in (25, 1, 41):
+        assert sequence.float_value(j) == float(seq.values[j])
+    assert sequence.value(41) == seq.values[41]
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hydrogrid import numerics, pollaczek, spectral
 from hydrogrid.coordinate import eigen_data, wavefunction
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_to_float
 from hydrogrid.pollaczek import mass_point
@@ -211,3 +212,66 @@ def test_coordinate_spectral_ratio_constant(n):
     vec = closed_form_vector(n, 1, 10)
     for k in (4, 7, 10):
         assert wavefunction(n, 1, k) == ratio * vec.entries[k - 1]
+
+
+# float.hex() of the truncated inner products and of the Gram matrix at
+# delta = 1/2; every value must stay bitwise identical.
+GOLDEN_INNER_PRODUCTS = {
+    (1, 1): "0x1.76a99b4b1f3dcp+2",
+    (1, 2): "0x1.cd1be226eeaadp-41",
+    (1, 3): "-0x1.bbc9bbeeebfefp-41",
+    (1, 4): "0x1.82faea33ba390p-41",
+    (2, 2): "0x1.63083ca9eb10cp+5",
+    (2, 3): "0x1.90db7300620d6p-41",
+    (2, 4): "-0x1.0ae9fdbac5adep-40",
+    (3, 3): "0x1.28441eb8265bdp+7",
+    (3, 4): "0x1.0baf4aadcb766p-40",
+    (4, 4): "0x1.5dbe014c630bep+8",
+}
+GOLDEN_GRAM = [
+    ["0x1.0000000000000p+0", "0x1.ed39266c6d97bp-49", "-0x1.73a30a31c3abfp-49",
+     "0x1.0c5046dfe2844p-49", "-0x1.db651db3be206p-50", "-0x1.33aa2c2452275p-51"],
+    ["0x1.ed39266c6d97bp-49", "0x1.0000000000001p+0", "0x1.003bf4f15526bp-50",
+     "-0x1.b96e7a22c30e1p-51", "0x1.0b4afd14ae1d0p-51", "-0x1.fed8bcd8a3379p-52"],
+    ["-0x1.73a30a31c3abfp-49", "0x1.003bf4f15526bp-50", "0x1.0000000000000p+0",
+     "0x1.f2bcdb18b4f12p-52", "-0x1.1578cf41c3fb6p-52", "0x1.0f92c89cf1124p-52"],
+    ["0x1.0c5046dfe2844p-49", "-0x1.b96e7a22c30e1p-51", "0x1.f2bcdb18b4f12p-52",
+     "0x1.0000000000001p+0", "0x1.4ab7a8473b0b3p-52", "-0x1.7fe8dbc4b52cep-53"],
+    ["-0x1.db651db3be206p-50", "0x1.0b4afd14ae1d0p-51", "-0x1.1578cf41c3fb6p-52",
+     "0x1.4ab7a8473b0b3p-52", "0x1.0000000000000p+0", "0x1.17b5f9a4fc99ap-53"],
+    ["-0x1.33aa2c2452275p-51", "-0x1.fed8bcd8a3379p-52", "0x1.0f92c89cf1124p-52",
+     "-0x1.7fe8dbc4b52cep-53", "0x1.17b5f9a4fc99ap-53", "0x1.0000000000001p+0"],
+]
+
+
+def test_inner_products_bitwise_golden():
+    for (n, n2), digest in GOLDEN_INNER_PRODUCTS.items():
+        assert inner_product(n, n2, Fraction(1, 2)).hex() == digest
+
+
+def test_gram_matrix_bitwise_golden():
+    gram = gram_matrix(list(range(1, 7)), Fraction(1, 2))
+    assert [[float(v).hex() for v in row] for row in gram] == GOLDEN_GRAM
+
+
+def test_gram_matrix_floats_each_entry_once(monkeypatch):
+    # Every surd -> float conversion site: QuadraticSurd.__float__ reads the
+    # numerics global; any module may also import the name.
+    converted = []
+    original = numerics.surd_to_float
+
+    def counting(x, *args):
+        converted.append(x)
+        return original(x, *args)
+
+    for mod in (numerics, pollaczek, spectral):
+        if hasattr(mod, "surd_to_float"):
+            monkeypatch.setattr(mod, "surd_to_float", counting)
+    pollaczek.closed_form_sequence.cache_clear()
+    states = list(range(1, 7))
+    spectral.gram_matrix(states, Fraction(1, 2))
+    pairs = len(states) * (len(states) + 1) // 2
+    # One conversion per distinct (state, k) entry; on top of that the two
+    # decay factors q of each pair, and P_0 = 1, which every state shares.
+    assert len(set(converted)) > 1000
+    assert len(converted) <= len(set(converted)) + 2 * pairs + len(states)
