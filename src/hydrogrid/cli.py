@@ -43,7 +43,6 @@ class RunConfig:
     k_max: int = 20
     j_max: int = 20
     mode: str = "exact"
-    precision_bits: int = 96
     output: str = "csv"
     out_path: str | None = None
 
@@ -59,7 +58,7 @@ def _surd(cfg: RunConfig, value: QuadraticSurd) -> QuadraticSurd | float:
     """A surd cell: kept exact, or converted once to a float in float mode."""
     if cfg.mode == "exact":
         return value
-    return surd_to_float(value, cfg.precision_bits)
+    return surd_to_float(value)
 
 
 def _rows_spectrum(cfg: RunConfig) -> Iterator[list[Cell]]:
@@ -97,7 +96,7 @@ def _rows_coeffs(cfg: RunConfig) -> Iterator[list[Cell]]:
 def _rows_converge(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         for delta in cfg.deltas or (cfg.delta,):
-            energy = surd_to_float(eigen_data(n, delta).E, cfg.precision_bits)
+            energy = surd_to_float(eigen_data(n, delta).E)
             gap = energy - float(continuum_energy(n))
             yield [n, delta, energy, gap, gap / float(delta) ** 2]
 
@@ -228,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lattice step, as 'p/q' or a decimal string")
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--precision-bits", type=int, default=96,
-                       help="working precision for float conversions")
+                       help="accepted for compatibility; no effect, since "
+                            "every float conversion is correctly rounded")
         p.add_argument("--output", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, metavar="PATH",
                        help=f"output file (default stdout; relative paths "
@@ -277,8 +277,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for step in (delta,) + deltas:
         if step <= 0:
             raise ValueError(f"delta must be > 0, got {step}")
-    if args.command == "wavefunction" and args.kmax < 1:
-        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+    n_min = 0 if args.command == "pollaczek" else 1
+    if n_lo < n_min:
+        raise ValueError(f"--n must be >= {n_min}, got {args.n}")
+    kmax_min = {"wavefunction": 1, "coeffs": 0, "verify": 2}.get(args.command)
+    if kmax_min is not None and args.kmax < kmax_min:
+        raise ValueError(f"--kmax must be >= {kmax_min}, got {args.kmax}")
     if args.command == "pollaczek" and args.jmax < 0:
         raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
     return RunConfig(
@@ -290,7 +294,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         k_max=getattr(args, "kmax", 20),
         j_max=getattr(args, "jmax", 20),
         mode=args.mode,
-        precision_bits=args.precision_bits,
         output=args.output,
         out_path=args.out,
     )

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
-import mpmath
-
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
@@ -184,6 +182,8 @@ class QuadraticSurd:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "QuadraticSurd":
+        if isinstance(other, (int, Fraction)):
+            return QuadraticSurd(self._a * other, self._b * other, self._d)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -208,17 +208,18 @@ class QuadraticSurd:
         return QuadraticSurd(self._a / n, -self._b / n, self._d)
 
     def __truediv__(self, other: ScalarLike) -> "QuadraticSurd":
+        if isinstance(other, (int, Fraction)):
+            return QuadraticSurd(self._a / other, self._b / other, self._d)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._common_d(other)
         return self * other.inverse()
 
-    def __rtruediv__(self, other: ScalarLike) -> "QuadraticSurd":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __rtruediv__(self, other: RationalLike) -> "QuadraticSurd":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exponent: int) -> "QuadraticSurd":
         if not isinstance(exponent, int):
@@ -312,41 +313,38 @@ def surd_pow(x: QuadraticSurd, e: int) -> QuadraticSurd:
     return x ** e
 
 
-def _mp_eval(x: QuadraticSurd, prec: int) -> mpmath.mpf:
-    with mpmath.workprec(prec):
-        a = mpmath.mpf(x.a.numerator) / x.a.denominator
-        if x.b == 0:
-            return a
-        b = mpmath.mpf(x.b.numerator) / x.b.denominator
-        d = mpmath.mpf(x.D.numerator) / x.D.denominator
-        return a + b * mpmath.sqrt(d)
+def surd_to_float(x: QuadraticSurd) -> float:
+    """Round a + b*sqrt(D) to the nearest double, exactly.
 
-
-def surd_to_float(x: QuadraticSurd, precision_bits: int = 96) -> float:
-    """Round a + b*sqrt(D) to a double via adaptive-precision evaluation.
-
-    Working precision doubles until two consecutive evaluations agree to
-    `precision_bits` relative bits, so catastrophic cancellation between a
-    and b*sqrt(D) (e.g. in high powers of a decay factor) never leaks into
-    the result.
+    With D = p/q, x = (A + B*sqrt(pq))/C over integers.  For b != 0,
+    sqrt(pq) is irrational, so s = isqrt(B**2 pq 4**k) brackets
+    |B| sqrt(pq) 2**k strictly between s and s + 1, and x lies strictly
+    between lo/(C 2**k) and (lo + 1)/(C 2**k).  Int/int division rounds
+    correctly, so when both ends round to the same double, so does x;
+    otherwise the guard bits k double (Ziv's rounding test).  Rounding
+    boundaries are dyadic and x is irrational, so the loop ends;
+    cancellation between a and b*sqrt(D) only costs more bits.  A value
+    beyond the double range raises OverflowError, as float(Fraction) does.
     """
-    if x.D < 0:
-        raise NegativeRadicandError(f"negative radicand {x.D}")
     if x.b == 0:
         return float(x.a)
-    prec = max(precision_bits, 64) + 16
-    prev = _mp_eval(x, prec)
+    a, b, d = x.a, x.b, x.D
+    big_a = a.numerator * b.denominator * d.denominator
+    big_b = b.numerator * a.denominator
+    big_c = a.denominator * b.denominator * d.denominator
+    radicand = big_b * big_b * d.numerator * d.denominator
+    k = 64
     while True:
-        prec *= 2
-        cur = _mp_eval(x, prec)
-        # b != 0 makes the true value irrational, hence nonzero: a zero
-        # evaluation only ever signals unresolved cancellation.
-        if (cur != 0 and prev != 0
-                and abs(cur - prev) <= abs(cur) * mpmath.mpf(2) ** (-precision_bits)):
-            return float(cur)
-        if prec > 1 << 22:
-            raise ArithmeticError(f"float conversion did not stabilize: {x!r}")
-        prev = cur
+        s = math.isqrt(radicand << 2 * k)
+        lo = (big_a << k) + (s if big_b > 0 else -s - 1)
+        den = big_c << k
+        try:
+            value = lo / den
+            if value == (lo + 1) / den:
+                return value
+        except OverflowError:
+            min(lo, lo + 1, key=abs) / den  # raises unless one end is in range
+        k *= 2
 
 
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:

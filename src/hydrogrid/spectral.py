@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coordinate import eigen_data, residual_row, wavefunction
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
 from .pollaczek import closed_form_sequence, mass_point
@@ -46,7 +44,10 @@ class TridiagonalOperator:
     def diagonal_floats(self) -> list[float]:
         return [float(self.delta) / k for k in range(1, self.size + 1)]
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self):
+        """Dense numpy matrix: an oracle for tests, never used by the solver."""
+        import numpy as np
+
         mat = np.zeros((self.size, self.size))
         mat[np.diag_indices(self.size)] = self.diagonal_floats()
         idx = np.arange(self.size - 1)
@@ -261,20 +262,16 @@ def inner_product(n: int, n2: int, delta: RationalLike,
 
 
 def gram_matrix(states: list[int], delta: RationalLike,
-                tail_tol: float = 1e-13) -> np.ndarray:
-    """Gram matrix of the normalized closed-form vectors."""
+                tail_tol: float = 1e-13) -> list[list[float]]:
+    """Gram matrix of the normalized closed-form vectors, as rows."""
     raw = {}
     for i, n in enumerate(states):
         for n2 in states[i:]:
-            raw[(n, n2)] = inner_product(n, n2, delta, tail_tol)
+            raw[(n, n2)] = raw[(n2, n)] = inner_product(n, n2, delta,
+                                                        tail_tol)
     norms = {n: math.sqrt(raw[(n, n)]) for n in states}
-    size = len(states)
-    out = np.empty((size, size))
-    for i, n in enumerate(states):
-        for j, n2 in enumerate(states):
-            value = raw[(n, n2)] if (n, n2) in raw else raw[(n2, n)]
-            out[i, j] = value / (norms[n] * norms[n2])
-    return out
+    return [[raw[(n, n2)] / (norms[n] * norms[n2]) for n2 in states]
+            for n in states]
 
 
 def coordinate_ratio(n: int, delta: RationalLike, length: int = 8):

@@ -204,7 +204,7 @@ def _check_orthonormal_gram(delta: Fraction, n_max: int) -> bool:
     for i in range(size):
         for j in range(size):
             target = 1.0 if i == j else 0.0
-            if abs(gram[i, j] - target) > 1e-10:
+            if abs(gram[i][j] - target) > 1e-10:
                 return False
     return True
 

@@ -135,7 +135,7 @@ def test_criterion_5_orthonormality():
     for i in range(6):
         for j in range(6):
             target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(gram[i, j] - target))
+            worst = max(worst, abs(gram[i][j] - target))
     _report("5 orthonormality", worst < 1e-10,
             f"max |G - I| = {worst:.3e}")
     assert worst < 1e-10

@@ -230,6 +230,12 @@ GOLDEN_STDOUT = [
      "505f5814003c2856f9f6bc56363cb349110b9db688d24facb1c8e53fe3e6264d"),
     ("pollaczek --delta 1/2 --n 0..1 --jmax 5 --mode float --precision-bits 64",
      "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
+    # --precision-bits has no effect: every conversion is correctly rounded
+    ("pollaczek --delta 1/2 --n 0..1 --jmax 5 --mode float --precision-bits 8",
+     "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
+    ("pollaczek --delta 1/2 --n 0..1 --jmax 5 --mode float "
+     "--precision-bits 200",
+     "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output csv",
      "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output json",
@@ -294,6 +300,16 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     ("wavefunction --kmax -5", "--kmax must be >= 1"),
     ("wavefunction --kmax 0", "--kmax must be >= 1"),
     ("pollaczek --jmax -1", "--jmax must be >= 0"),
+    ("spectrum --n 0..2", "--n must be >= 1"),
+    ("wavefunction --n 0..1", "--n must be >= 1"),
+    ("coeffs --n 0..2", "--n must be >= 1"),
+    ("converge --n 0..2", "--n must be >= 1"),
+    ("verify --n 0..2", "--n must be >= 1"),
+    ("pollaczek --n=-1..0", "--n must be >= 0"),
+    ("verify --kmax 1", "--kmax must be >= 2"),
+    ("verify --kmax 0", "--kmax must be >= 2"),
+    ("verify --kmax -1", "--kmax must be >= 2"),
+    ("coeffs --kmax -1", "--kmax must be >= 0"),
 ])
 def test_out_of_domain_input_rejected(argv, message, capsys):
     assert main(argv.split()) == 2

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import hydrogrid
 from hydrogrid.numerics import (
     MixedRadicandError,
     NegativeRadicandError,
@@ -120,6 +124,100 @@ def test_float_never_reports_zero_for_nonzero_surd():
     with mpmath.workprec(600):
         expected = float((mpmath.sqrt(2) - 1) ** 100)
     assert value == expected
+
+
+def _mp_oracle(x):
+    with mpmath.workprec(4000):
+        d = mpmath.mpf(x.D.numerator) / x.D.denominator
+        return float(mpmath.mpf(x.a.numerator) / x.a.denominator
+                     + mpmath.mpf(x.b.numerator) / x.b.denominator
+                     * mpmath.sqrt(d))
+
+
+def _rounds_to(x, value):
+    """x lies strictly inside the interval of reals that round to value."""
+    lo = (Fraction(value) + Fraction(math.nextafter(value, -math.inf))) / 2
+    hi = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    return (x - lo).sign() > 0 and (x - hi).sign() < 0
+
+
+# parts with six-digit numerators and denominators
+parts = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                     max_denominator=10 ** 6)
+
+
+@settings(max_examples=300)
+@given(parts, parts, parts.map(abs))
+def test_float_is_correctly_rounded_random_surds(a, b, d):
+    x = QuadraticSurd(a, b, d)
+    value = surd_to_float(x)
+    if x.is_rational():
+        assert value == float(x.a)
+        return
+    assert value == _mp_oracle(x)
+    assert _rounds_to(x, value)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([QuadraticSurd(-1, 1, 2),
+                        QuadraticSurd(Fraction(-1, 2), 1, Fraction(5, 4)),
+                        QuadraticSurd(Fraction(-2, 3), 1, Fraction(13, 9))]),
+       st.integers(min_value=1, max_value=400), st.sampled_from([1, -1]))
+def test_float_is_correctly_rounded_decay_powers(q, k, sign):
+    # a and b*sqrt(D) of q**k cancel to a relative 1e-150 at k = 400
+    x = sign * q ** k
+    value = surd_to_float(x)
+    assert value == _mp_oracle(x)
+    assert _rounds_to(x, value)
+
+
+def test_float_overflow_raises_like_fraction():
+    with pytest.raises(OverflowError):
+        float(Fraction(10 ** 400))
+    for x in (QuadraticSurd(10 ** 400, 1, 2), QuadraticSurd(-10 ** 400, 1, 2),
+              QuadraticSurd(0, 10 ** 308, 5)):
+        with pytest.raises(OverflowError):
+            surd_to_float(x)
+    # just below the overflow threshold of 2**1024 - 2**970 a value rounds
+    # to the largest double; just above it overflows
+    edge = Fraction(2 ** 1024 - 2 ** 970)
+    assert surd_to_float(QuadraticSurd(edge, Fraction(-1, 10 ** 30), 2)) \
+        == sys.float_info.max
+    with pytest.raises(OverflowError):
+        surd_to_float(QuadraticSurd(edge, Fraction(1, 10 ** 30), 2))
+
+
+def test_float_underflow_keeps_sign():
+    tiny = surd_pow(QuadraticSurd(-1, 1, 2), 1100)  # about 1e-421
+    assert math.copysign(1.0, surd_to_float(tiny)) == 1.0
+    assert surd_to_float(tiny) == 0.0
+    assert math.copysign(1.0, surd_to_float(-tiny)) == -1.0
+    subnormal = surd_pow(QuadraticSurd(-1, 1, 2), 840)
+    value = surd_to_float(subnormal)
+    assert 0.0 < value < sys.float_info.min
+    assert _rounds_to(subnormal, value)
+
+
+def test_rational_operand_multiply_and_divide():
+    x = QuadraticSurd(Fraction(3, 2), Fraction(-5, 7), Fraction(5, 4))
+    for r in (3, -2, Fraction(7, 9), Fraction(-1, 5)):
+        assert x * r == r * x == x * QuadraticSurd(r)
+        assert x / r == x * QuadraticSurd(r).inverse()
+    assert x * 0 == 0 and (x * 0).D == 0
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    src = os.path.dirname(os.path.dirname(hydrogrid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hydrogrid, hydrogrid.cli; "
+         "print('numpy' in sys.modules, 'mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_sign_and_ordering():
