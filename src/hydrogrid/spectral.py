@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction
@@ -28,9 +30,19 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Truncation to size N of the infinite lattice operator."""
+    """Truncation to size N of the infinite lattice operator.
+
+    delta >= 0 keeps the diagonal non-increasing, which `sturm_count`
+    relies on.
+    """
     delta: Fraction
     size: int
+
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ValueError("truncation size must be >= 1")
+        if self.delta < 0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
     def diagonal(self, k: int) -> Fraction:
         if not 1 <= k <= self.size:
@@ -41,8 +53,14 @@ class TridiagonalOperator:
     def offdiagonal(self) -> Fraction:
         return Fraction(1, 2)
 
+    @cached_property
+    def _diag(self) -> tuple[float, ...]:
+        """float(delta)/k for k = 1..N, computed once per operator."""
+        delta = float(self.delta)
+        return tuple(delta / k for k in range(1, self.size + 1))
+
     def diagonal_floats(self) -> list[float]:
-        return [float(self.delta) / k for k in range(1, self.size + 1)]
+        return list(self._diag)
 
     def materialize(self):
         """Dense numpy matrix: an oracle for tests, never used by the solver."""
@@ -56,7 +74,7 @@ class TridiagonalOperator:
         return mat
 
     def gershgorin_interval(self) -> tuple[float, float]:
-        diag = self.diagonal_floats()
+        diag = self._diag
         if self.size == 1:
             return diag[0], diag[0]
         radii = [0.5 if k in (0, self.size - 1) else 1.0
@@ -76,47 +94,51 @@ class SpectralVector:
 
 
 def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
-    if size < 1:
-        raise ValueError("truncation size must be >= 1")
     return TridiagonalOperator(delta=Fraction(delta), size=size)
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
     """Number of eigenvalues of the truncated operator strictly below x.
 
-    Standard Sturm-sequence sign count; a pivot that hits exact zero is
-    replaced by a tiny negative multiple of the row norm.
+    Standard Sturm-sequence sign count (negative pivots of the LDL^T
+    factorization of op - x); a pivot that hits exact zero is replaced by
+    a tiny negative multiple of the row norm.
+
+    The walk stops early where the rest is provably negative.  The
+    diagonal is non-increasing (delta >= 0), so from the first row t with
+    diag[t] - x <= -1 on, every row has g = diag - x <= -1 in floats too.
+    There a pivot d <= -0.5 gives fl(0.25/d) in [-0.5, 0], hence the next
+    pivot fl(g - fl(0.25/d)) <= -0.5 (rounding is monotone): every later
+    pivot is negative, and the count is settled.  For x = NaN no row
+    qualifies and the whole sequence is walked.
     """
     eps = sys.float_info.epsilon
+    diag = op._diag
+    n = len(diag)
+    tail = bisect_left(diag, True, key=lambda v: v - x <= -1.0)
     count = 0
-    d = 1.0
-    delta = float(op.delta)
-    for k in range(1, op.size + 1):
-        diag = delta / k - x
-        if k == 1:
-            d = diag
-        else:
-            d = diag - 0.25 / d
+    d = math.inf  # 0.25/inf = 0.0, so the first pivot is diag[0] - x
+    for i in range(n):
+        g = diag[i] - x
+        d = g - 0.25 / d
         if d == 0.0:
-            d = -eps * max(1.0, abs(diag) + 1.0)
+            d = -eps * max(1.0, abs(g) + 1.0)
         if d < 0.0:
             count += 1
+            if d <= -0.5 and i >= tail:
+                return count + (n - 1 - i)
     return count
 
 
-def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
-                    tol: float) -> float:
-    """Deterministic bisection for the single eigenvalue inside bracket."""
-    lo, hi = bracket
-    if not (lo < hi):
-        raise ValueError("bracket must satisfy lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c_lo = sturm_count(op, lo)
-    c_hi = sturm_count(op, hi)
-    if c_hi - c_lo != 1:
-        raise BracketError(
-            f"bracket ({lo}, {hi}) contains {c_hi - c_lo} eigenvalues")
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _refine(op: TridiagonalOperator, lo: float, hi: float, c_lo: int,
+            tol: float) -> float:
+    """Bisect (lo, hi], which holds exactly one eigenvalue above the
+    c_lo eigenvalues below lo, down to width tol."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -128,9 +150,27 @@ def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
+def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
+                    tol: float) -> float:
+    """Deterministic bisection for the single eigenvalue inside bracket."""
+    lo, hi = bracket
+    if not (lo < hi):
+        raise ValueError("bracket must satisfy lo < hi")
+    _check_tol(tol)
+    c_lo = sturm_count(op, lo)
+    c_hi = sturm_count(op, hi)
+    if c_hi - c_lo != 1:
+        raise BracketError(
+            f"bracket ({lo}, {hi}) contains {c_hi - c_lo} eigenvalues")
+    return _refine(op, lo, hi, c_lo, tol)
+
+
 def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
                         tol: float = 1e-12) -> list[float]:
     """All eigenvalues in (lo, hi], isolated by Sturm counts then refined."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"bounds must not be NaN, got ({lo}, {hi})")
+    _check_tol(tol)
     results: list[float] = []
     stack = [(lo, hi, sturm_count(op, lo), sturm_count(op, hi))]
     while stack:
@@ -139,7 +179,7 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
         if k == 0:
             continue
         if k == 1:
-            results.append(eigen_bisection(op, (a, b), tol))
+            results.append(_refine(op, a, b, ca, tol))
             continue
         mid = 0.5 * (a + b)
         if not a < mid < b:

@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hydrogrid import numerics, pollaczek, spectral
 from hydrogrid.coordinate import eigen_data, wavefunction
@@ -58,7 +60,9 @@ def test_sturm_two_rows():
     # eigenvalues (3 +/- sqrt(5))/4 ~ 0.191, 1.309 from the characteristic
     # polynomial of [[1, 1/2], [1/2, 1/2]]
     op = build_truncated(1, 2)
-    assert sturm_count(op, 1.0) == 1
+    # x = 1.0 makes the first pivot 1/1 - 1.0 exactly zero; it is replaced
+    # by a tiny negative number, as in the full walk
+    assert sturm_count(op, 1.0) == reference_sturm_count(op, 1.0) == 1
     assert sturm_count(op, 0.1) == 0
     assert sturm_count(op, 1.5) == 2
 
@@ -275,3 +279,186 @@ def test_gram_matrix_floats_each_entry_once(monkeypatch):
     # decay factors q of each pair, and P_0 = 1, which every state shares.
     assert len(set(converted)) > 1000
     assert len(converted) <= len(set(converted)) + 2 * pairs + len(states)
+
+
+def reference_sturm_count(op, x):
+    """The full-walk Sturm count the early-stopping one must reproduce:
+    every row evaluated, diagonal recomputed per row."""
+    eps = sys.float_info.epsilon
+    count = 0
+    d = 1.0
+    delta = float(op.delta)
+    for k in range(1, op.size + 1):
+        diag = delta / k - x
+        if k == 1:
+            d = diag
+        else:
+            d = diag - 0.25 / d
+        if d == 0.0:
+            d = -eps * max(1.0, abs(diag) + 1.0)
+        if d < 0.0:
+            count += 1
+    return count
+
+
+STURM_DELTAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+                Fraction(1), Fraction(2)]
+
+
+@st.composite
+def sturm_points(draw):
+    """An operator and an x: a special value, 1 + 10**-j, a random float,
+    or the tail boundary diag[i] + 1 and its float neighbours."""
+    op = build_truncated(draw(st.sampled_from(STURM_DELTAS)),
+                         draw(st.integers(1, 3000)))
+    kind = draw(st.sampled_from(["special", "near_one", "random",
+                                 "boundary"]))
+    if kind == "special":
+        x = draw(st.sampled_from([math.inf, -math.inf, math.nan, 1.0, -1.0,
+                                  0.0]))
+    elif kind == "near_one":
+        x = 1.0 + 10.0 ** -draw(st.integers(1, 16))
+    elif kind == "random":
+        x = draw(st.floats(-3.0, 4.0))
+    else:
+        x = op.diagonal_floats()[draw(st.integers(0, op.size - 1))] + 1.0
+        x = draw(st.sampled_from([x, math.nextafter(x, -math.inf),
+                                  math.nextafter(x, math.inf)]))
+    return op, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(sturm_points())
+def test_sturm_count_equals_full_walk(point):
+    op, x = point
+    assert sturm_count(op, x) == reference_sturm_count(op, x)
+
+
+def test_sturm_count_equals_full_walk_on_a_grid():
+    for delta in STURM_DELTAS:
+        for size in (1, 2, 3, 50, 777):
+            op = build_truncated(delta, size)
+            diag = op.diagonal_floats()
+            xs = [-math.inf, math.inf, math.nan, -1.0, 0.0, 1.0, 1.5, 3.0]
+            xs += [1.0 + 10.0 ** -j for j in range(1, 17)]
+            xs += [diag[i] + 1.0 for i in range(0, size, max(1, size // 9))]
+            for x in xs:
+                assert sturm_count(op, x) == reference_sturm_count(op, x)
+            assert sturm_count(op, math.inf) == size
+            assert sturm_count(op, -math.inf) == 0
+
+
+def test_build_rejects_negative_delta():
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_truncated(-1, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_truncated(Fraction(-1, 10**9), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral.TridiagonalOperator(delta=Fraction(-1), size=4)
+    assert build_truncated(0, 3).diagonal_floats() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, -math.inf])
+def test_solvers_reject_bad_tol(tol):
+    op = build_truncated(1, 200)
+    with pytest.raises(ValueError, match="tol"):
+        eigen_bisection(op, (1.40, 1.43), tol)
+    with pytest.raises(ValueError, match="tol"):
+        eigenvalues_between(op, 1.0, 2.0, tol)
+    with pytest.raises(ValueError, match="tol"):
+        point_spectrum_above(op, tol=tol)
+    # rejected even where there is nothing to refine
+    with pytest.raises(ValueError, match="tol"):
+        eigenvalues_between(op, 5.0, 6.0, tol)
+
+
+def test_solvers_reject_nan_bounds():
+    op = build_truncated(1, 200)
+    with pytest.raises(ValueError):
+        eigen_bisection(op, (math.nan, 1.43), 1e-12)
+    with pytest.raises(ValueError):
+        eigen_bisection(op, (1.40, math.nan), 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        eigenvalues_between(op, math.nan, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        eigenvalues_between(op, 1.0, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        point_spectrum_above(op, math.nan)
+
+
+def test_threshold_above_gershgorin_bound_gives_nothing():
+    op = build_truncated(1, 200)
+    _, hi = op.gershgorin_interval()
+    assert point_spectrum_above(op, hi + 2.0) == []
+    assert eigenvalues_between(op, 2.0, 1.0) == []
+
+
+def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
+    # Isolation hands each single-eigenvalue bracket to the refinement
+    # with its known end counts; only bisection midpoints are counted.
+    op = build_truncated(1, 200)
+    calls = []
+    original = spectral.sturm_count
+
+    def counting(op, x):
+        calls.append(x)
+        return original(op, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", counting)
+    found = point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
+    assert len(found) == 12
+    assert len(calls) == len(set(calls))
+
+
+# float.hex() of point spectra, recorded with the full-walk Sturm count:
+# the two smaller solvers-benchmark sizes and verify's settings.
+GOLDEN_POINT_SPECTRA = {
+    (Fraction(1, 2), 2206, 1.0, 1e-12): [
+        "0x1.0001ebe5a8700p+0", "0x1.0004b0065d100p+0", "0x1.00074307a9f00p+0",
+        "0x1.0009a1f3ca500p+0", "0x1.000bc89358900p+0", "0x1.000db16888500p+0",
+        "0x1.000f5c70b2300p+0", "0x1.0010e9626f700p+0", "0x1.001292ad44f00p+0",
+        "0x1.00147a0f5d500p+0", "0x1.0016b047a7900p+0", "0x1.0019477178b00p+0",
+        "0x1.001c57033db00p+0", "0x1.001ffe0040100p+0", "0x1.0024661681b00p+0",
+        "0x1.0029c85869b00p+0", "0x1.00307498fe500p+0", "0x1.0038dd3d74100p+0",
+        "0x1.0043aae43cf00p+0", "0x1.0051de6ddd700p+0", "0x1.00650ed19a700p+0",
+        "0x1.007fe00ff6300p+0", "0x1.00a6f89192500p+0", "0x1.00e3296fa1f00p+0",
+        "0x1.0146dd6828900p+0", "0x1.01fe03f61b900p+0", "0x1.0387fcced3d00p+0",
+        "0x1.07e0f66afed00p+0", "0x1.1e3779b97f700p+0",
+    ],
+    (Fraction(3, 4), 2206, 1.0, 1e-12): [
+        "0x1.00015eb61a780p+0", "0x1.0004db8981b80p+0", "0x1.0008287615280p+0",
+        "0x1.000b437ee2980p+0", "0x1.000e2a0336d80p+0", "0x1.0010d866ef880p+0",
+        "0x1.001349a46d580p+0", "0x1.0015783790f80p+0", "0x1.0017693b46f80p+0",
+        "0x1.0019452f3ec80p+0", "0x1.001b42a200280p+0", "0x1.001d7c0c4f080p+0",
+        "0x1.001ffe003f380p+0", "0x1.0022d576b7880p+0", "0x1.0026125379e80p+0",
+        "0x1.0029c85869f80p+0", "0x1.002e1055f1080p+0", "0x1.003309cde3b80p+0",
+        "0x1.0038dd3d74280p+0", "0x1.003fbf5ef6a80p+0", "0x1.0047f5e2d8580p+0",
+        "0x1.0051de6ddd180p+0", "0x1.005df9336f580p+0", "0x1.006cf977f0080p+0",
+        "0x1.007fe00ff6280p+0", "0x1.0098276961d80p+0", "0x1.00b80fc032480p+0",
+        "0x1.00e3296fa1e80p+0", "0x1.011f5eb541380p+0", "0x1.017717018cc80p+0",
+        "0x1.01fe03f61bf80p+0", "0x1.02dd2dc67ed80p+0", "0x1.04760c95db280p+0",
+        "0x1.07e0f66afee80p+0", "0x1.11687a8ae1780p+0", "0x1.4000000000180p+0",
+    ],
+    (Fraction(1, 2), 400, 1.0 + 1e-9, 1e-11): [
+        "0x1.001288a082436p+0", "0x1.0033539069d2ap+0", "0x1.004e09979176ep+0",
+        "0x1.0064cfd6a7288p+0", "0x1.007fdf96a2cbap+0", "0x1.00a6f89180456p+0",
+        "0x1.00e3296f9d768p+0", "0x1.0146dd682c1fep+0", "0x1.01fe03f617aaap+0",
+        "0x1.0387fcced8610p+0", "0x1.07e0f66b0370cp+0", "0x1.1e3779b97cb02p+0",
+    ],
+    (Fraction(1), 400, 1.0 + 1e-9, 1e-11): [
+        "0x1.00288c3de40eep+0", "0x1.0057a988af880p+0", "0x1.008099769312cp+0",
+        "0x1.00a2f3ca6ab08p+0", "0x1.00c14a1e4a598p+0", "0x1.00e328264df88p+0",
+        "0x1.010e40af957d4p+0", "0x1.0146dd682adb2p+0", "0x1.01934d6174002p+0",
+        "0x1.01fe03f61cceap+0", "0x1.02995b6ed3120p+0", "0x1.0387fcced666ap+0",
+        "0x1.0511de5a81feep+0", "0x1.07e0f66afdf3cp+0", "0x1.0dd90273c4dc8p+0",
+        "0x1.1e3779b981fe0p+0", "0x1.6a09e667f2e3cp+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_POINT_SPECTRA))
+def test_point_spectrum_bitwise_golden(key):
+    delta, size, threshold, tol = key
+    found = point_spectrum_above(build_truncated(delta, size), threshold,
+                                 tol=tol)
+    assert [x.hex() for x in found] == GOLDEN_POINT_SPECTRA[key]
