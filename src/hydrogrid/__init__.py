@@ -32,7 +32,6 @@ from .numerics import (
     as_surd,
     floats_close,
     parse_rational,
-    surd_arith,
     surd_from_json,
     surd_pow,
     surd_to_float,
@@ -41,7 +40,6 @@ from .numerics import (
 from .pollaczek import (
     ClosedFormSequence,
     MassPoint,
-    PollaczekParams,
     PolynomialSequence,
     beta_coeff,
     chebyshev_u,

@@ -12,8 +12,9 @@ corrections.  Two independent routes compute the alpha vector:
   combinatorial C coefficients (exact rationals), assembled into surds by
   `alpha_assemble`;
 * `ansatz_constraint_system` re-derives the linear constraints from first
-  principles by binomial expansion of u(r +/- delta) and
-  `solve_constraint_system` solves them by exact Gaussian elimination.
+  principles by binomial expansion of u(r +/- delta), and
+  `solve_constraint_system` solves them by exact back-substitution on
+  their strictly upper triangular structure.
 
 Both must agree exactly; `difference_residual` additionally checks the
 difference equation row by row in exact arithmetic.
@@ -101,14 +102,13 @@ class ConstraintSystem:
     """Rows of the power-by-power constraints on the full polynomial
     coefficients c_k = ell_k * alpha_k (row j for r^j, j = 0..n).
 
-    Rows j = n and j = n-1 vanish identically once mu and q take their
-    eigenvalue values; the remaining n-1 rows have a one-dimensional
-    solution space.
+    Once mu and q take their eigenvalue values, rows j = n and j = n-1
+    vanish identically and row j <= n-2 is zero up to column j and
+    nonzero at column j+1, so the rows are strictly upper triangular and
+    fix the c_k up to one common factor.
     """
     n: int
     delta: Fraction
-    mu: QuadraticSurd
-    q: QuadraticSurd
     rows: tuple[tuple[QuadraticSurd, ...], ...]
 
 
@@ -266,56 +266,51 @@ def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
                 coef = coef - ed.mu
             row.append(coef)
         rows.append(tuple(row))
-    return ConstraintSystem(n=n, delta=delta, mu=ed.mu, q=ed.q,
-                            rows=tuple(rows))
+    return ConstraintSystem(n=n, delta=delta, rows=tuple(rows))
 
 
 def solve_constraint_system(system: ConstraintSystem) -> tuple[QuadraticSurd, ...]:
-    """Exact nullspace solve, returned as alpha_1..alpha_n with alpha_n = 1.
+    """Exact solve by back-substitution, returned as alpha_1..alpha_n with
+    alpha_n = 1.
 
-    Gaussian elimination over Q(sqrt(D)) on the nonzero rows; the full
-    coefficients c_k are converted back to alpha_k = c_k/ell_k and scaled
-    so alpha_n = 1.
+    With q + 1/q = 2 mu and q - 1/q = -2 delta/n, row j, column k is
+    C(k,j) delta^(k-j) w_(k-j) + delta**2 [k = j+1] - mu [k = j], where
+    w is mu for even k-j and -delta/n for odd k-j.  So the entries with
+    k < j vanish (C(k,j) = 0), the diagonal k = j is mu - mu = 0, and the
+    superdiagonal k = j+1 is (j+1) delta (-delta/n) + delta**2
+    = delta**2 (1 - (j+1)/n): nonzero for j <= n-2, zero for j = n-1.
+    Rows n-1 and n therefore vanish, and rows 0..n-2 are strictly upper
+    triangular with a nonzero superdiagonal, so the solutions form one
+    line.  Fixing c_n = ell_n (alpha_n = 1), row j gives, for
+    j = n-2 down to 0,
+
+        c_(j+1) = -(sum_{k>j+1} row_j[k] c_k) / row_j[j+1],
+
+    and alpha_k = c_k/ell_k.  Each premise is checked exactly before the
+    solve; a failed one raises ArithmeticError naming its row and column.
     """
     n = system.n
-    if n == 1:
-        return (as_surd(1),)
-    rows = [list(row) for row in system.rows
-            if any(not c.is_zero() for c in row)]
-    pivots: list[int] = []
-    ri = 0
-    for col in range(n):
-        pr = next((i for i in range(ri, len(rows))
-                   if not rows[i][col].is_zero()), None)
-        if pr is None:
-            continue
-        rows[ri], rows[pr] = rows[pr], rows[ri]
-        pivot = rows[ri][col]
-        rows[ri] = [c / pivot for c in rows[ri]]
-        for i in range(len(rows)):
-            if i != ri and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [c - factor * p for c, p in zip(rows[i], rows[ri])]
-        pivots.append(col)
-        ri += 1
-        if ri == len(rows):
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    rows = system.rows
+    if len(rows) != n + 1 or any(len(row) != n for row in rows):
         raise ArithmeticError(
-            f"expected a one-dimensional solution space, got {len(free)} free "
-            f"columns for n={n}, delta={system.delta}")
-    fc = free[0]
-    c_vec = [as_surd(0)] * n
-    c_vec[fc] = as_surd(1)
-    for i, col in enumerate(pivots):
-        c_vec[col] = -rows[i][fc]
+            f"expected {n + 1} rows of {n} entries for n={n}")
+    for j, row in enumerate(rows):
+        for k in range(1, min(j + 1, n) + 1):
+            # on and below the diagonal, zero; at k = j+1, zero only in row n-1
+            vanishes = k <= j or j == n - 1
+            if vanishes != row[k - 1].is_zero():
+                raise ArithmeticError(
+                    f"row {j}, column {k} is {row[k - 1]} for n={n}, "
+                    f"delta={system.delta}; expected "
+                    f"{'zero' if vanishes else 'nonzero'}")
     ell = laguerre_ref(n).coefficients
-    alphas = [c_vec[k - 1] / ell[k] for k in range(1, n + 1)]
-    last = alphas[-1]
-    if last.is_zero():
-        raise ArithmeticError("degenerate solution with alpha_n = 0")
-    return tuple(a / last for a in alphas)
+    c = {n: as_surd(ell[n])}
+    for j in range(n - 2, -1, -1):
+        row = rows[j]
+        tail = sum((row[k - 1] * c[k] for k in range(j + 2, n + 1)),
+                   as_surd(0))
+        c[j + 1] = -tail / row[j]
+    return tuple(c[k] / ell[k] for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

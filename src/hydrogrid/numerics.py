@@ -289,23 +289,6 @@ def as_surd(value: ScalarLike) -> QuadraticSurd:
     return QuadraticSurd(value)
 
 
-_ARITH_OPS = {
-    "add": QuadraticSurd.__add__,
-    "sub": QuadraticSurd.__sub__,
-    "mul": QuadraticSurd.__mul__,
-    "div": QuadraticSurd.__truediv__,
-}
-
-
-def surd_arith(lhs: QuadraticSurd, rhs: QuadraticSurd, op: str) -> QuadraticSurd:
-    """Exact field arithmetic in Q(sqrt(D)); op is add/sub/mul/div."""
-    try:
-        func = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return func(lhs, rhs)
-
-
 def surd_pow(x: QuadraticSurd, e: int) -> QuadraticSurd:
     """Exact e-fold product; surd_pow(x, 0) = 1."""
     if e < 0:

@@ -30,23 +30,6 @@ Scalar = Union[float, Fraction, QuadraticSurd]
 
 
 @dataclass(frozen=True)
-class PollaczekParams:
-    """Recursion parameters; canonical hydrogen use is (1, 0, -delta)."""
-    lam: Fraction
-    a: Fraction
-    b: Fraction
-    delta: Fraction
-
-    @classmethod
-    def hydrogen(cls, delta: RationalLike) -> "PollaczekParams":
-        delta = Fraction(delta)
-        return cls(Fraction(1), Fraction(0), -delta, delta)
-
-    def is_canonical_hydrogen(self) -> bool:
-        return self.lam == 1 and self.a == 0 and self.b == -self.delta
-
-
-@dataclass(frozen=True)
 class MassPoint:
     """Discrete-spectrum point x_m = sqrt(1 + delta**2/(m+1)**2).
 
@@ -62,7 +45,6 @@ class MassPoint:
 
 @dataclass(frozen=True)
 class PolynomialSequence:
-    params: PollaczekParams
     x: Scalar
     values: tuple[Scalar, ...]
 
@@ -101,8 +83,7 @@ def pollaczek_seq(delta: RationalLike, x: Scalar, jmax: int) -> PolynomialSequen
         nxt = (2 * ((j + 1) * x - d) * cur - (j + 1) * prev) / (j + 1)
         values.append(nxt)
         prev, cur = cur, nxt
-    return PolynomialSequence(params=PollaczekParams.hydrogen(delta), x=x,
-                              values=tuple(values))
+    return PolynomialSequence(x=x, values=tuple(values))
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol}")
 
 
+def _check_bounds(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"bounds must be finite, not NaN or infinite, got ({lo}, {hi})")
+
+
 def _refine(op: TridiagonalOperator, lo: float, hi: float, c_lo: int,
             tol: float) -> float:
     """Bisect (lo, hi], which holds exactly one eigenvalue above the
@@ -154,6 +160,7 @@ def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
                     tol: float) -> float:
     """Deterministic bisection for the single eigenvalue inside bracket."""
     lo, hi = bracket
+    _check_bounds(lo, hi)
     if not (lo < hi):
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)
@@ -168,8 +175,7 @@ def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
 def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
                         tol: float = 1e-12) -> list[float]:
     """All eigenvalues in (lo, hi], isolated by Sturm counts then refined."""
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError(f"bounds must not be NaN, got ({lo}, {hi})")
+    _check_bounds(lo, hi)
     _check_tol(tol)
     results: list[float] = []
     stack = [(lo, hi, sturm_count(op, lo), sturm_count(op, hi))]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,13 +182,41 @@ def test_ansatz_n2_ratio_is_mu():
     assert alphas[0] == eigen_data(2, 1).mu
 
 
-@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1)])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1), Fraction(3, 4)])
+@pytest.mark.parametrize("n", [*range(1, 9), 16, 24])
 def test_ansatz_solution_matches_alpha_tables(n, delta):
     solved = solve_constraint_system(ansatz_constraint_system(n, delta))
     table = alpha_inner(n, n - 1)
     expected = tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
     assert solved == expected
+
+
+def _with_entry(system, j, k, value):
+    """The system with row j, column k (1-based) replaced by value."""
+    rows = [list(row) for row in system.rows]
+    rows[j][k - 1] = QuadraticSurd(value)
+    return replace(system, rows=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("j, k, value", [
+    (3, 2, Fraction(1, 7)),   # below the diagonal
+    (3, 3, Fraction(1, 7)),   # on the diagonal
+    (-2, 4, 1),               # row n-1
+    (-1, 5, 1),               # row n
+    (2, 3, 0),                # the superdiagonal pivot of row 2
+], ids=["below-diagonal", "diagonal", "row-n-1", "row-n", "zero-pivot"])
+def test_constraint_solve_rejects_broken_structure(n, j, k, value):
+    system = ansatz_constraint_system(n, Fraction(1, 2))
+    j %= n + 1
+    with pytest.raises(ArithmeticError, match=f"row {j}, column {k} "):
+        solve_constraint_system(_with_entry(system, j, k, value))
+
+
+def test_constraint_solve_rejects_wrong_shape():
+    system = ansatz_constraint_system(4, Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="5 rows of 4 entries"):
+        solve_constraint_system(replace(system, rows=system.rows[:-1]))
 
 
 def test_wavefunction_n1_closed_form():

@@ -16,7 +16,6 @@ from hydrogrid.numerics import (
     as_surd,
     floats_close,
     parse_rational,
-    surd_arith,
     surd_from_json,
     surd_pow,
     surd_to_float,
@@ -26,13 +25,13 @@ from hydrogrid.numerics import (
 
 def test_sqrt2_squared():
     r2 = QuadraticSurd(0, 1, 2)
-    assert surd_arith(r2, r2, "mul") == QuadraticSurd(2, 0, 2)
+    assert r2 * r2 == QuadraticSurd(2, 0, 2)
 
 
 def test_conjugate_product():
     x = QuadraticSurd(1, 1, 2)
     y = QuadraticSurd(1, -1, 2)
-    assert surd_arith(x, y, "mul") == QuadraticSurd(-1, 0, 2)
+    assert x * y == QuadraticSurd(-1, 0, 2)
 
 
 def test_mixed_fraction_product():
@@ -45,13 +44,12 @@ def test_division_inverse_roundtrip():
     x = QuadraticSurd(3, -2, 2)
     y = QuadraticSurd(Fraction(1, 7), 5, 2)
     assert (x / y) * y == x
-    assert surd_arith(x, y, "div") * y == x
 
 
 def test_division_by_zero():
     x = QuadraticSurd(1, 1, 2)
     with pytest.raises(ZeroDivisionError):
-        surd_arith(x, QuadraticSurd(0, 0, 2), "div")
+        x / QuadraticSurd(0, 0, 2)
 
 
 def test_mismatched_radicands_rejected():
@@ -87,12 +85,6 @@ def test_pow_cube_matches_repeated_multiplication():
     by_hand = q * q * q
     assert surd_pow(q, 3) == by_hand
     assert by_hand == QuadraticSurd(-7, 5, 2)
-
-
-def test_unknown_op_rejected():
-    x = QuadraticSurd(1, 1, 2)
-    with pytest.raises(ValueError):
-        surd_arith(x, x, "pow")
 
 
 def test_float_known_constants():

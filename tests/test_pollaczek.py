@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
 from hydrogrid.pollaczek import (
-    PollaczekParams,
     _closed_branch_high,
     _closed_branch_low,
     beta_coeff,
@@ -83,12 +82,6 @@ def test_seq_float_mode_matches_chebyshev_u():
 def test_seq_rejects_negative_jmax():
     with pytest.raises(ValueError):
         pollaczek_seq(1, 1.0, -1)
-
-
-def test_params_hydrogen():
-    params = PollaczekParams.hydrogen(Fraction(1, 2))
-    assert params.is_canonical_hydrogen()
-    assert params.b == Fraction(-1, 2)
 
 
 def test_beta_trivial_row():

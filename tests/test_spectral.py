@@ -386,6 +386,30 @@ def test_solvers_reject_nan_bounds():
         point_spectrum_above(op, math.nan)
 
 
+# Unchecked, each of these returns non-eigenvalues: NaNs, infs, -infs, inf.
+def test_eigenvalues_between_rejects_both_bounds_infinite():
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues_between(build_truncated(1, 50), -math.inf, math.inf)
+
+
+def test_eigenvalues_between_rejects_infinite_upper_bound():
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues_between(build_truncated(1, 50), 1.0, math.inf)
+
+
+def test_point_spectrum_above_rejects_infinite_threshold():
+    with pytest.raises(ValueError, match="finite"):
+        point_spectrum_above(build_truncated(1, 50), -math.inf)
+
+
+def test_eigen_bisection_rejects_infinite_bracket_end():
+    op = build_truncated(1, 50)
+    # (1.3, inf) holds exactly one eigenvalue, x_0 = sqrt(2)
+    assert sturm_count(op, math.inf) - sturm_count(op, 1.3) == 1
+    with pytest.raises(ValueError, match="finite"):
+        eigen_bisection(op, (1.3, math.inf), 1e-12)
+
+
 def test_threshold_above_gershgorin_bound_gives_nothing():
     op = build_truncated(1, 200)
     _, hi = op.gershgorin_interval()
