@@ -49,7 +49,6 @@ from .pollaczek import (
     pollaczek_mass_closed,
     pollaczek_seq,
     pollaczek_trig_conjugate,
-    qfactor_split,
 )
 from .spectral import (
     BracketError,

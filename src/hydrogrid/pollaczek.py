@@ -177,17 +177,6 @@ def pollaczek_mass_closed(j: int, mp: MassPoint) -> QuadraticSurd:
     return closed_form_sequence(mp).value(j)
 
 
-def qfactor_split(j: int, mp: MassPoint, value: QuadraticSurd) -> QuadraticSurd:
-    """Extract Q_j^m(x_m) = P_j(x_m) / q^{j-m}, exact.
-
-    q is a unit of the field (q*(x+s) = 1), so the division is the exact
-    product with (x+s)^{j-m}.  Requires j > m.
-    """
-    if j <= mp.m:
-        raise ValueError("polynomial factor is defined for j > m only")
-    return value * surd_pow(mp.x + mp.s, j - mp.m)
-
-
 def _rising(z: complex, k: int) -> complex:
     out = complex(1.0)
     for i in range(k):

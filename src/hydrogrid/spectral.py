@@ -104,13 +104,21 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     factorization of op - x); a pivot that hits exact zero is replaced by
     a tiny negative multiple of the row norm.
 
-    The walk stops early where the rest is provably negative.  The
-    diagonal is non-increasing (delta >= 0), so from the first row t with
-    diag[t] - x <= -1 on, every row has g = diag - x <= -1 in floats too.
-    There a pivot d <= -0.5 gives fl(0.25/d) in [-0.5, 0], hence the next
-    pivot fl(g - fl(0.25/d)) <= -0.5 (rounding is monotone): every later
-    pivot is negative, and the count is settled.  For x = NaN no row
-    qualifies and the whole sequence is walked.
+    The diagonal is non-increasing (delta >= 0), so the rows split at the
+    first row t with diag[t] - x <= -1, and the count runs in two phases:
+
+    - Rows before t: the stop argument below needs g <= -1, so no pivot
+      there settles the count, and the loop walks them all with no stop
+      test.  The zero-pivot test runs only for a pivot that is not
+      negative.
+    - Rows from t on: every row has g = diag - x <= -1 in floats too.
+      There a pivot d <= -0.5 gives fl(0.25/d) in [-0.5, 0], hence the
+      next pivot fl(g - fl(0.25/d)) <= -0.5 (rounding is monotone): every
+      later pivot is negative, and the first such d settles the count.
+
+    Both phases do the same float operations in the same order as one
+    full walk, so they return the same integer.  For x = NaN no row
+    qualifies as the tail, no pivot is negative, and the count is 0.
     """
     eps = sys.float_info.epsilon
     diag = op._diag
@@ -118,14 +126,22 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     tail = bisect_left(diag, True, key=lambda v: v - x <= -1.0)
     count = 0
     d = math.inf  # 0.25/inf = 0.0, so the first pivot is diag[0] - x
-    for i in range(n):
+    for v in diag[:tail]:
+        g = v - x
+        d = g - 0.25 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = -eps * max(1.0, abs(g) + 1.0)
+            count += 1
+    for i in range(tail, n):
         g = diag[i] - x
         d = g - 0.25 / d
         if d == 0.0:
             d = -eps * max(1.0, abs(g) + 1.0)
         if d < 0.0:
             count += 1
-            if d <= -0.5 and i >= tail:
+            if d <= -0.5:
                 return count + (n - 1 - i)
     return count
 
@@ -273,8 +289,10 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     (see `closed_form_sequence`), and the truncation point is chosen from
     the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
-    few computed terms, so the discarded tail is below tail_tol.
+    few computed terms, so the discarded tail is below tail_tol, which
+    must be positive.
     """
+    _check_tol(tail_tol)
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("tail bound requires delta > 0")
@@ -310,6 +328,7 @@ def inner_product(n: int, n2: int, delta: RationalLike,
 def gram_matrix(states: list[int], delta: RationalLike,
                 tail_tol: float = 1e-13) -> list[list[float]]:
     """Gram matrix of the normalized closed-form vectors, as rows."""
+    _check_tol(tail_tol)
     raw = {}
     for i, n in enumerate(states):
         for n2 in states[i:]:

@@ -17,7 +17,6 @@ from hydrogrid.pollaczek import (
     pollaczek_mass_closed,
     pollaczek_seq,
     pollaczek_trig_conjugate,
-    qfactor_split,
 )
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
@@ -158,27 +157,19 @@ def test_branches_identical_at_j_equals_m(delta):
         assert _closed_branch_low(m, mp) == _closed_branch_high(m, mp)
 
 
-def test_qfactor_split_small_cases():
+def test_closed_form_at_x0_is_q_power_times_degree_plus_one():
+    # at m = 0 the factor of q^j is the constant j + 1: P_1 = 2q, P_2 = 3q^2
     mp = mass_point(0, 1)
-    assert qfactor_split(1, mp, pollaczek_mass_closed(1, mp)) == 2
-    assert qfactor_split(2, mp, pollaczek_mass_closed(2, mp)) == 3
+    assert pollaczek_mass_closed(1, mp) == 2 * mp.q
+    assert pollaczek_mass_closed(2, mp) == 3 * surd_pow(mp.q, 2)
 
 
-def test_qfactor_split_degree_one_factor():
+def test_closed_form_degree_one_factor_times_q_power():
     mp = mass_point(1, 1)
-    value = pollaczek_mass_closed(3, mp)
-    q_poly = qfactor_split(3, mp, value)
     # second-branch formula: 4 * (x*beta(3,0) - s*C(1,1)*beta(3,1)), beta(3,1) = 4
     assert beta_coeff(3, 1) == 4
-    assert q_poly == 4 * (mp.x - 4 * mp.s)
-    # reconstruct the original value from the split
-    assert q_poly * surd_pow(mp.q, 2) == value
-
-
-def test_qfactor_split_requires_j_above_m():
-    mp = mass_point(2, 1)
-    with pytest.raises(ValueError):
-        qfactor_split(2, mp, pollaczek_mass_closed(2, mp))
+    assert pollaczek_mass_closed(3, mp) == \
+        4 * (mp.x - 4 * mp.s) * surd_pow(mp.q, 2)
 
 
 def test_trig_degree_zero_is_one():

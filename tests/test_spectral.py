@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -197,6 +198,20 @@ def test_inner_product_rejects_nonpositive_delta():
         inner_product(1, 2, 0)
 
 
+# A tail_tol that is not positive is never reached by the tail bound:
+# unchecked, the sum runs forever.
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, -math.inf])
+def test_inner_product_rejects_bad_tail_tol(tail_tol):
+    with pytest.raises(ValueError, match="tol"):
+        inner_product(1, 1, Fraction(1, 2), tail_tol)
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, -math.inf])
+def test_gram_matrix_rejects_bad_tail_tol(tail_tol):
+    with pytest.raises(ValueError, match="tol"):
+        gram_matrix([1, 2], Fraction(1, 2), tail_tol)
+
+
 def test_gram_matrix_orthonormal():
     gram = gram_matrix([1, 2, 3], 1)
     assert np.max(np.abs(gram - np.eye(3))) < 1e-10
@@ -346,6 +361,33 @@ def test_sturm_count_equals_full_walk_on_a_grid():
                 assert sturm_count(op, x) == reference_sturm_count(op, x)
             assert sturm_count(op, math.inf) == size
             assert sturm_count(op, -math.inf) == 0
+        # at solver scale: the ten lowest eigenvalues above 1, where a
+        # count changes, and their float neighbours
+        op = build_truncated(delta, 8000)
+        for e in lowest_eigenvalues_above(op, 1.0, 10):
+            for x in (math.nextafter(e, -math.inf), e,
+                      math.nextafter(e, math.inf)):
+                assert sturm_count(op, x) == reference_sturm_count(op, x)
+
+
+def lowest_eigenvalues_above(op, x0, k):
+    """The k lowest eigenvalues above x0 at float resolution: for each,
+    the smallest float at which the Sturm count goes up by one more."""
+    c0 = sturm_count(op, x0)
+    top = op.gershgorin_interval()[1] + 1.0
+    found = []
+    for c in range(c0 + 1, min(c0 + k, op.size) + 1):
+        lo, hi = (found[-1] if found else x0), top
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if sturm_count(op, mid) >= c:
+                hi = mid
+            else:
+                lo = mid
+        found.append(hi)
+    return found
 
 
 def test_build_rejects_negative_delta():
@@ -432,6 +474,26 @@ def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
     found = point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     assert len(found) == 12
     assert len(calls) == len(set(calls))
+
+
+def test_point_spectrum_bisection_path_pinned(monkeypatch):
+    # Every x at which the solver counts, recorded with the one-loop
+    # early-stopping count: a count that differs anywhere changes the
+    # midpoints that follow it.
+    calls = []
+    original = spectral.sturm_count
+
+    def recording(op, x):
+        calls.append(x)
+        return original(op, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", recording)
+    point_spectrum_above(build_truncated(Fraction(3, 4), 2206))
+    digest = hashlib.sha256(
+        "\n".join(x.hex() for x in calls).encode()).hexdigest()
+    assert len(calls) == 1062
+    assert digest == ("5118a9188eb190d80fe0adb3fc63a474"
+                      "4d931ec7f850e075aa0738ef2208c78f")
 
 
 # float.hex() of point spectra, recorded with the full-walk Sturm count:
