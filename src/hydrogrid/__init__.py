@@ -8,7 +8,6 @@ from .coordinate import (
     EigenData,
     LaguerreRef,
     ZeroPivotError,
-    alpha_assemble,
     alpha_inner,
     ansatz_constraint_system,
     c_coeff,
@@ -28,7 +27,6 @@ from .numerics import (
     MixedRadicandError,
     NegativeRadicandError,
     QuadraticSurd,
-    Rational,
     as_surd,
     floats_close,
     parse_rational,
@@ -39,7 +37,6 @@ from .numerics import (
 )
 from .pollaczek import (
     ClosedFormSequence,
-    MassPoint,
     PolynomialSequence,
     beta_coeff,
     chebyshev_u,

@@ -10,7 +10,7 @@ corrections.  Two independent routes compute the alpha vector:
 
 * `alpha_inner` runs the published level-by-level recursions over the
   combinatorial C coefficients (exact rationals), assembled into surds by
-  `alpha_assemble`;
+  `AlphaTable.assembled`;
 * `ansatz_constraint_system` re-derives the linear constraints from first
   principles by binomial expansion of u(r +/- delta), and
   `solve_constraint_system` solves them by exact back-substitution on
@@ -42,20 +42,35 @@ class ZeroPivotError(ArithmeticError):
         self.m = m
 
 
+_NO_ENERGY_AT_ZERO = "E is undefined at delta=0; the limit is -1/(2n^2)"
+
+
 @dataclass(frozen=True)
 class EigenData:
-    """Per-(n, delta) eigenvalue bundle.
+    """The one exact bundle of state n at step delta.
 
-    mu = sqrt(1 + (delta/n)**2), E = (1 - mu)/delta**2,
-    beta = -arsinh(delta/n)/delta (float only; the algebraic per-step
-    factor q = mu - delta/n is used wherever exactness matters).
+    mu = sqrt(1 + t**2) with t = delta/n is both the eigenvalue of state n
+    and the Pollaczek mass point x_m, m = n - 1; q = mu - t is the
+    per-step decay factor, the exact field inverse of mu + t.  Built only
+    by `eigen_data` (delta > 0) and `pollaczek.mass_point` (delta >= 0),
+    which share one cached object per state.
     """
     n: int
     delta: Fraction
     mu: QuadraticSurd
-    E: QuadraticSurd
-    beta: float
+    t: Fraction
     q: QuadraticSurd
+
+    @property
+    def m(self) -> int:
+        return self.n - 1
+
+    @property
+    def E(self) -> QuadraticSurd:
+        """Lattice energy (1 - mu)/delta**2."""
+        if self.delta == 0:
+            raise ValueError(_NO_ENERGY_AT_ZERO)
+        return (1 - self.mu) / (self.delta * self.delta)
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,14 @@ class AlphaTable:
                 / math.comb(k // 2, m))
 
     def assembled(self, k: int, delta: RationalLike) -> QuadraticSurd:
-        return alpha_assemble(self, k, delta)
+        """alpha^(n,delta)_{n-k}: even k are rational, odd k carry one
+        factor of mu_n."""
+        if k > self.kmax:
+            raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
+        state = _state(self.n, delta)
+        body = sum((self.inner_coeff(k, m) * state.delta ** (2 * m)
+                    for m in range(k // 2 + 1)), Fraction(0))
+        return body * state.mu if k % 2 else QuadraticSurd(body)
 
 
 @dataclass(frozen=True)
@@ -120,20 +142,26 @@ def continuum_energy(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _state(n: int, delta: RationalLike) -> EigenData:
+    """The bundle of state n >= 1 at step delta >= 0, built once."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    t = delta / n
+    mu = QuadraticSurd(0, 1, 1 + t * t)
+    return EigenData(n=n, delta=delta, mu=mu, t=t, q=mu - t)
+
+
 def eigen_data(n: int, delta: RationalLike) -> EigenData:
-    """Closed-form lattice eigenvalue data for state n at step delta."""
+    """Closed-form lattice eigenvalue data for state n at step delta > 0."""
     if n <= 0:
         raise ValueError("state index must be positive")
     delta = Fraction(delta)
     if delta == 0:
-        raise ValueError("E is undefined at delta=0; the limit is -1/(2n^2)")
+        raise ValueError(_NO_ENERGY_AT_ZERO)
     if delta < 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    t = delta / n
-    mu = QuadraticSurd(0, 1, 1 + t * t)
-    energy = (1 - mu) / (delta * delta)
-    beta = -math.asinh(float(t)) / float(delta)
-    return EigenData(n=n, delta=delta, mu=mu, E=energy, beta=beta, q=mu - t)
+    return _state(n, delta)
 
 
 @lru_cache(maxsize=None)
@@ -218,21 +246,6 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
     return table
 
 
-def alpha_assemble(table: AlphaTable, k: int, delta: RationalLike) -> QuadraticSurd:
-    """alpha^(n,delta)_{n-k}: even k are rational, odd k carry one factor
-    of mu_n = sqrt(1 + delta**2/n**2)."""
-    if k > table.kmax:
-        raise ValueError(f"k={k} exceeds table kmax={table.kmax}")
-    delta = Fraction(delta)
-    kp = k // 2
-    body = sum((table.inner_coeff(k, m) * delta ** (2 * m)
-                for m in range(kp + 1)), Fraction(0))
-    if k % 2 == 0:
-        return QuadraticSurd(body)
-    t = delta / table.n
-    return QuadraticSurd(0, body, 1 + t * t)
-
-
 def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
     """Constraints from substituting e^(beta*r) * sum c_k r^k into the
     difference equation, one row per power r^j.
@@ -248,7 +261,7 @@ def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
     if delta == 0:
         raise ValueError("constraint system requires delta != 0")
     ed = eigen_data(n, delta)
-    q_inv = ed.mu + delta / n  # exact inverse of q
+    q_inv = ed.mu + ed.t  # exact inverse of q
     half_sum = (ed.q + q_inv) / 2    # equals mu
     half_diff = (ed.q - q_inv) / 2   # equals -delta/n
     dsq = delta * delta
@@ -360,6 +373,8 @@ def wavefunction_values(n: int, delta: RationalLike,
     q^k is carried as an exact running product; no value is kept once
     the caller has moved past it.
     """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     delta = Fraction(delta)
     q = eigen_data(n, delta).q  # validates n and delta before iteration
     poly = _polynomial(n, delta)
@@ -381,7 +396,8 @@ def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     ell = laguerre_ref(n).coefficients
     poly = sum(float(alphas[j - 1]) * float(ell[j]) * r ** j
                for j in range(1, n + 1))
-    return poly * math.exp(ed.beta * r)
+    beta = -math.asinh(float(ed.t)) / float(delta)
+    return poly * math.exp(beta * r)
 
 
 def residual_row(u_prev, u_here, u_next, k: int, delta, mu):

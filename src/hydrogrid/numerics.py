@@ -1,6 +1,6 @@
 """Exact scalars: arbitrary-precision rationals and quadratic-field elements.
 
-`Rational` is the stdlib `fractions.Fraction` (always kept in lowest terms
+Rationals are the stdlib `fractions.Fraction` (always kept in lowest terms
 with a positive denominator, which is exactly the normal form required
 here).  `QuadraticSurd` represents a + b*sqrt(D) with rational a, b and a
 fixed nonnegative rational radicand D, closed under field operations for a
@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadraticSurd"]
@@ -123,11 +121,6 @@ class QuadraticSurd:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self._a
-
     def __repr__(self) -> str:
         return f"QuadraticSurd({self._a}, {self._b}, {self._d})"
 
@@ -193,9 +186,6 @@ class QuadraticSurd:
         return QuadraticSurd(a, b, d)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - D*b**2 (product with the conjugate)."""

@@ -24,23 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .coordinate import EigenData, _state
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
 
 Scalar = Union[float, Fraction, QuadraticSurd]
-
-
-@dataclass(frozen=True)
-class MassPoint:
-    """Discrete-spectrum point x_m = sqrt(1 + delta**2/(m+1)**2).
-
-    Carries s = delta/(m+1) and the decay factor q = x - s, the exact
-    field inverse of x + s (x**2 - s**2 = 1).
-    """
-    m: int
-    delta: Fraction
-    x: QuadraticSurd
-    s: Fraction
-    q: QuadraticSurd
 
 
 @dataclass(frozen=True)
@@ -49,13 +36,15 @@ class PolynomialSequence:
     values: tuple[Scalar, ...]
 
 
-def mass_point(m: int, delta: RationalLike) -> MassPoint:
+def mass_point(m: int, delta: RationalLike) -> EigenData:
+    """Discrete-spectrum point x_m = mu of state n = m + 1 at delta >= 0.
+
+    The same cached bundle as `eigen_data(m + 1, delta)`: x_m is its mu,
+    s = delta/(m+1) its t, and q = x_m - s its decay factor.
+    """
     if m < 0:
         raise ValueError("mass-point index must be nonnegative")
-    delta = Fraction(delta)
-    s = delta / (m + 1)
-    x = QuadraticSurd(0, 1, 1 + s * s)
-    return MassPoint(m=m, delta=delta, x=x, s=s, q=x - s)
+    return _state(m + 1, delta)
 
 
 def pollaczek_seq(delta: RationalLike, x: Scalar, jmax: int) -> PolynomialSequence:
@@ -95,12 +84,12 @@ def beta_coeff(j: int, m: int) -> Fraction:
                 for l in range(min(j, m) + 1)), Fraction(0))
 
 
-def _closed_branch_low(j: int, mp: MassPoint) -> QuadraticSurd:
+def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
     # (j+1) sum_{l=0}^{j} C(j,l) x^{j-l} (-s)^l beta_{m,l}
     acc = as_surd(0)
     for l in range(j + 1):
-        term = surd_pow(mp.x, j - l) * (math.comb(j, l) * (-mp.s) ** l
-                                        * beta_coeff(mp.m, l))
+        term = surd_pow(mp.mu, j - l) * (math.comb(j, l) * (-mp.t) ** l
+                                         * beta_coeff(mp.m, l))
         acc = acc + term
     return (j + 1) * acc
 
@@ -115,10 +104,10 @@ class ClosedFormSequence:
     is floated at most once, on first use.
     """
 
-    def __init__(self, mp: MassPoint) -> None:
+    def __init__(self, mp: EigenData) -> None:
         self.mp = mp
-        self._weights = tuple(surd_pow(mp.x, mp.m - l)
-                              * (math.comb(mp.m, l) * (-mp.s) ** l)
+        self._weights = tuple(surd_pow(mp.mu, mp.m - l)
+                              * (math.comb(mp.m, l) * (-mp.t) ** l)
                               for l in range(mp.m + 1))
         self._values: list[QuadraticSurd] = []
         self._floats: list[float] = []
@@ -134,9 +123,11 @@ class ClosedFormSequence:
             beta = beta_coeff(j, l)
             a += weight.a * beta
             b += weight.b * beta
-        return qpow * QuadraticSurd((j + 1) * a, (j + 1) * b, self.mp.x.D)
+        return qpow * QuadraticSurd((j + 1) * a, (j + 1) * b, self.mp.mu.D)
 
     def value(self, j: int) -> QuadraticSurd:
+        if j < 0:
+            raise ValueError("degree must be nonnegative")
         values, m = self._values, self.mp.m
         while len(values) <= j:
             i = len(values)
@@ -148,6 +139,8 @@ class ClosedFormSequence:
         return values[j]
 
     def float_value(self, j: int) -> float:
+        if j < 0:
+            raise ValueError("degree must be nonnegative")
         floats = self._floats
         while len(floats) <= j:
             floats.append(float(self.value(len(floats))))
@@ -155,25 +148,23 @@ class ClosedFormSequence:
 
 
 @lru_cache(maxsize=None)
-def closed_form_sequence(mp: MassPoint) -> ClosedFormSequence:
+def closed_form_sequence(mp: EigenData) -> ClosedFormSequence:
     """The one closed-form sequence of mass point mp, shared by every caller."""
     return ClosedFormSequence(mp)
 
 
-def _closed_branch_high(j: int, mp: MassPoint) -> QuadraticSurd:
+def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
     # The j > m form at any j, with q^{j-m} by a fresh power.
     return closed_form_sequence(mp).high_branch(j, surd_pow(mp.q, j - mp.m))
 
 
-def pollaczek_mass_closed(j: int, mp: MassPoint) -> QuadraticSurd:
+def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:
     """P_j(x_m) by the explicit closed form, exact in Q(sqrt(D)).
 
     Uses the degree-j sum for j <= m and the factorized q^{j-m} form for
     j > m; the two agree identically at j = m.  Values are read from the
     mass point's `closed_form_sequence`.
     """
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
     return closed_form_sequence(mp).value(j)
 
 
@@ -235,11 +226,11 @@ def chebyshev_u(j: int, theta: float) -> float:
     return math.sin((j + 1) * theta) / math.sin(theta)
 
 
-def mass_point_invariants_hold(mp: MassPoint) -> bool:
+def mass_point_invariants_hold(mp: EigenData) -> bool:
     """x**2 - s**2 = 1 and q*(x+s) = 1 exactly; 0 < q < 1 for delta > 0."""
-    if mp.x * mp.x - mp.s * mp.s != 1:
+    if mp.mu * mp.mu - mp.t * mp.t != 1:
         return False
-    if mp.q * (mp.x + mp.s) != 1:
+    if mp.q * (mp.mu + mp.t) != 1:
         return False
     if mp.delta > 0:
         qf = float(mp.q)

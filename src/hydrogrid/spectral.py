@@ -229,8 +229,6 @@ def closed_form_vector(n: int, delta: RationalLike, length: int) -> SpectralVect
     if n < 1:
         raise ValueError("state index must be positive")
     delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
     seq = closed_form_sequence(mass_point(n - 1, delta))
     entries = tuple(seq.value(j) for j in range(length))
     return SpectralVector(n=n, delta=delta, entries=entries,

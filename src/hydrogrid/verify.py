@@ -74,7 +74,7 @@ def _check_beta_symmetry(limit: int = 12) -> bool:
 def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
     for m in range(m_max + 1):
         mp = pollaczek.mass_point(m, delta)
-        seq = pollaczek.pollaczek_seq(delta, mp.x, j_max)
+        seq = pollaczek.pollaczek_seq(delta, mp.mu, j_max)
         for j in range(j_max + 1):
             if pollaczek.pollaczek_mass_closed(j, mp) != seq.values[j]:
                 return False
@@ -191,7 +191,7 @@ def _check_bisection_mass_points(delta: Fraction) -> bool:
     op = spectral.build_truncated(delta, 400)
     found = spectral.point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     for m in range(4):
-        target = surd_to_float(pollaczek.mass_point(m, delta).x)
+        target = surd_to_float(pollaczek.mass_point(m, delta).mu)
         if not any(abs(x - target) < 1e-8 for x in found):
             return False
     return True
@@ -230,8 +230,8 @@ def _check_coordinate_spectral_ratio(delta: Fraction, n_max: int) -> bool:
 
 def _diag_p1_convention(delta: Fraction) -> dict:
     mp = pollaczek.mass_point(0, delta)
-    canonical = 2 * mp.x - 2 * delta
-    printed = 2 * mp.x - delta
+    canonical = 2 * mp.mu - 2 * delta
+    printed = 2 * mp.mu - delta
     return {
         "canonical_rule": "P_1 = 2(lam+a)x + 2b (recursion with P_{-1}=0)",
         "printed_rule": "P_1 = 2(lam+a)x + b",

@@ -78,7 +78,7 @@ def test_criterion_2_closed_form_equals_recursion():
     for delta in DELTAS:
         for m in range(11):
             mp = mass_point(m, delta)
-            seq = pollaczek_seq(delta, mp.x, 60)
+            seq = pollaczek_seq(delta, mp.mu, 60)
             for j in range(61):
                 if pollaczek_mass_closed(j, mp) != seq.values[j]:
                     mismatches += 1
@@ -121,7 +121,7 @@ def test_criterion_4_diagonalization_agreement():
     found = point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     worst = 0.0
     for m in range(4):
-        target = surd_to_float(mass_point(m, 1).x)
+        target = surd_to_float(mass_point(m, 1).mu)
         worst = max(worst, min(abs(x - target) for x in found))
     _report("4 diagonalization agreement", worst < 1e-8,
             f"max |eig - x_m| = {worst:.3e}")

@@ -6,7 +6,6 @@ import pytest
 
 from hydrogrid.coordinate import (
     ZeroPivotError,
-    alpha_assemble,
     alpha_inner,
     ansatz_constraint_system,
     c_coeff,
@@ -21,6 +20,7 @@ from hydrogrid.coordinate import (
     wavefunction_values,
 )
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
+from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
 
@@ -67,8 +67,12 @@ def test_eigen_data_rejects_bad_input():
     lambda d: list(wavefunction_values(1, d, 3)),
     lambda d: ansatz_constraint_system(2, d),
     lambda d: closed_form_vector(1, d, 3),
+    lambda d: mass_point(0, d),
+    lambda d: alpha_inner(3, 2).assembled(0, d),
+    lambda d: alpha_inner(3, 2).assembled(1, d),
 ], ids=["eigen_data", "wavefunction", "wavefunction_values",
-        "ansatz_constraint_system", "closed_form_vector"])
+        "ansatz_constraint_system", "closed_form_vector", "mass_point",
+        "assembled-even-k", "assembled-odd-k"])
 def test_negative_delta_rejected(entry, delta):
     with pytest.raises(ValueError):
         entry(delta)
@@ -147,16 +151,16 @@ def test_alpha_inner_rejects_kmax_beyond_n():
 
 def test_alpha_assemble_examples():
     table = alpha_inner(3, 2)
-    assert alpha_assemble(table, 0, 1) == 1
-    assert alpha_assemble(table, 1, 1) == eigen_data(3, 1).mu
-    assert alpha_assemble(table, 2, 1) == Fraction(31, 27)
+    assert table.assembled(0, 1) == 1
+    assert table.assembled(1, 1) == eigen_data(3, 1).mu
+    assert table.assembled(2, 1) == Fraction(31, 27)
 
 
 def test_alpha_assemble_parity_structure():
     table = alpha_inner(7, 6)
     for delta in DELTAS:
         for k in range(7):
-            value = alpha_assemble(table, k, delta)
+            value = table.assembled(k, delta)
             if k % 2 == 0:
                 assert value.is_rational()
             else:
@@ -228,6 +232,9 @@ def test_wavefunction_n1_closed_form():
 def test_wavefunction_rejects_bad_grid_index():
     with pytest.raises(ValueError):
         wavefunction(2, 1, 0)
+    with pytest.raises(ValueError, match="kmax"):
+        wavefunction_values(1, 1, -5)
+    assert list(wavefunction_values(1, 1, 0)) == []
 
 
 def test_wavefunction_float_at_origin():

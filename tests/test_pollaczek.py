@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hydrogrid.coordinate import eigen_data
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
 from hydrogrid.pollaczek import (
+    ClosedFormSequence,
     _closed_branch_high,
     _closed_branch_low,
     beta_coeff,
@@ -24,26 +26,43 @@ DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
 def test_mass_point_delta_one():
     mp = mass_point(0, 1)
-    assert mp.x == QuadraticSurd(0, 1, 2)
-    assert mp.s == 1
+    assert mp.mu == QuadraticSurd(0, 1, 2)
+    assert mp.t == 1
     assert mp.q == QuadraticSurd(-1, 1, 2)
 
 
 def test_mass_point_m1():
     mp = mass_point(1, 1)
-    assert mp.x == QuadraticSurd(0, 1, Fraction(5, 4))
-    assert mp.s == Fraction(1, 2)
+    assert mp.mu == QuadraticSurd(0, 1, Fraction(5, 4))
+    assert mp.t == Fraction(1, 2)
 
 
 def test_mass_point_delta_zero_degenerate():
     mp = mass_point(3, 0)
-    assert mp.x == 1
+    assert mp.mu == 1
     assert mp.q == 1
 
 
 def test_mass_point_rejects_negative_index():
     with pytest.raises(ValueError):
         mass_point(-1, 1)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mass_point_is_the_eigen_data_bundle(n, delta):
+    state = mass_point(n - 1, delta)
+    assert state is eigen_data(n, delta)
+    assert state.m == n - 1
+    assert state.t == delta / n
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_mass_point_at_delta_zero_has_no_energy(m):
+    with pytest.raises(ValueError, match="undefined at delta=0"):
+        mass_point(m, 0).E
+    with pytest.raises(ValueError, match="undefined at delta=0"):
+        eigen_data(m + 1, 0)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -55,7 +74,7 @@ def test_mass_point_invariants(m, delta):
 def test_seq_first_values_delta_one():
     # hand-unrolled recursion at x = sqrt(2): P_1 = 2x - 2, P_2 = 9 - 6x
     mp = mass_point(0, 1)
-    seq = pollaczek_seq(1, mp.x, 2)
+    seq = pollaczek_seq(1, mp.mu, 2)
     assert seq.values[0] == 1
     assert seq.values[1] == QuadraticSurd(-2, 2, 2)
     assert seq.values[2] == QuadraticSurd(9, -6, 2)
@@ -99,6 +118,21 @@ def test_beta_symmetry(j, m):
     assert beta_coeff(j, m) == beta_coeff(m, j)
 
 
+@pytest.mark.parametrize("filled", [0, 5])
+def test_closed_form_sequence_rejects_negative_degree(filled):
+    # a fresh sequence, so the empty case is not filled by other tests
+    sequence = ClosedFormSequence(mass_point(2, Fraction(1, 2)))
+    for j in range(filled):
+        sequence.float_value(j)
+    for j in (-1, -2):
+        with pytest.raises(ValueError, match="degree"):
+            sequence.value(j)
+        with pytest.raises(ValueError, match="degree"):
+            sequence.float_value(j)
+    with pytest.raises(ValueError, match="degree"):
+        pollaczek_mass_closed(-1, mass_point(2, Fraction(1, 2)))
+
+
 def test_closed_degree_zero_is_one():
     for m in (0, 2, 5):
         assert pollaczek_mass_closed(0, mass_point(m, Fraction(1, 2))) == 1
@@ -113,16 +147,16 @@ def test_closed_j2_m1_both_routes():
     mp = mass_point(1, 1)
     value = pollaczek_mass_closed(2, mp)
     # 3(x - s)(x - 3s) expanded at x = sqrt(5/4), s = 1/2
-    assert value == 3 * (mp.x - mp.s) * (mp.x - 3 * mp.s)
+    assert value == 3 * (mp.mu - mp.t) * (mp.mu - 3 * mp.t)
     assert value == QuadraticSurd(6, -6, Fraction(5, 4))
-    assert value == pollaczek_seq(1, mp.x, 2).values[2]
+    assert value == pollaczek_seq(1, mp.mu, 2).values[2]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
 def test_closed_form_equals_recursion(delta):
     for m in range(5):
         mp = mass_point(m, delta)
-        seq = pollaczek_seq(delta, mp.x, 20)
+        seq = pollaczek_seq(delta, mp.mu, 20)
         for j in range(21):
             assert pollaczek_mass_closed(j, mp) == seq.values[j]
 
@@ -132,7 +166,7 @@ def test_streamed_closed_form_equals_recursion(delta):
     closed_form_sequence.cache_clear()
     for m in range(7):
         mp = mass_point(m, delta)
-        seq = pollaczek_seq(delta, mp.x, 80)
+        seq = pollaczek_seq(delta, mp.mu, 80)
         assert [pollaczek_mass_closed(j, mp) for j in range(81)] \
             == list(seq.values)
 
@@ -141,7 +175,7 @@ def test_closed_form_sequence_out_of_order_reads():
     delta = Fraction(2, 5)
     closed_form_sequence.cache_clear()
     mp = mass_point(3, delta)
-    seq = pollaczek_seq(delta, mp.x, 41)
+    seq = pollaczek_seq(delta, mp.mu, 41)
     for j in (40, 2, 17, 0, 3, 4, 39):
         assert pollaczek_mass_closed(j, mp) == seq.values[j]
     sequence = closed_form_sequence(mp)
@@ -169,7 +203,7 @@ def test_closed_form_degree_one_factor_times_q_power():
     # second-branch formula: 4 * (x*beta(3,0) - s*C(1,1)*beta(3,1)), beta(3,1) = 4
     assert beta_coeff(3, 1) == 4
     assert pollaczek_mass_closed(3, mp) == \
-        4 * (mp.x - 4 * mp.s) * surd_pow(mp.q, 2)
+        4 * (mp.mu - 4 * mp.t) * surd_pow(mp.q, 2)
 
 
 def test_trig_degree_zero_is_one():

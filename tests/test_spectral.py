@@ -108,7 +108,7 @@ def test_point_spectrum_enumeration():
     op = build_truncated(1, 200)
     found = point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     for m in range(3):
-        target = surd_to_float(mass_point(m, 1).x)
+        target = surd_to_float(mass_point(m, 1).mu)
         assert any(abs(x - target) < 1e-8 for x in found)
 
 
