@@ -37,7 +37,6 @@ from .numerics import (
 )
 from .pollaczek import (
     ClosedFormSequence,
-    PolynomialSequence,
     beta_coeff,
     chebyshev_u,
     closed_form_sequence,
@@ -49,7 +48,6 @@ from .pollaczek import (
 )
 from .spectral import (
     BracketError,
-    SpectralVector,
     TridiagonalOperator,
     build_truncated,
     closed_form_vector,

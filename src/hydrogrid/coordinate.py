@@ -45,7 +45,7 @@ class ZeroPivotError(ArithmeticError):
 _NO_ENERGY_AT_ZERO = "E is undefined at delta=0; the limit is -1/(2n^2)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenData:
     """The one exact bundle of state n at step delta.
 
@@ -53,7 +53,8 @@ class EigenData:
     and the Pollaczek mass point x_m, m = n - 1; q = mu - t is the
     per-step decay factor, the exact field inverse of mu + t.  Built only
     by `eigen_data` (delta > 0) and `pollaczek.mass_point` (delta >= 0),
-    which share one cached object per state.
+    which share one cached object per state; so equality and hashing
+    are by identity, and a lookup keyed by the bundle hashes its id.
     """
     n: int
     delta: Fraction
@@ -92,6 +93,10 @@ class AlphaTable:
     inner: Mapping[tuple[int, int], Fraction]
 
     def inner_coeff(self, k: int, m: int) -> Fraction:
+        """alpha^(n)_{n-k,m}; 0 for k < 0 or an impossible m, which the
+        level recursion reads."""
+        if k > self.kmax:
+            raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
         if m == 0 and k >= 0:
             return Fraction(1)
         if k < 0 or m < 0 or m > k // 2:
@@ -111,8 +116,8 @@ class AlphaTable:
     def assembled(self, k: int, delta: RationalLike) -> QuadraticSurd:
         """alpha^(n,delta)_{n-k}: even k are rational, odd k carry one
         factor of mu_n."""
-        if k > self.kmax:
-            raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
+        if not 0 <= k <= self.kmax:
+            raise ValueError(f"k={k} outside table range 0..{self.kmax}")
         state = _state(self.n, delta)
         body = sum((self.inner_coeff(k, m) * state.delta ** (2 * m)
                     for m in range(k // 2 + 1)), Fraction(0))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -28,12 +27,6 @@ from .coordinate import EigenData, _state
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
 
 Scalar = Union[float, Fraction, QuadraticSurd]
-
-
-@dataclass(frozen=True)
-class PolynomialSequence:
-    x: Scalar
-    values: tuple[Scalar, ...]
 
 
 def mass_point(m: int, delta: RationalLike) -> EigenData:
@@ -47,32 +40,29 @@ def mass_point(m: int, delta: RationalLike) -> EigenData:
     return _state(m + 1, delta)
 
 
-def pollaczek_seq(delta: RationalLike, x: Scalar, jmax: int) -> PolynomialSequence:
-    """P_0..P_jmax by the three-term recursion, exact or float by x's type.
+def pollaczek_seq(delta: RationalLike, x: Scalar,
+                  jmax: int) -> tuple[Scalar, ...]:
+    """(P_0(x), ..., P_jmax(x)) by the three-term recursion, exact or float
+    by x's type.
 
     Exact mode (x a QuadraticSurd or Fraction) keeps delta rational;
     float x runs the whole recursion in doubles.
     """
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
+    d: Scalar = Fraction(delta)
     if isinstance(x, float):
-        d: Scalar = float(Fraction(delta))
-        one: Scalar = 1.0
-    elif isinstance(x, QuadraticSurd):
-        d = Fraction(delta)
-        one = QuadraticSurd(1)
-    else:
+        d = float(d)
+    elif not isinstance(x, QuadraticSurd):
         x = Fraction(x)
-        d = Fraction(delta)
-        one = Fraction(1)
-    values = [one]
-    prev: Scalar = one - one
-    cur: Scalar = one
+    cur: Scalar = type(x)(1)
+    prev: Scalar = cur - cur
+    values = [cur]
     for j in range(jmax):
         nxt = (2 * ((j + 1) * x - d) * cur - (j + 1) * prev) / (j + 1)
         values.append(nxt)
         prev, cur = cur, nxt
-    return PolynomialSequence(x=x, values=tuple(values))
+    return tuple(values)
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +75,7 @@ def beta_coeff(j: int, m: int) -> Fraction:
 
 
 def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
+    # The paper's degree-j sum, kept as the reference for the sequence:
     # (j+1) sum_{l=0}^{j} C(j,l) x^{j-l} (-s)^l beta_{m,l}
     acc = as_surd(0)
     for l in range(j + 1):
@@ -97,11 +88,20 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
 class ClosedFormSequence:
     """P_0(x_m), P_1(x_m), ... by the closed form, each computed once.
 
-    The sequence extends in order on demand: j <= m uses the degree-j
-    sum; j > m uses (j+1) q^{j-m} Q_m(j), with the weights
-    C(m,l) x^{m-l} (-s)^l of Q_m(j) = sum_l weight_l beta_{j,l} computed
-    once and q^{j-m} carried as an exact running product.  Each value
-    is floated at most once, on first use.
+    Every degree j >= 0 uses the one factorized form
+    f(j) = (j+1) q^{j-m} Q_m(j) with Q_m(j) = sum_l w_l beta_{j,l} and
+    weights w_l = C(m,l) x^{m-l} (-s)^l computed once; q^{j-m} is an
+    exact running product that starts at q^{-m} = (x + s)^m.  The
+    sequence extends in order on demand, and each value is floated at
+    most once, on first use.
+
+    Why one form serves every degree: beta_{j,l} is a polynomial in j,
+    so Q_m(j) is one too.  f(-1) = 0 by the factor j+1, and beta_{0,l} = 1
+    gives f(0) = q^{-m} (x - s)^m = 1.  The residual of f in the
+    three-term recursion at j is q^{j-m-1} times a polynomial in j; f is
+    P_j(x_m) for j > m (the paper's high-degree form), so that polynomial
+    vanishes at every j > m + 1 and is zero.  So f satisfies the
+    recursion at every j >= 0 from P_{-1} = 0, P_0 = 1: f(j) = P_j(x_m).
     """
 
     def __init__(self, mp: EigenData) -> None:
@@ -111,9 +111,9 @@ class ClosedFormSequence:
                               for l in range(mp.m + 1))
         self._values: list[QuadraticSurd] = []
         self._floats: list[float] = []
-        self._qpow = as_surd(1)  # q^{j-m} of the last high-branch value
+        self._qpow = surd_pow(mp.mu + mp.t, mp.m)  # q^{j-m} of the next j
 
-    def high_branch(self, j: int, qpow: QuadraticSurd) -> QuadraticSurd:
+    def factorized(self, j: int, qpow: QuadraticSurd) -> QuadraticSurd:
         """(j+1) q^{j-m} sum_{l=0}^{m} C(m,l) x^{m-l} (-s)^l beta_{j,l},
         given qpow = q^{j-m}."""
         # The sum is a + b sqrt(D) with rational a, b: summing the parts
@@ -128,14 +128,10 @@ class ClosedFormSequence:
     def value(self, j: int) -> QuadraticSurd:
         if j < 0:
             raise ValueError("degree must be nonnegative")
-        values, m = self._values, self.mp.m
+        values = self._values
         while len(values) <= j:
-            i = len(values)
-            if i <= m:
-                values.append(_closed_branch_low(i, self.mp))
-            else:
-                self._qpow = self._qpow * self.mp.q
-                values.append(self.high_branch(i, self._qpow))
+            values.append(self.factorized(len(values), self._qpow))
+            self._qpow = self._qpow * self.mp.q
         return values[j]
 
     def float_value(self, j: int) -> float:
@@ -154,16 +150,17 @@ def closed_form_sequence(mp: EigenData) -> ClosedFormSequence:
 
 
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
-    # The j > m form at any j, with q^{j-m} by a fresh power.
-    return closed_form_sequence(mp).high_branch(j, surd_pow(mp.q, j - mp.m))
+    # The factorized form, with q^{j-m} by a fresh power (of x + s, j < m).
+    m = mp.m
+    qpow = surd_pow(mp.q, j - m) if j >= m else surd_pow(mp.mu + mp.t, m - j)
+    return closed_form_sequence(mp).factorized(j, qpow)
 
 
 def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:
     """P_j(x_m) by the explicit closed form, exact in Q(sqrt(D)).
 
-    Uses the degree-j sum for j <= m and the factorized q^{j-m} form for
-    j > m; the two agree identically at j = m.  Values are read from the
-    mass point's `closed_form_sequence`.
+    Read from the mass point's `closed_form_sequence`, which evaluates
+    the factorized form (j+1) q^{j-m} Q_m(j) at every degree.
     """
     return closed_form_sequence(mp).value(j)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .coordinate import eigen_data, residual_row, wavefunction
+from .coordinate import eigen_data, residual_row, wavefunction_values
 from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
 from .pollaczek import closed_form_sequence, mass_point
 
@@ -84,15 +84,6 @@ class TridiagonalOperator:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class SpectralVector:
-    """Eigenvector candidate over rows k = 1..K (implicit u_0 = 0)."""
-    n: int
-    delta: Fraction
-    entries: tuple
-    provenance: str  # "closed_form" or "diagonalization"
-
-
 def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
     return TridiagonalOperator(delta=Fraction(delta), size=size)
 
@@ -147,8 +138,9 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    # An infinite tol would stop every refinement and tail sum at once.
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _check_bounds(lo: float, hi: float) -> None:
@@ -222,48 +214,36 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
     return eigenvalues_between(op, threshold, hi + 1.0, tol)
 
 
-def closed_form_vector(n: int, delta: RationalLike, length: int) -> SpectralVector:
+def closed_form_vector(n: int, delta: RationalLike,
+                       length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
     if length < 1:
         raise ValueError("vector length must be >= 1")
     if n < 1:
         raise ValueError("state index must be positive")
-    delta = Fraction(delta)
-    seq = closed_form_sequence(mass_point(n - 1, delta))
-    entries = tuple(seq.value(j) for j in range(length))
-    return SpectralVector(n=n, delta=delta, entries=entries,
-                          provenance="closed_form")
+    seq = closed_form_sequence(mass_point(n - 1, Fraction(delta)))
+    return tuple(seq.value(j) for j in range(length))
 
 
-def eigen_residual(v: SpectralVector, mu) -> QuadraticSurd | float:
+def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     """Max over interior rows k = 1..K-1 of
-    |u_{k-1}/2 + (delta/k) u_k + u_{k+1}/2 - mu u_k|, u_0 = 0.
+    |u_{k-1}/2 + (delta/k) u_k + u_{k+1}/2 - mu u_k|, u_0 = 0, exactly.
 
-    Exact surd entries give the exact maximum-magnitude surd; float
-    entries (or a mu over a different radicand) fall back to floats.
+    Exact entries u_1..u_K, from any iterable (`wavefunction_values`
+    too), are read in one pass; a mu over another radicand raises
+    MixedRadicandError.
     """
-    entries = v.entries
-    if len(entries) < 2:
+    delta = Fraction(delta)
+    best = u_prev = u_here = as_surd(0)
+    k = 0
+    for k, u_next in enumerate(entries):
+        if k >= 1:
+            row = abs(residual_row(u_prev, u_here, u_next, k, delta, mu))
+            if best < row:
+                best = row
+        u_prev, u_here = u_here, u_next
+    if k < 1:
         raise ValueError("need at least two entries for one interior row")
-    exact = all(isinstance(u, QuadraticSurd) for u in entries)
-    if exact and isinstance(mu, QuadraticSurd):
-        radicands = {u.D for u in entries if not u.is_rational()}
-        if not mu.is_rational():
-            radicands.add(mu.D)
-        exact = len(radicands) <= 1
-    else:
-        exact = False
-    delta, zero = v.delta, as_surd(0)
-    if not exact:
-        entries = [float(u) for u in entries]
-        mu, delta, zero = float(mu), float(delta), 0.0
-    best = zero
-    for k in range(1, len(entries)):
-        u_prev = entries[k - 2] if k >= 2 else zero
-        row = abs(residual_row(u_prev, entries[k - 1], entries[k], k, delta,
-                               mu))
-        if best < row:
-            best = row
     return best
 
 
@@ -342,9 +322,10 @@ def coordinate_ratio(n: int, delta: RationalLike, length: int = 8):
     constant over k = 1..length; returns the surd ratio."""
     delta = Fraction(delta)
     vec = closed_form_vector(n, delta, length)
-    ratio = wavefunction(n, delta, 1) / vec.entries[0]
-    for k in range(2, length + 1):
-        if wavefunction(n, delta, k) != ratio * vec.entries[k - 1]:
+    values = wavefunction_values(n, delta, length)
+    ratio = next(values) / vec[0]
+    for k, (u, entry) in enumerate(zip(values, vec[1:]), start=2):
+        if u != ratio * entry:
             raise ArithmeticError(
                 f"coordinate/spectral ratio not constant at n={n}, k={k}")
     return ratio

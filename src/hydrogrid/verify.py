@@ -76,17 +76,16 @@ def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
         mp = pollaczek.mass_point(m, delta)
         seq = pollaczek.pollaczek_seq(delta, mp.mu, j_max)
         for j in range(j_max + 1):
-            if pollaczek.pollaczek_mass_closed(j, mp) != seq.values[j]:
+            if pollaczek.pollaczek_mass_closed(j, mp) != seq[j]:
                 return False
     return True
 
 
 def _check_branch_agreement(delta: Fraction, m_max: int) -> bool:
-    from .pollaczek import _closed_branch_high, _closed_branch_low
-
     for m in range(m_max + 1):
         mp = pollaczek.mass_point(m, delta)
-        if _closed_branch_low(m, mp) != _closed_branch_high(m, mp):
+        if pollaczek._closed_branch_low(m, mp) \
+                != pollaczek._closed_branch_high(m, mp):
             return False
     return True
 
@@ -94,7 +93,7 @@ def _check_branch_agreement(delta: Fraction, m_max: int) -> bool:
 def _check_chebyshev_reduction() -> bool:
     for theta in (0.3, 1.0, 2.2):
         seq = pollaczek.pollaczek_seq(0, math.cos(theta), 8)
-        for j, value in enumerate(seq.values):
+        for j, value in enumerate(seq):
             if not floats_close(value, pollaczek.chebyshev_u(j, theta),
                                 rel_tol=1e-9, abs_tol=1e-9):
                 return False
@@ -141,19 +140,17 @@ def _check_ansatz_equivalence(delta: Fraction, n_max: int) -> bool:
     return True
 
 
+def _rows_vanish(delta: Fraction, n_max: int, vector) -> bool:
+    """Every interior row of vector(n) is exactly zero, for n = 1..n_max."""
+    return all(spectral.eigen_residual(
+        vector(n), delta, coordinate.eigen_data(n, delta).mu).is_zero()
+        for n in range(1, n_max + 1))
+
+
 def _check_difference_residual(delta: Fraction, n_max: int, k_max: int) -> bool:
-    # Rows 1..k_max over a window (u_{k-1}, u_k, u_{k+1}) sliding along one
-    # pass of u_1..u_{k_max+1}, with u_0 = 0.
-    for n in range(1, n_max + 1):
-        mu = coordinate.eigen_data(n, delta).mu
-        u_prev = u_here = QuadraticSurd(0)
-        values = coordinate.wavefunction_values(n, delta, k_max + 1)
-        for k, u_next in enumerate(values):
-            if k >= 1 and not coordinate.residual_row(
-                    u_prev, u_here, u_next, k, delta, mu).is_zero():
-                return False
-            u_prev, u_here = u_here, u_next
-    return True
+    # Rows 1..k_max over one pass of u_1..u_{k_max+1}, with u_0 = 0.
+    return _rows_vanish(delta, n_max, lambda n: coordinate.wavefunction_values(
+        n, delta, k_max + 1))
 
 
 def _check_continuum_limit() -> bool:
@@ -170,8 +167,9 @@ def _check_continuum_limit() -> bool:
 
 def _check_wavefunction_float(delta: Fraction, n_max: int) -> bool:
     for n in range(1, n_max + 1):
+        values = tuple(coordinate.wavefunction_values(n, delta, 7))
         for k in (1, 3, 7):
-            exact = float(coordinate.wavefunction(n, delta, k))
+            exact = float(values[k - 1])
             approx = coordinate.wavefunction_float(n, delta, float(k * delta))
             if not floats_close(exact, approx, rel_tol=1e-9, abs_tol=1e-12):
                 return False
@@ -179,12 +177,8 @@ def _check_wavefunction_float(delta: Fraction, n_max: int) -> bool:
 
 
 def _check_tridiagonal_identity(delta: Fraction, n_max: int, k_max: int) -> bool:
-    for n in range(1, n_max + 1):
-        vec = spectral.closed_form_vector(n, delta, k_max)
-        mu = coordinate.eigen_data(n, delta).mu
-        if not spectral.eigen_residual(vec, mu).is_zero():
-            return False
-    return True
+    return _rows_vanish(delta, n_max, lambda n: spectral.closed_form_vector(
+        n, delta, k_max))
 
 
 def _check_bisection_mass_points(delta: Fraction) -> bool:
@@ -251,7 +245,7 @@ def _diag_trig_ratios(delta: Fraction, n_max: int = 6) -> dict:
         ratios_c = []
         for theta in thetas:
             x = math.cos(theta)
-            rec = pollaczek.pollaczek_seq(delta, x, n).values[n]
+            rec = pollaczek.pollaczek_seq(delta, x, n)[n]
             tp = pollaczek.pollaczek_explicit_trig(1, 0, -delta, theta, n)
             tc = pollaczek.pollaczek_trig_conjugate(1, 0, -delta, theta, n)
             rp = rec / tp if abs(tp) > 1e-300 else complex("inf")

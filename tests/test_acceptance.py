@@ -61,7 +61,7 @@ def test_criterion_1_exact_eigen_identity():
     for delta in DELTAS:
         for n in range(1, 9):
             vec = closed_form_vector(n, delta, 40)
-            residual = eigen_residual(vec, eigen_data(n, delta).mu)
+            residual = eigen_residual(vec, delta, eigen_data(n, delta).mu)
             if not residual.is_zero():
                 worst = (n, delta, residual)
     elapsed = time.perf_counter() - start
@@ -80,7 +80,7 @@ def test_criterion_2_closed_form_equals_recursion():
             mp = mass_point(m, delta)
             seq = pollaczek_seq(delta, mp.mu, 60)
             for j in range(61):
-                if pollaczek_mass_closed(j, mp) != seq.values[j]:
+                if pollaczek_mass_closed(j, mp) != seq[j]:
                     mismatches += 1
             if _closed_branch_low(m, mp) != _closed_branch_high(m, mp):
                 mismatches += 1
@@ -174,7 +174,7 @@ def _per_degree_fit(evaluator, delta: Fraction, n_max: int = 6,
     constants = {}
     worst = 0.0
     for n in range(1, n_max + 1):
-        recursion = [pollaczek_seq(delta, math.cos(t), n).values[n]
+        recursion = [pollaczek_seq(delta, math.cos(t), n)[n]
                      for t in thetas]
         trig = [evaluator(1, 0, -delta, t, n) for t in thetas]
         c = recursion[0] / trig[0]

@@ -144,6 +144,21 @@ def test_alpha_inner_base_row_and_impossible_entries():
     assert table.inner_coeff(2, 5) == 0
 
 
+def test_alpha_table_rejects_rows_outside_the_table():
+    table = alpha_inner(5, 2)
+    with pytest.raises(ValueError, match="kmax"):
+        table.inner_coeff(3, 1)
+    with pytest.raises(ValueError, match="kmax"):
+        table.order_normalized(3, 1)
+    for k in (3, -1, -2):
+        with pytest.raises(ValueError, match="table range"):
+            table.assembled(k, Fraction(1, 2))
+    # k < 0 and impossible m stay zero: the level recursion reads them
+    assert table.inner_coeff(-1, 0) == 0
+    assert table.inner_coeff(-2, 1) == 0
+    assert table.inner_coeff(2, 2) == 0
+
+
 def test_alpha_inner_rejects_kmax_beyond_n():
     with pytest.raises(ValueError):
         alpha_inner(4, 4)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hydrogrid.coordinate import eigen_data
+from hydrogrid.coordinate import EigenData, eigen_data
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
 from hydrogrid.pollaczek import (
     ClosedFormSequence,
@@ -57,6 +57,17 @@ def test_mass_point_is_the_eigen_data_bundle(n, delta):
     assert state.t == delta / n
 
 
+def test_bundle_equality_is_identity():
+    # one bundle per state, so a lookup keyed by it hashes its id
+    mp = mass_point(2, Fraction(1, 2))
+    twin = EigenData(n=mp.n, delta=mp.delta, mu=mp.mu, t=mp.t, q=mp.q)
+    assert twin != mp
+    assert mp == eigen_data(3, Fraction(1, 2))
+    assert closed_form_sequence(mp) \
+        is closed_form_sequence(eigen_data(3, Fraction(1, 2)))
+    assert closed_form_sequence(twin) is not closed_form_sequence(mp)
+
+
 @pytest.mark.parametrize("m", range(4))
 def test_mass_point_at_delta_zero_has_no_energy(m):
     with pytest.raises(ValueError, match="undefined at delta=0"):
@@ -75,24 +86,24 @@ def test_seq_first_values_delta_one():
     # hand-unrolled recursion at x = sqrt(2): P_1 = 2x - 2, P_2 = 9 - 6x
     mp = mass_point(0, 1)
     seq = pollaczek_seq(1, mp.mu, 2)
-    assert seq.values[0] == 1
-    assert seq.values[1] == QuadraticSurd(-2, 2, 2)
-    assert seq.values[2] == QuadraticSurd(9, -6, 2)
+    assert seq[0] == 1
+    assert seq[1] == QuadraticSurd(-2, 2, 2)
+    assert seq[2] == QuadraticSurd(9, -6, 2)
     # cross-check the frozen P_2 against the factored form 3(x-1)^2
-    assert seq.values[2] == 3 * surd_pow(mp.q, 2)
+    assert seq[2] == 3 * surd_pow(mp.q, 2)
 
 
 def test_seq_delta_zero_is_exact_chebyshev():
     x = Fraction(1, 3)
     seq = pollaczek_seq(0, x, 2)
-    assert seq.values[1] == 2 * x
-    assert seq.values[2] == 4 * x * x - 1
+    assert seq[1] == 2 * x
+    assert seq[2] == 4 * x * x - 1
 
 
 def test_seq_float_mode_matches_chebyshev_u():
     for theta in (0.3, 1.1, 2.5):
         seq = pollaczek_seq(0, math.cos(theta), 10)
-        for j, value in enumerate(seq.values):
+        for j, value in enumerate(seq):
             assert floats_close(value, chebyshev_u(j, theta),
                                 rel_tol=1e-9, abs_tol=1e-9)
 
@@ -149,7 +160,7 @@ def test_closed_j2_m1_both_routes():
     # 3(x - s)(x - 3s) expanded at x = sqrt(5/4), s = 1/2
     assert value == 3 * (mp.mu - mp.t) * (mp.mu - 3 * mp.t)
     assert value == QuadraticSurd(6, -6, Fraction(5, 4))
-    assert value == pollaczek_seq(1, mp.mu, 2).values[2]
+    assert value == pollaczek_seq(1, mp.mu, 2)[2]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -158,7 +169,7 @@ def test_closed_form_equals_recursion(delta):
         mp = mass_point(m, delta)
         seq = pollaczek_seq(delta, mp.mu, 20)
         for j in range(21):
-            assert pollaczek_mass_closed(j, mp) == seq.values[j]
+            assert pollaczek_mass_closed(j, mp) == seq[j]
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
@@ -168,7 +179,7 @@ def test_streamed_closed_form_equals_recursion(delta):
         mp = mass_point(m, delta)
         seq = pollaczek_seq(delta, mp.mu, 80)
         assert [pollaczek_mass_closed(j, mp) for j in range(81)] \
-            == list(seq.values)
+            == list(seq)
 
 
 def test_closed_form_sequence_out_of_order_reads():
@@ -177,11 +188,11 @@ def test_closed_form_sequence_out_of_order_reads():
     mp = mass_point(3, delta)
     seq = pollaczek_seq(delta, mp.mu, 41)
     for j in (40, 2, 17, 0, 3, 4, 39):
-        assert pollaczek_mass_closed(j, mp) == seq.values[j]
+        assert pollaczek_mass_closed(j, mp) == seq[j]
     sequence = closed_form_sequence(mp)
     for j in (25, 1, 41):
-        assert sequence.float_value(j) == float(seq.values[j])
-    assert sequence.value(41) == seq.values[41]
+        assert sequence.float_value(j) == float(seq[j])
+    assert sequence.value(41) == seq[41]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -189,6 +200,17 @@ def test_branches_identical_at_j_equals_m(delta):
     for m in range(8):
         mp = mass_point(m, delta)
         assert _closed_branch_low(m, mp) == _closed_branch_high(m, mp)
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                   Fraction(3, 4), Fraction(1), Fraction(7, 3)])
+def test_factorized_form_equals_degree_j_sum_below_m(delta):
+    # the one formula of the sequence, with q^{j-m} = (x + s)^{m-j} for
+    # j < m, against the paper's degree-j sum
+    for m in range(12):
+        mp = mass_point(m, delta)
+        for j in range(m + 1):
+            assert _closed_branch_high(j, mp) == _closed_branch_low(j, mp)
 
 
 def test_closed_form_at_x0_is_q_power_times_degree_plus_one():
@@ -234,7 +256,7 @@ def test_trig_conjugate_matches_recursion():
         for n in range(7):
             trig = pollaczek_trig_conjugate(1, 0, -delta, theta, n)
             assert abs(trig.imag) < 1e-10
-            assert floats_close(trig.real, seq.values[n],
+            assert floats_close(trig.real, seq[n],
                                 rel_tol=1e-9, abs_tol=1e-9)
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrogrid import numerics, pollaczek, spectral
-from hydrogrid.coordinate import eigen_data, wavefunction
-from hydrogrid.numerics import QuadraticSurd, floats_close, surd_to_float
+from hydrogrid.coordinate import eigen_data, wavefunction, wavefunction_values
+from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
+                                floats_close, surd_to_float)
 from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import (
     BracketError,
-    SpectralVector,
     build_truncated,
     closed_form_vector,
     coordinate_ratio,
@@ -122,37 +122,58 @@ def test_eigenvalues_between_matches_dense():
 
 def test_closed_form_vector_entries():
     vec = closed_form_vector(1, 1, 3)
-    assert vec.entries == (QuadraticSurd(1), QuadraticSurd(-2, 2, 2),
-                           QuadraticSurd(9, -6, 2))
-    assert closed_form_vector(2, 1, 1).entries == (QuadraticSurd(1),)
-    assert vec.provenance == "closed_form"
+    assert vec == (QuadraticSurd(1), QuadraticSurd(-2, 2, 2),
+                   QuadraticSurd(9, -6, 2))
+    assert closed_form_vector(2, 1, 1) == (QuadraticSurd(1),)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_eigen_residual_exactly_zero(n, delta):
     vec = closed_form_vector(n, delta, 25)
-    residual = eigen_residual(vec, eigen_data(n, delta).mu)
+    residual = eigen_residual(vec, delta, eigen_data(n, delta).mu)
     assert isinstance(residual, QuadraticSurd)
     assert residual.is_zero()
 
 
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_eigen_residual_reads_wavefunction_values_in_one_pass(n, delta):
+    # a generator is read once: the coordinate-space eigenfunction also
+    # satisfies every row exactly
+    values = wavefunction_values(n, delta, 25)
+    assert eigen_residual(values, delta, eigen_data(n, delta).mu).is_zero()
+    assert next(values, None) is None
+
+
 def test_eigen_residual_nonzero_for_random_vector():
     rng = np.random.default_rng(7)
-    vec = SpectralVector(n=1, delta=Fraction(1),
-                         entries=tuple(rng.standard_normal(10)),
-                         provenance="diagonalization")
-    assert eigen_residual(vec, math.sqrt(2)) > 1e-3
+    entries = tuple(Fraction(int(p), int(r)) for p, r in
+                    zip(rng.integers(-50, 50, 10), rng.integers(1, 50, 10)))
+    residual = eigen_residual(entries, 1, eigen_data(1, 1).mu)
+    assert not residual.is_zero()
 
 
 def test_eigen_residual_wrong_eigenvalue():
-    # mu of the neighbouring state lives over another radicand; the check
-    # falls back to floats and must be clearly nonzero
+    # a wrong mu over the same radicand stays exact and is clearly nonzero
     vec = closed_form_vector(1, 1, 12)
-    wrong_mu = eigen_data(2, 1).mu
-    residual = eigen_residual(vec, wrong_mu)
-    assert isinstance(residual, float)
-    assert residual > 1e-2
+    wrong_mu = QuadraticSurd(0, Fraction(3, 2), 2)
+    residual = eigen_residual(vec, 1, wrong_mu)
+    assert residual >= Fraction(1, 100)
+
+
+def test_eigen_residual_rejects_mu_over_another_radicand():
+    # mu of the neighbouring state lives over another radicand
+    vec = closed_form_vector(1, 1, 12)
+    with pytest.raises(MixedRadicandError):
+        eigen_residual(vec, 1, eigen_data(2, 1).mu)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_eigen_residual_needs_one_interior_row(length):
+    entries = iter(closed_form_vector(1, 1, 2)[:length])
+    with pytest.raises(ValueError, match="interior row"):
+        eigen_residual(entries, 1, eigen_data(1, 1).mu)
 
 
 def test_exp_part_values():
@@ -200,13 +221,15 @@ def test_inner_product_rejects_nonpositive_delta():
 
 # A tail_tol that is not positive is never reached by the tail bound:
 # unchecked, the sum runs forever.
-@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, -math.inf])
+@pytest.mark.parametrize("tail_tol",
+                         [0.0, -1e-12, math.nan, -math.inf, math.inf])
 def test_inner_product_rejects_bad_tail_tol(tail_tol):
     with pytest.raises(ValueError, match="tol"):
         inner_product(1, 1, Fraction(1, 2), tail_tol)
 
 
-@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, -math.inf])
+@pytest.mark.parametrize("tail_tol",
+                         [0.0, -1e-12, math.nan, -math.inf, math.inf])
 def test_gram_matrix_rejects_bad_tail_tol(tail_tol):
     with pytest.raises(ValueError, match="tol"):
         gram_matrix([1, 2], Fraction(1, 2), tail_tol)
@@ -230,7 +253,7 @@ def test_coordinate_spectral_ratio_constant(n):
     ratio = coordinate_ratio(n, 1, length=10)
     vec = closed_form_vector(n, 1, 10)
     for k in (4, 7, 10):
-        assert wavefunction(n, 1, k) == ratio * vec.entries[k - 1]
+        assert wavefunction(n, 1, k) == ratio * vec[k - 1]
 
 
 # float.hex() of the truncated inner products and of the Gram matrix at
@@ -400,7 +423,7 @@ def test_build_rejects_negative_delta():
     assert build_truncated(0, 3).diagonal_floats() == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, -math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, -math.inf, math.inf])
 def test_solvers_reject_bad_tol(tol):
     op = build_truncated(1, 200)
     with pytest.raises(ValueError, match="tol"):
