@@ -12,7 +12,6 @@ from .coordinate import (
     ansatz_constraint_system,
     c_coeff,
     continuum_energy,
-    difference0_residual,
     difference_residual,
     eigen_data,
     laguerre_ref,

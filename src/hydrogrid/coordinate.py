@@ -80,10 +80,6 @@ class LaguerreRef:
     n: int
     coefficients: Mapping[int, Fraction]
 
-    def evaluate(self, r: float) -> float:
-        poly = sum(float(c) * r ** k for k, c in self.coefficients.items())
-        return poly * math.exp(-r / self.n)
-
 
 @dataclass(frozen=True)
 class AlphaTable:
@@ -424,11 +420,3 @@ def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     u_here = wavefunction(n, delta, k)
     u_next = wavefunction(n, delta, k + 1)
     return residual_row(u_prev, u_here, u_next, k, delta, ed.mu)
-
-
-def difference0_residual(u: Callable[[float], float], r: float,
-                         delta: float, energy: float) -> float:
-    """Float residual of the original difference equation for any candidate
-    function: -(u(r-d) - 2u(r) + u(r+d))/(2 d**2) - u(r)/r - E u(r)."""
-    second = (u(r - delta) - 2.0 * u(r) + u(r + delta)) / (2.0 * delta * delta)
-    return -second - u(r) / r - energy * u(r)

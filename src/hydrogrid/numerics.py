@@ -289,23 +289,34 @@ def surd_pow(x: QuadraticSurd, e: int) -> QuadraticSurd:
 def surd_to_float(x: QuadraticSurd) -> float:
     """Round a + b*sqrt(D) to the nearest double, exactly.
 
-    With D = p/q, x = (A + B*sqrt(pq))/C over integers.  For b != 0,
-    sqrt(pq) is irrational, so s = isqrt(B**2 pq 4**k) brackets
-    |B| sqrt(pq) 2**k strictly between s and s + 1, and x lies strictly
-    between lo/(C 2**k) and (lo + 1)/(C 2**k).  Int/int division rounds
-    correctly, so when both ends round to the same double, so does x;
-    otherwise the guard bits k double (Ziv's rounding test).  Rounding
-    boundaries are dyadic and x is irrational, so the loop ends;
-    cancellation between a and b*sqrt(D) only costs more bits.  A value
-    beyond the double range raises OverflowError, as float(Fraction) does.
+    With D = p/q, x = (A + B*sqrt(pq))/C over integers, rounded by
+    `_int_surd_to_float`.  A value beyond the double range raises
+    OverflowError, as float(Fraction) does.
     """
-    if x.b == 0:
-        return float(x.a)
     a, b, d = x.a, x.b, x.D
-    big_a = a.numerator * b.denominator * d.denominator
-    big_b = b.numerator * a.denominator
-    big_c = a.denominator * b.denominator * d.denominator
-    radicand = big_b * big_b * d.numerator * d.denominator
+    return _int_surd_to_float(a.numerator * b.denominator * d.denominator,
+                              b.numerator * a.denominator,
+                              a.denominator * b.denominator * d.denominator,
+                              d.numerator * d.denominator)
+
+
+def _int_surd_to_float(big_a: int, big_b: int, big_c: int,
+                       radicand: int) -> float:
+    """The double nearest to (A + B*sqrt(r))/C over integers, C > 0, r not
+    a perfect square unless B = 0.
+
+    B = 0 is one int/int division, which rounds correctly.  Otherwise
+    sqrt(r) is irrational, so s = isqrt(B**2 r 4**k) brackets
+    |B| sqrt(r) 2**k strictly between s and s + 1, and x lies strictly
+    between lo/(C 2**k) and (lo + 1)/(C 2**k).  When both ends round to
+    the same double, so does x; otherwise the guard bits k double (Ziv's
+    rounding test).  Rounding boundaries are dyadic and x is irrational,
+    so the loop ends; cancellation between A and B*sqrt(r) only costs
+    more bits.  A value beyond the double range raises OverflowError.
+    """
+    if big_b == 0:
+        return big_a / big_c
+    radicand *= big_b * big_b
     k = 64
     while True:
         s = math.isqrt(radicand << 2 * k)

@@ -24,7 +24,8 @@ from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
+from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
+                       as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -85,15 +86,27 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
     return (j + 1) * acc
 
 
+def _mul(x: tuple[int, int], y: tuple[int, int],
+         p: int) -> tuple[int, int]:
+    """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
+    return x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0]
+
+
+def _pow(x: tuple[int, int], e: int, p: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(e):
+        out = _mul(out, x, p)
+    return out
+
+
 class ClosedFormSequence:
-    """P_0(x_m), P_1(x_m), ... by the closed form, each computed once.
+    """P_0(x_m), P_1(x_m), ... by the closed form, on integer numerators.
 
     Every degree j >= 0 uses the one factorized form
     f(j) = (j+1) q^{j-m} Q_m(j) with Q_m(j) = sum_l w_l beta_{j,l} and
-    weights w_l = C(m,l) x^{m-l} (-s)^l computed once; q^{j-m} is an
-    exact running product that starts at q^{-m} = (x + s)^m.  The
-    sequence extends in order on demand, and each value is floated at
-    most once, on first use.
+    weights w_l = C(m,l) x^{m-l} (-s)^l.  The sequence extends in order
+    on demand; `value(j)` canonicalizes a degree into a surd once, and
+    `float_value(j)` rounds it straight from its integers.
 
     Why one form serves every degree: beta_{j,l} is a polynomial in j,
     so Q_m(j) is one too.  f(-1) = 0 by the factor j+1, and beta_{0,l} = 1
@@ -102,44 +115,89 @@ class ClosedFormSequence:
     P_j(x_m) for j > m (the paper's high-degree form), so that polynomial
     vanishes at every j > m + 1 and is zero.  So f satisfies the
     recursion at every j >= 0 from P_{-1} = 0, P_0 = 1: f(j) = P_j(x_m).
+
+    The integer form: with s = tn/td in lowest terms and p = td^2 + tn^2,
+    D = p/td^2, x = sqrt(p)/td and q^{-1} = x + s = (sqrt(p) + tn)/td.
+    An integer pair (a, b) stands for a + b sqrt(p); when p is a perfect
+    square, sqrt(p) is an integer and every b is 0.  With L = lcm(1..m+1)
+    clearing the denominators of beta and the sum over l taken first,
+    Q_m(j) = sum_{i<=m} C(j,i) v_i / (td^m L) with the pairs
+        v_i = sum_{l>=i} C(m,l) (-tn)^l sqrt(p)^{m-l} L 2^i/(i+1) C(l,i),
+    and q^{j-m} = N_j / td^{m+j} with N_j = (sqrt(p) + tn)^m
+    (sqrt(p) - tn)^j, so
+        P_j(x_m) = (j+1) N_j sum_i C(j,i) v_i / (td^{2m+j} L).
+    Each degree costs m + 1 integer multiply-adds, and N_{j+1} is N_j
+    times sqrt(p) - tn.
     """
 
     def __init__(self, mp: EigenData) -> None:
         self.mp = mp
-        self._weights = tuple(surd_pow(mp.mu, mp.m - l)
-                              * (math.comb(mp.m, l) * (-mp.t) ** l)
-                              for l in range(mp.m + 1))
-        self._values: list[QuadraticSurd] = []
+        m = mp.m
+        tn, td = mp.t.numerator, mp.t.denominator
+        p = td * td + tn * tn
+        root = math.isqrt(p)
+        self._p, self._td = p, td
+        self._root = (root, 0) if root * root == p else (0, 1)  # sqrt(p)
+        lcm = math.lcm(*range(1, m + 2))
+        self._den0 = td ** (2 * m) * lcm  # the denominator at j = 0
+        powers = [_pow(self._root, e, p) for e in range(m + 1)]
+        v = []
+        for i in range(m + 1):
+            a = b = 0
+            for l in range(i, m + 1):
+                c = (math.comb(m, l) * (-tn) ** l * math.comb(l, i)
+                     * (lcm // (i + 1)) * 2 ** i)
+                a += c * powers[m - l][0]
+                b += c * powers[m - l][1]
+            v.append((a, b))
+        self._v = tuple(v)
+        # N_j of the next j, and the factor sqrt(p) - tn that steps it
+        self._qnum = _pow((self._root[0] + tn, self._root[1]), m, p)
+        self._step = (self._root[0] - tn, self._root[1])
+        self._den = self._den0  # td^{2m+j} L of the next j
+        self._terms: list[tuple[int, int, int]] = []
+        self._values: dict[int, QuadraticSurd] = {}
         self._floats: list[float] = []
-        self._qpow = surd_pow(mp.mu + mp.t, mp.m)  # q^{j-m} of the next j
 
-    def factorized(self, j: int, qpow: QuadraticSurd) -> QuadraticSurd:
-        """(j+1) q^{j-m} sum_{l=0}^{m} C(m,l) x^{m-l} (-s)^l beta_{j,l},
-        given qpow = q^{j-m}."""
-        # The sum is a + b sqrt(D) with rational a, b: summing the parts
-        # keeps it in Fraction arithmetic, one surd built per entry.
-        a = b = Fraction(0)
-        for l, weight in enumerate(self._weights):
-            beta = beta_coeff(j, l)
-            a += weight.a * beta
-            b += weight.b * beta
-        return qpow * QuadraticSurd((j + 1) * a, (j + 1) * b, self.mp.mu.D)
+    def factorized(self, j: int, qnum: tuple[int, int]) -> tuple[int, int]:
+        """The numerator pair (j+1) N_j sum_i C(j,i) v_i, given qnum = N_j."""
+        a = b = 0
+        binom = 1  # C(j, i)
+        for i, (va, vb) in enumerate(self._v):
+            a += binom * va
+            b += binom * vb
+            binom = binom * (j - i) // (i + 1)
+        return _mul(qnum, ((j + 1) * a, (j + 1) * b), self._p)
 
-    def value(self, j: int) -> QuadraticSurd:
+    def _surd(self, a: int, b: int, den: int) -> QuadraticSurd:
+        # (a + b sqrt(p))/den = a/den + (b td/den) sqrt(D)
+        return QuadraticSurd(Fraction(a, den), Fraction(b * self._td, den),
+                             self.mp.mu.D)
+
+    def _term(self, j: int) -> tuple[int, int, int]:
         if j < 0:
             raise ValueError("degree must be nonnegative")
-        values = self._values
-        while len(values) <= j:
-            values.append(self.factorized(len(values), self._qpow))
-            self._qpow = self._qpow * self.mp.q
-        return values[j]
+        terms = self._terms
+        while len(terms) <= j:
+            a, b = self.factorized(len(terms), self._qnum)
+            terms.append((a, b, self._den))
+            self._qnum = _mul(self._qnum, self._step, self._p)
+            self._den *= self._td
+        return terms[j]
+
+    def value(self, j: int) -> QuadraticSurd:
+        value = self._values.get(j)
+        if value is None:
+            value = self._values[j] = self._surd(*self._term(j))
+        return value
 
     def float_value(self, j: int) -> float:
         if j < 0:
             raise ValueError("degree must be nonnegative")
         floats = self._floats
         while len(floats) <= j:
-            floats.append(float(self.value(len(floats))))
+            a, b, den = self._term(len(floats))
+            floats.append(_int_surd_to_float(a, b, den, self._p))
         return floats[j]
 
 
@@ -150,10 +208,16 @@ def closed_form_sequence(mp: EigenData) -> ClosedFormSequence:
 
 
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
-    # The factorized form, with q^{j-m} by a fresh power (of x + s, j < m).
-    m = mp.m
-    qpow = surd_pow(mp.q, j - m) if j >= m else surd_pow(mp.mu + mp.t, m - j)
-    return closed_form_sequence(mp).factorized(j, qpow)
+    # The factorized form, with N_j = td^{2 min(j,m)} (sqrt(p) -/+ tn)^{|j-m|}
+    # by a fresh power instead of the sequence's running product.
+    seq = closed_form_sequence(mp)
+    tn, td = mp.t.numerator, seq._td
+    root, rb = seq._root
+    a, b = _pow((root - tn if j >= mp.m else root + tn, rb), abs(j - mp.m),
+                seq._p)
+    scale = td ** (2 * min(j, mp.m))
+    return seq._surd(*seq.factorized(j, (a * scale, b * scale)),
+                     seq._den0 * td ** j)
 
 
 def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:

@@ -44,15 +44,6 @@ class TridiagonalOperator:
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
-    def diagonal(self, k: int) -> Fraction:
-        if not 1 <= k <= self.size:
-            raise ValueError(f"row index {k} outside 1..{self.size}")
-        return self.delta / k
-
-    @property
-    def offdiagonal(self) -> Fraction:
-        return Fraction(1, 2)
-
     @cached_property
     def _diag(self) -> tuple[float, ...]:
         """float(delta)/k for k = 1..N, computed once per operator."""
@@ -182,8 +173,11 @@ def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
 
 def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
                         tol: float = 1e-12) -> list[float]:
-    """All eigenvalues in (lo, hi], isolated by Sturm counts then refined."""
+    """All eigenvalues in (lo, hi], isolated by Sturm counts then refined;
+    lo == hi is the empty interval."""
     _check_bounds(lo, hi)
+    if lo > hi:
+        raise ValueError(f"interval must satisfy lo <= hi, got ({lo}, {hi})")
     _check_tol(tol)
     results: list[float] = []
     stack = [(lo, hi, sturm_count(op, lo), sturm_count(op, hi))]
@@ -211,7 +205,8 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
     """Eigenvalues above threshold (the discrete branch), descending x_m
     order not guaranteed; returned ascending."""
     _, hi = op.gershgorin_interval()
-    return eigenvalues_between(op, threshold, hi + 1.0, tol)
+    # a threshold at or above the upper end leaves the empty interval
+    return eigenvalues_between(op, threshold, max(threshold, hi + 1.0), tol)
 
 
 def closed_form_vector(n: int, delta: RationalLike,

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,7 +11,6 @@ from hydrogrid.coordinate import (
     ansatz_constraint_system,
     c_coeff,
     continuum_energy,
-    difference0_residual,
     difference_residual,
     eigen_data,
     laguerre_ref,
@@ -25,6 +25,20 @@ from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+
+
+def continuum_u(n, r):
+    """The continuum solution u_n(r) = e^(-r/n) sum_k ell_k r^k in floats."""
+    poly = sum(float(c) * r ** k
+               for k, c in laguerre_ref(n).coefficients.items())
+    return poly * math.exp(-r / n)
+
+
+def difference0_residual(u, r, delta, energy):
+    """Float residual of the original difference equation for any candidate
+    function: -(u(r-d) - 2u(r) + u(r+d))/(2 d**2) - u(r)/r - E u(r)."""
+    second = (u(r - delta) - 2.0 * u(r) + u(r + delta)) / (2.0 * delta * delta)
+    return -second - u(r) / r - energy * u(r)
 
 
 def test_eigen_data_n1_delta1():
@@ -93,9 +107,8 @@ def test_laguerre_ref_small_n():
 
 
 def test_laguerre_ref_evaluates_ground_state():
-    ref = laguerre_ref(1)
     for r in (0.3, 1.0, 2.5):
-        assert floats_close(ref.evaluate(r), r * math.exp(-r))
+        assert floats_close(continuum_u(1, r), r * math.exp(-r))
 
 
 def test_c_coeff_values():
@@ -331,7 +344,7 @@ def test_perturbed_eigenvalue_leaves_residual():
 def test_difference0_residual_second_order():
     # Taylor-expansion oracle: the residual of the continuum solution is
     # O(delta^2) and shrinks by ~4 when delta halves
-    u = laguerre_ref(2).evaluate
+    u = partial(continuum_u, 2)
     energy = float(continuum_energy(2))
     for r in (0.8, 1.7, 3.0):
         coarse = difference0_residual(u, r, 0.1, energy)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hydrogrid
 from hydrogrid.numerics import (
     MixedRadicandError,
+    _int_surd_to_float,
     NegativeRadicandError,
     QuadraticSurd,
     as_surd,
@@ -161,6 +162,32 @@ def test_float_is_correctly_rounded_decay_powers(q, k, sign):
     value = surd_to_float(x)
     assert value == _mp_oracle(x)
     assert _rounds_to(x, value)
+
+
+def test_integer_core_rounds_under_heavy_cancellation():
+    # (1 - sqrt(2))^k = A + B sqrt(2): A and B sqrt(2) cancel to a relative
+    # 1e-30 at k = 40, and the numerators carry common factors with C
+    a, b = 1, 0
+    for k in range(1, 42):
+        a, b = a - 2 * b, b - a
+        if k < 40:
+            continue
+        for c in (1, 3, 10 ** 20):
+            with mpmath.workprec(600):
+                expected = float((1 - mpmath.sqrt(2)) ** k / c)
+            value = _int_surd_to_float(a * 6, b * 6, c * 6, 2)
+            assert value == expected
+            assert value == surd_to_float(
+                surd_pow(QuadraticSurd(1, -1, 2), k) / c)
+
+
+def test_integer_core_rational_path():
+    # B = 0 is one int/int division, whatever the radicand
+    for a, c in ((1, 3), (-7, 10 ** 30), (0, 5), (10 ** 400, 10 ** 399)):
+        for r in (2, 4, 0):
+            assert _int_surd_to_float(a, 0, c, r) == float(Fraction(a, c))
+    with pytest.raises(OverflowError):
+        _int_surd_to_float(10 ** 400, 0, 1, 2)
 
 
 def test_float_overflow_raises_like_fraction():

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hydrogrid.coordinate import EigenData, eigen_data
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
@@ -193,6 +193,37 @@ def test_closed_form_sequence_out_of_order_reads():
     for j in (25, 1, 41):
         assert sequence.float_value(j) == float(seq[j])
     assert sequence.value(41) == seq[41]
+
+
+def _check_both_reads(delta, m, jmax, floats_first):
+    # A fresh sequence, not the shared one, so the read order is the
+    # first its state sees.
+    mp = mass_point(m, delta)
+    sequence = ClosedFormSequence(mp)
+    if floats_first:
+        floats = [sequence.float_value(j) for j in range(jmax + 1)]
+        values = [sequence.value(j) for j in range(jmax + 1)]
+    else:
+        values = [sequence.value(j) for j in range(jmax + 1)]
+        floats = [sequence.float_value(j) for j in range(jmax + 1)]
+    assert [f.hex() for f in floats] == [float(v).hex() for v in values]
+    assert values == list(pollaczek_seq(delta, mp.mu, jmax))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 8),
+       st.integers(0, 200), st.booleans())
+def test_sequence_reads_agree_bit_for_bit(r, s, m, jmax, floats_first):
+    _check_both_reads(Fraction(r, s), m, jmax, floats_first)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_sequence_reads_agree_on_square_radicands(m):
+    # s = 3/4 and 5/12 make D = 25/16 and 169/144: x_m is rational
+    for delta in (Fraction(3 * (m + 1), 4), Fraction(5 * (m + 1), 12)):
+        assert mass_point(m, delta).mu.is_rational()
+        for floats_first in (True, False):
+            _check_both_reads(delta, m, 60, floats_first)
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -36,8 +36,8 @@ def test_build_small_operators():
     assert op.materialize().tolist() == [[1.0]]
     op2 = build_truncated(1, 2)
     assert op2.materialize().tolist() == [[1.0, 0.5], [0.5, 0.5]]
-    assert op2.diagonal(2) == Fraction(1, 2)
-    assert op2.offdiagonal == Fraction(1, 2)
+    # diagonal delta/k, off-diagonal 1/2
+    assert op2.diagonal_floats() == [1.0, 0.5]
 
 
 def test_build_rejects_empty():
@@ -297,18 +297,19 @@ def test_gram_matrix_bitwise_golden():
 
 
 def test_gram_matrix_floats_each_entry_once(monkeypatch):
-    # Every surd -> float conversion site: QuadraticSurd.__float__ reads the
-    # numerics global; any module may also import the name.
+    # Every surd -> float conversion goes through the one integer core:
+    # `surd_to_float` reads the numerics global, the closed-form sequence
+    # imports the name.
     converted = []
-    original = numerics.surd_to_float
+    original = numerics._int_surd_to_float
 
-    def counting(x, *args):
-        converted.append(x)
-        return original(x, *args)
+    def counting(*args):
+        converted.append(args)
+        return original(*args)
 
     for mod in (numerics, pollaczek, spectral):
-        if hasattr(mod, "surd_to_float"):
-            monkeypatch.setattr(mod, "surd_to_float", counting)
+        if hasattr(mod, "_int_surd_to_float"):
+            monkeypatch.setattr(mod, "_int_surd_to_float", counting)
     pollaczek.closed_form_sequence.cache_clear()
     states = list(range(1, 7))
     spectral.gram_matrix(states, Fraction(1, 2))
@@ -317,6 +318,23 @@ def test_gram_matrix_floats_each_entry_once(monkeypatch):
     # decay factors q of each pair, and P_0 = 1, which every state shares.
     assert len(set(converted)) > 1000
     assert len(converted) <= len(set(converted)) + 2 * pairs + len(states)
+
+
+def test_gram_matrix_builds_no_surd_per_term(monkeypatch):
+    # The sums read integer numerators: the surds built do not grow with
+    # the more than 1000 terms summed.
+    built = []
+    original = QuadraticSurd.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(QuadraticSurd, "__init__", counting)
+    pollaczek.closed_form_sequence.cache_clear()
+    states = list(range(1, 7))
+    spectral.gram_matrix(states, Fraction(1, 2))
+    assert len(built) <= 4 * len(states)
 
 
 def reference_sturm_count(op, x):
@@ -479,7 +497,19 @@ def test_threshold_above_gershgorin_bound_gives_nothing():
     op = build_truncated(1, 200)
     _, hi = op.gershgorin_interval()
     assert point_spectrum_above(op, hi + 2.0) == []
-    assert eigenvalues_between(op, 2.0, 1.0) == []
+    assert point_spectrum_above(op, threshold=100.0) == []
+    assert point_spectrum_above(op, hi + 1.0) == []
+    assert eigenvalues_between(op, 2.0, 2.0) == []
+
+
+def test_eigenvalues_between_rejects_reversed_interval():
+    # (2, -2] is no interval; (-2, 2] holds all 50 eigenvalues
+    op = build_truncated(1, 50)
+    assert len(eigenvalues_between(op, -2.0, 2.0)) == 50
+    with pytest.raises(ValueError, match="lo <= hi"):
+        eigenvalues_between(op, 2.0, -2.0)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        eigenvalues_between(op, 2.0, 1.0)
 
 
 def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
