@@ -342,17 +342,18 @@ def _polynomial(n: int, delta: Fraction) -> Callable[[int], QuadraticSurd]:
     """
     alphas = _alpha_vector(n, delta)
     ell = laguerre_ref(n).coefficients
-    coeffs = [alphas[j - 1] * ell[j] for j in range(1, n + 1)]
+    parts = [(c.a, c.b) for c in (alphas[j - 1] * ell[j]
+                                  for j in range(1, n + 1))]
     d = eigen_data(n, delta).mu.D
 
     def at(k: int) -> QuadraticSurd:
         r = k * delta
         a = b = Fraction(0)
         power = Fraction(1)
-        for c in coeffs:
+        for ca, cb in parts:
             power *= r
-            a += c.a * power
-            b += c.b * power
+            a += ca * power
+            b += cb * power
         return QuadraticSurd(a, b, d)
 
     return at
@@ -391,6 +392,8 @@ def wavefunction_values(n: int, delta: RationalLike,
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     delta = Fraction(delta)
     ed = eigen_data(n, delta)
     alphas = _alpha_vector(n, delta)

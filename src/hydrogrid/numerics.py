@@ -3,9 +3,14 @@
 Rationals are the stdlib `fractions.Fraction` (always kept in lowest terms
 with a positive denominator, which is exactly the normal form required
 here).  `QuadraticSurd` represents a + b*sqrt(D) with rational a, b and a
-fixed nonnegative rational radicand D, closed under field operations for a
-fixed D.  The module also owns the float-comparison policy shared by every
-other module.
+nonnegative rational radicand D.  It stores Python ints: with D = p/q in
+lowest terms and r = pq, a + b*sqrt(D) = (A + B*sqrt(r))/C with C > 0 and
+gcd(A, B, C) = 1, over one radicand object shared by every surd with that
+D.  Field operations over a known radicand need no Fraction and no
+perfect-square test; a, b and D are derived when read.  Equality is by
+value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
+rational square factor combine.  The module also owns the
+float-comparison policy shared by every other module.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -25,7 +30,7 @@ DEFAULT_ABS_TOL = 1e-14
 
 
 class MixedRadicandError(ValueError):
-    """Arithmetic attempted between surds over different radicands."""
+    """Arithmetic attempted between surds over different quadratic fields."""
 
 
 class NegativeRadicandError(ValueError):
@@ -59,14 +64,99 @@ def parse_rational(text: str, allow_exponent: bool = False) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of x, or None when x is not a perfect square."""
-    if x < 0:
+class _Radicand:
+    """An irrational radicand D = p/q: sqrt(D) = sqrt(r)/q with r = pq,
+    which is never a perfect square."""
+
+    __slots__ = ("D", "q", "r")
+
+    def __init__(self, p: int, q: int) -> None:
+        self.D = Fraction(p, q)
+        self.q = q
+        self.r = p * q
+
+
+@lru_cache(maxsize=None)
+def _radicand(p: int, q: int) -> _Radicand:
+    """The one radicand object of D = p/q."""
+    return _Radicand(p, q)
+
+
+def _root_ratio(r1: int, r2: int) -> tuple[int, int] | None:
+    """(u, v) with sqrt(r2) = (u/v) sqrt(r1), or None when r1*r2 is not a
+    perfect square, that is, when the two fields differ."""
+    s = math.isqrt(r1 * r2)
+    if s * s != r1 * r2:
         return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
+    g = math.gcd(s, r1)
+    return s // g, r1 // g
+
+
+def _parts(x: RationalLike) -> tuple[int, int]:
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"surd parts must be int or Fraction, not "
+                    f"{type(x).__name__}")
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, c: int, rad: _Radicand | None) -> "QuadraticSurd":
+    """The trusted constructor: (a + b sqrt(rad.r))/c for c > 0, reduced
+    by one gcd.  rad is ignored when b is 0."""
+    g = math.gcd(c, a, b)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+    x = _new(QuadraticSurd)
+    x._A = a
+    x._B = b
+    x._C = c
+    x._rad = rad if b else None
+    return x
+
+
+def _root_surd(a: int, b: int, den: int, p: int, td: int) -> "QuadraticSurd":
+    """(a + b sqrt(p))/den for den > 0, over the radicand D = p/td**2 in
+    lowest terms, which must be irrational unless b is 0.
+
+    With r = p td**2, sqrt(p) = sqrt(r)/td, so the value is
+    (a td + b sqrt(r))/(den td).
+    """
+    if not b:
+        return _make(a, 0, den, None)
+    return _make(a * td, b, den * td, _radicand(p, td * td))
+
+
+def _operands(x: "QuadraticSurd", y: object):
+    """y's integers (A, B, C) over the radicand of x op y, and that radicand,
+    or None when y is no exact scalar.
+
+    The left irrational radicand wins.  Another radicand r2 is rewritten
+    over it by sqrt(r2) = (u/v) sqrt(r1); none exists when the fields
+    differ, and MixedRadicandError is raised.
+    """
+    rad = x._rad
+    if isinstance(y, QuadraticSurd):
+        other = y._rad
+        if other is rad or other is None:
+            return y._A, y._B, y._C, rad
+        if rad is None:
+            return y._A, y._B, y._C, other
+        ratio = _root_ratio(rad.r, other.r)
+        if ratio is None:
+            raise MixedRadicandError(
+                f"cannot combine radicands {rad.D} and {other.D}")
+        u, v = ratio
+        return y._A * v, y._B * u, y._C * v, rad
+    if isinstance(y, int):
+        return y, 0, 1, rad
+    if isinstance(y, Fraction):
+        return y.numerator, 0, y.denominator, rad
     return None
 
 
@@ -74,100 +164,88 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 class QuadraticSurd:
     """Element a + b*sqrt(D) of Q(sqrt(D)), D a nonnegative rational.
 
-    Construction normalizes: perfect-square radicands fold into the
-    rational part, so every rational value has the unique form (a, 0, 0)
-    and (a, b, D) is a canonical triple.  Values are immutable; equality
-    and hashing are structural on the normalized triple.  Surds over
-    distinct irrational radicands do not mix (MixedRadicandError); purely
-    rational values combine with any radicand.
+    Stored as ints (A + B*sqrt(r))/C over a shared radicand (see the
+    module docstring).  Construction takes int or Fraction parts, and
+    perfect-square radicands fold into the rational part, so every
+    rational value reads (a, 0, 0).  Values are immutable.  Equality and
+    hashing are by value: surds over equivalent radicands (D1/D2 a
+    rational square) compare, hash and combine as one field, and a
+    result keeps the left irrational operand's D.  Surds over different
+    fields do not mix (MixedRadicandError) and never compare equal;
+    purely rational values combine with any radicand, and hash as their
+    Fraction.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_A", "_B", "_C", "_rad")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
-                 d: RationalLike = 0) -> None:
-        a = Fraction(a)
-        b = Fraction(b)
-        d = Fraction(d)
-        if d < 0:
-            raise NegativeRadicandError(f"negative radicand {d}")
-        if b == 0:
-            d = Fraction(0)
-        else:
-            root = _rational_sqrt(d)
-            if root is not None:
-                a += b * root
-                b = Fraction(0)
-                d = Fraction(0)
-        self._a = a
-        self._b = b
-        self._d = d
+    def __new__(cls, a: RationalLike = 0, b: RationalLike = 0,
+                d: RationalLike = 0) -> "QuadraticSurd":
+        an, ad = _parts(a)
+        bn, bd = _parts(b)
+        p, q = _parts(d)
+        if p < 0:
+            raise NegativeRadicandError(f"negative radicand {Fraction(p, q)}")
+        if not bn:
+            return _make(an, 0, ad, None)
+        r = p * q
+        root = math.isqrt(r)
+        if root * root == r:  # sqrt(D) = root/q is rational
+            return _make(an * bd * q + bn * root * ad, 0, ad * bd * q, None)
+        return _make(an * bd * q, bn * ad, ad * bd * q, _radicand(p, q))
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._A, self._C)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        if not self._B:
+            return Fraction(0)
+        return Fraction(self._B * self._rad.q, self._C)
 
     @property
     def D(self) -> Fraction:
-        return self._d
+        return self._rad.D if self._B else Fraction(0)
 
     def is_rational(self) -> bool:
-        return self._b == 0
+        return not self._B
 
     def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
+        return not self._A and not self._B
 
     def __repr__(self) -> str:
-        return f"QuadraticSurd({self._a}, {self._b}, {self._d})"
+        return f"QuadraticSurd({self.a}, {self.b}, {self.D})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        rad = str(self._d) if self._d.denominator == 1 else f"({self._d})"
-        sign = "+" if self._b >= 0 else "-"
-        return f"{self._a}{sign}{abs(self._b)}√{rad}"
-
-    # -- coercion ----------------------------------------------------------
-
-    @classmethod
-    def _coerce(cls, value: ScalarLike) -> "QuadraticSurd":
-        if isinstance(value, QuadraticSurd):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _common_d(self, other: "QuadraticSurd") -> Fraction:
-        if self._d == other._d:
-            return self._d
-        if self._d == 0:
-            return other._d
-        if other._d == 0:
-            return self._d
-        raise MixedRadicandError(
-            f"cannot combine radicands {self._d} and {other._d}")
+        if not self._B:
+            return str(self.a)
+        d = self.D
+        rad = str(d) if d.denominator == 1 else f"({d})"
+        sign = "+" if self._B > 0 else "-"
+        return f"{self.a}{sign}{abs(self.b)}√{rad}"
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "QuadraticSurd":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadraticSurd(self._a + other._a, self._b + other._b, d)
+        a, b, c, rad = ops
+        c1 = self._C
+        if c1 == c:
+            return _make(self._A + a, self._B + b, c, rad)
+        return _make(self._A * c + a * c1, self._B * c + b * c1, c1 * c, rad)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self._a, -self._b, self._d)
+        # a reduced triple stays reduced: no gcd
+        x = _new(QuadraticSurd)
+        x._A, x._B, x._C, x._rad = -self._A, -self._B, self._C, self._rad
+        return x
 
     def __sub__(self, other: ScalarLike) -> "QuadraticSurd":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (QuadraticSurd, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -175,36 +253,41 @@ class QuadraticSurd:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "QuadraticSurd":
-        if isinstance(other, (int, Fraction)):
-            return QuadraticSurd(self._a * other, self._b * other, self._d)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        d = self._common_d(other)
-        a = self._a * other._a + self._b * other._b * d
-        b = self._a * other._b + self._b * other._a
-        return QuadraticSurd(a, b, d)
+        a, b, c, rad = ops
+        a1, b1 = self._A, self._B
+        bb = b1 * b  # nonzero only when both are irrational over rad
+        return _make(a1 * a + (bb * rad.r if bb else 0), a1 * b + b1 * a,
+                     self._C * c, rad)
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """Field norm a**2 - D*b**2 (product with the conjugate)."""
-        return self._a * self._a - self._b * self._b * self._d
-
     def inverse(self) -> "QuadraticSurd":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero surd")
-        n = self.norm()
-        return QuadraticSurd(self._a / n, -self._b / n, self._d)
+        a, b, c = self._A, self._B, self._C
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero surd")
+            return _make(c if a > 0 else -c, 0, abs(a), None)
+        # c/(a + b sqrt(r)) = c (a - b sqrt(r)) / n with n = a^2 - b^2 r != 0
+        n = a * a - b * b * self._rad.r
+        if n < 0:
+            return _make(-c * a, c * b, -n, self._rad)
+        return _make(c * a, -c * b, n, self._rad)
 
     def __truediv__(self, other: ScalarLike) -> "QuadraticSurd":
-        if isinstance(other, (int, Fraction)):
-            return QuadraticSurd(self._a / other, self._b / other, self._d)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, QuadraticSurd):
+            return self * other.inverse()
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        self._common_d(other)
-        return self * other.inverse()
+        n, _, d, rad = ops
+        if not n:
+            raise ZeroDivisionError("division of a surd by zero")
+        if n < 0:
+            n, d = -n, -d
+        return _make(self._A * d, self._B * d, self._C * n, rad)
 
     def __rtruediv__(self, other: RationalLike) -> "QuadraticSurd":
         if not isinstance(other, (int, Fraction)):
@@ -216,7 +299,7 @@ class QuadraticSurd:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadraticSurd(1, 0, self._d)
+        result = _make(1, 0, 1, None)
         base = self
         e = exponent
         while e > 0:
@@ -230,40 +313,53 @@ class QuadraticSurd:
 
     def sign(self) -> int:
         """Exact sign of the represented real value (-1, 0, +1)."""
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
+        a, b = self._A, self._B
+        if not b:
+            return (a > 0) - (a < 0)
+        if not a:
             return 1 if b > 0 else -1
         if (a > 0) == (b > 0):
             return 1 if a > 0 else -1
         lhs = a * a
-        rhs = b * b * d
-        if a > 0:  # b < 0: positive iff a**2 > b**2 D
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        rhs = b * b * self._rad.r
+        if a > 0:  # b < 0: positive iff a**2 > b**2 r
+            return (lhs > rhs) - (lhs < rhs)
+        return (rhs > lhs) - (rhs < lhs)
 
     def __abs__(self) -> "QuadraticSurd":
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd(other)
-        if not isinstance(other, QuadraticSurd):
-            return False
-        return (self._a == other._a and self._b == other._b
-                and self._d == other._d)
+        if isinstance(other, QuadraticSurd):
+            rad, other_rad = self._rad, other._rad
+            if other_rad is not rad:
+                # a rational never equals an irrational, nor do two fields
+                if (rad is None or other_rad is None
+                        or _root_ratio(rad.r, other_rad.r) is None):
+                    return False
+                other = _make(*_operands(self, other))
+            return (self._A == other._A and self._B == other._B
+                    and self._C == other._C)
+        if isinstance(other, int):
+            return not self._B and self._C == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (not self._B and self._A == other.numerator
+                    and self._C == other.denominator)
+        return False
 
     def __lt__(self, other: ScalarLike) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (QuadraticSurd, int, Fraction)):
             return NotImplemented
         return (self - other).sign() < 0
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        # a, sign(b) and b**2 D = B**2 r / C**2 do not depend on which of
+        # two equivalent radicands the value is written over
+        a, b, c = self._A, self._B, self._C
+        if not b:
+            return hash(Fraction(a, c))
+        return hash((Fraction(a, c), b > 0,
+                     Fraction(b * b * self._rad.r, c * c)))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -289,15 +385,12 @@ def surd_pow(x: QuadraticSurd, e: int) -> QuadraticSurd:
 def surd_to_float(x: QuadraticSurd) -> float:
     """Round a + b*sqrt(D) to the nearest double, exactly.
 
-    With D = p/q, x = (A + B*sqrt(pq))/C over integers, rounded by
+    The stored integers (A + B*sqrt(r))/C go straight to
     `_int_surd_to_float`.  A value beyond the double range raises
     OverflowError, as float(Fraction) does.
     """
-    a, b, d = x.a, x.b, x.D
-    return _int_surd_to_float(a.numerator * b.denominator * d.denominator,
-                              b.numerator * a.denominator,
-                              a.denominator * b.denominator * d.denominator,
-                              d.numerator * d.denominator)
+    rad = x._rad
+    return _int_surd_to_float(x._A, x._B, x._C, rad.r if rad else 0)
 
 
 def _int_surd_to_float(big_a: int, big_b: int, big_c: int,

@@ -25,7 +25,7 @@ from typing import Union
 
 from .coordinate import EigenData, _state
 from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
-                       as_surd, surd_pow)
+                       _root_surd, as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -105,8 +105,8 @@ class ClosedFormSequence:
     Every degree j >= 0 uses the one factorized form
     f(j) = (j+1) q^{j-m} Q_m(j) with Q_m(j) = sum_l w_l beta_{j,l} and
     weights w_l = C(m,l) x^{m-l} (-s)^l.  The sequence extends in order
-    on demand; `value(j)` canonicalizes a degree into a surd once, and
-    `float_value(j)` rounds it straight from its integers.
+    on demand and keeps each degree once, as integers; `value(j)` builds
+    a surd from them, and `float_value(j)` rounds straight from them.
 
     Why one form serves every degree: beta_{j,l} is a polynomial in j,
     so Q_m(j) is one too.  f(-1) = 0 by the factor j+1, and beta_{0,l} = 1
@@ -127,7 +127,7 @@ class ClosedFormSequence:
     (sqrt(p) - tn)^j, so
         P_j(x_m) = (j+1) N_j sum_i C(j,i) v_i / (td^{2m+j} L).
     Each degree costs m + 1 integer multiply-adds, and N_{j+1} is N_j
-    times sqrt(p) - tn.
+    times sqrt(p) - tn.  D = p/td^2 in lowest terms, since gcd(tn, td) = 1.
     """
 
     def __init__(self, mp: EigenData) -> None:
@@ -156,7 +156,6 @@ class ClosedFormSequence:
         self._step = (self._root[0] - tn, self._root[1])
         self._den = self._den0  # td^{2m+j} L of the next j
         self._terms: list[tuple[int, int, int]] = []
-        self._values: dict[int, QuadraticSurd] = {}
         self._floats: list[float] = []
 
     def factorized(self, j: int, qnum: tuple[int, int]) -> tuple[int, int]:
@@ -170,9 +169,7 @@ class ClosedFormSequence:
         return _mul(qnum, ((j + 1) * a, (j + 1) * b), self._p)
 
     def _surd(self, a: int, b: int, den: int) -> QuadraticSurd:
-        # (a + b sqrt(p))/den = a/den + (b td/den) sqrt(D)
-        return QuadraticSurd(Fraction(a, den), Fraction(b * self._td, den),
-                             self.mp.mu.D)
+        return _root_surd(a, b, den, self._p, self._td)
 
     def _term(self, j: int) -> tuple[int, int, int]:
         if j < 0:
@@ -186,10 +183,7 @@ class ClosedFormSequence:
         return terms[j]
 
     def value(self, j: int) -> QuadraticSurd:
-        value = self._values.get(j)
-        if value is None:
-            value = self._values[j] = self._surd(*self._term(j))
-        return value
+        return self._surd(*self._term(j))
 
     def float_value(self, j: int) -> float:
         if j < 0:

@@ -270,6 +270,12 @@ def test_wavefunction_float_at_origin():
         assert wavefunction_float(n, Fraction(1, 2), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("r", [-3.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_wavefunction_float_rejects_r_outside_domain(r):
+    with pytest.raises(ValueError, match="r must be finite and >= 0"):
+        wavefunction_float(2, 1, r)
+
+
 def test_wavefunction_float_matches_exact_grid_values():
     for n in (1, 2, 4):
         for delta in DELTAS:

@@ -1,7 +1,9 @@
 import math
+import operator
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +24,8 @@ from hydrogrid.numerics import (
     surd_to_float,
     surd_to_json,
 )
+
+from surd_model import FractionSurd, rational_sqrt
 
 
 def test_sqrt2_squared():
@@ -56,6 +60,44 @@ def test_division_by_zero():
 def test_mismatched_radicands_rejected():
     with pytest.raises(MixedRadicandError):
         QuadraticSurd(1, 1, 2) + QuadraticSurd(1, 1, 3)
+
+
+def test_equivalent_radicands_are_one_field():
+    # D1/D2 a rational square: one field, compared and hashed by value
+    root8, two_root2 = QuadraticSurd(0, 1, 8), QuadraticSurd(0, 2, 2)
+    root_half = QuadraticSurd(0, 1, Fraction(1, 2))
+    half_root2 = QuadraticSurd(0, Fraction(1, 2), 2)
+    assert root8 == two_root2 and hash(root8) == hash(two_root2)
+    assert root_half == half_root2 and hash(root_half) == hash(half_root2)
+    assert QuadraticSurd(1, 3, 18) == QuadraticSurd(1, 9, 2) == \
+        QuadraticSurd(1, Fraction(9, 2), 8)
+    # a mixed result keeps the left irrational operand's D
+    assert str(root8 + two_root2) == "0+2√8"
+    assert str(two_root2 + root8) == "0+4√2"
+    assert str(QuadraticSurd(1) + root8) == "1+1√8"
+    assert str(root_half * QuadraticSurd(3, 1, 2)) == "1+3√(1/2)"
+    assert root8 * two_root2 == 8 and (root8 * two_root2).D == 0
+    assert (root8 - two_root2).is_zero()
+    assert two_root2 / root8 == 1
+    assert root8 < QuadraticSurd(0, 3, 2) and not root8 < two_root2
+    # different fields never compare equal, and do not mix
+    assert root8 != QuadraticSurd(0, 1, 3)
+    for other in (QuadraticSurd(0, 1, 3), QuadraticSurd(1, 1, Fraction(3, 8))):
+        with pytest.raises(MixedRadicandError):
+            root8 + other
+        with pytest.raises(MixedRadicandError):
+            root8 * other
+        with pytest.raises(MixedRadicandError):
+            root8 < other
+
+
+@pytest.mark.parametrize("parts", [
+    (0.1,), (0, 0.5, 2), (0, 1, 2.0), ("1/2", 1, "8"), (None,),
+    (Decimal(1),), (0, 1, Decimal(2)), (1j,),
+])
+def test_surd_parts_must_be_int_or_fraction(parts):
+    with pytest.raises(TypeError):
+        QuadraticSurd(*parts)
 
 
 def test_rational_surd_combines_with_any_radicand():
@@ -320,3 +362,87 @@ def test_str_forms():
     assert str(QuadraticSurd(3, -2, 2)) == "3-2√2"
     assert str(QuadraticSurd(0, 1, Fraction(5, 4))) == "0+1√(5/4)"
     assert str(QuadraticSurd(Fraction(3, 2))) == "3/2"
+
+
+# Radicands for the model comparison: perfect squares (which fold), 0, and
+# non-squares, several of them equivalent (2, 8, 1/2, 18 and 5/4, 5, 20).
+MODEL_RADICANDS = [Fraction(d) for d in (0, 1, 4, Fraction(9, 4), 2, 8,
+                                         Fraction(1, 2), 18, Fraction(5, 4),
+                                         5, 20, 3)]
+model_parts = st.tuples(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.sampled_from(MODEL_RADICANDS))
+
+
+def _agree(new, model):
+    assert (new.a, new.b, new.D) == (model.a, model.b, model.D)
+    assert str(new) == str(model)
+    assert float(new) == float(model)
+    assert new.sign() == model.sign()
+    assert new.is_rational() == model.is_rational()
+    if model.is_rational():
+        assert new == model.a
+        assert hash(new) == hash(model) == hash(model.a)
+
+
+def _model_pair(x, y):
+    """The model operands, y rewritten over x's radicand when the two are
+    equivalent; None when they lie in different fields."""
+    mx, my = FractionSurd(*x), FractionSurd(*y)
+    if mx.b and my.b and mx.D != my.D:
+        ratio = rational_sqrt(my.D / mx.D)
+        if ratio is None:
+            return None
+        my = FractionSurd(my.a, my.b * ratio, mx.D)
+    return mx, my
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul)
+
+
+@settings(max_examples=300)
+@given(model_parts, model_parts, st.integers(min_value=-3, max_value=5))
+def test_surd_agrees_with_fraction_model(x, y, e):
+    nx, ny = QuadraticSurd(*x), QuadraticSurd(*y)
+    mx = FractionSurd(*x)
+    _agree(nx, mx)
+    _agree(-nx, -mx)
+    _agree(abs(nx), mx if mx.sign() >= 0 else -mx)
+    if mx.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            nx.inverse()
+    else:
+        _agree(nx.inverse(), mx.inverse())
+    if e >= 0 or not mx.is_zero():
+        _agree(nx ** e, mx ** e)
+    for r in (y[0], int(y[1])):
+        for op in BINARY_OPS:
+            _agree(op(nx, r), op(mx, r))
+            _agree(op(r, nx), op(r, mx))
+        assert (nx < r) == (mx < r) and (nx == r) == (mx == r)
+        if r:
+            _agree(nx / r, mx / r)
+        if not mx.is_zero():
+            _agree(r / nx, r / mx)
+
+    pair = _model_pair(x, y)
+    if pair is None:
+        assert nx != ny
+        for op in BINARY_OPS + (operator.truediv, operator.lt):
+            with pytest.raises(MixedRadicandError):
+                op(nx, ny)
+        return
+    mx, my = pair
+    assert (nx == ny) == (mx == my)
+    if nx == ny:
+        assert hash(nx) == hash(ny)
+    assert (nx < ny) == (mx < my)
+    assert (nx <= ny) == (mx < my or mx == my)
+    for op in BINARY_OPS:
+        _agree(op(nx, ny), op(mx, my))
+    if my.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            nx / ny
+    else:
+        _agree(nx / ny, mx / my)

@@ -144,6 +144,31 @@ def test_closed_form_sequence_rejects_negative_degree(filled):
         pollaczek_mass_closed(-1, mass_point(2, Fraction(1, 2)))
 
 
+def test_closed_form_sequence_keeps_each_degree_once():
+    # the integers of a degree are its one copy: reading values keeps no
+    # surd in the sequence, and every read rebuilds the same value
+    mp = mass_point(3, Fraction(1, 2))
+    sequence = ClosedFormSequence(mp)
+    first = [sequence.value(j) for j in range(40)]
+    assert [sequence.value(j) for j in range(40)] == first
+    assert first == list(pollaczek_seq(Fraction(1, 2), mp.mu, 39))
+    for held in vars(sequence).values():
+        if isinstance(held, dict):
+            held = list(held.values())
+        if isinstance(held, (list, tuple)):
+            assert not any(isinstance(x, QuadraticSurd) for x in held)
+
+
+def test_closed_form_values_share_the_radicand_of_mu():
+    # (a + b sqrt(p))/den is written over D = p/td^2, the radicand object
+    # of mu itself, so mixing a value with mu takes no field conversion
+    mp = mass_point(2, Fraction(1, 2))
+    value = ClosedFormSequence(mp).value(5)
+    assert not value.is_rational()
+    assert value.D == mp.mu.D
+    assert value._rad is mp.mu._rad
+
+
 def test_closed_degree_zero_is_one():
     for m in (0, 2, 5):
         assert pollaczek_mass_closed(0, mass_point(m, Fraction(1, 2))) == 1
