@@ -18,6 +18,7 @@ from .coordinate import (
     solve_constraint_system,
     wavefunction,
     wavefunction_float,
+    wavefunction_floats,
     wavefunction_values,
 )
 from .numerics import (

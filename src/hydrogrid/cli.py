@@ -22,10 +22,11 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
-                         eigen_data, laguerre_ref, wavefunction_values)
+                         eigen_data, laguerre_ref, wavefunction_floats,
+                         wavefunction_values)
 from .numerics import (QuadraticSurd, parse_rational, surd_to_float,
                        surd_to_json)
-from .pollaczek import mass_point, pollaczek_mass_closed
+from .pollaczek import closed_form_sequence, mass_point, pollaczek_mass_closed
 
 OUT_DIR_ENV = "HYDROGRID_OUT_DIR"
 
@@ -67,18 +68,23 @@ def _rows_spectrum(cfg: RunConfig) -> Iterator[list[Cell]]:
         yield [n, _surd(cfg, ed.mu), _surd(cfg, ed.E), _surd(cfg, ed.q)]
 
 
+# The wavefunction and pollaczek tables read float cells straight from
+# the integers of their exact values, with no surd built.
 def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
+    values = (wavefunction_values if cfg.mode == "exact"
+              else wavefunction_floats)
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        values = wavefunction_values(n, cfg.delta, cfg.k_max)
-        for k, u in enumerate(values, start=1):
-            yield [n, k, _surd(cfg, u)]
+        for k, u in enumerate(values(n, cfg.delta, cfg.k_max), start=1):
+            yield [n, k, u]
 
 
 def _rows_pollaczek(cfg: RunConfig) -> Iterator[list[Cell]]:
     for m in range(cfg.n_lo, cfg.n_hi + 1):
         mp = mass_point(m, cfg.delta)
+        floats = closed_form_sequence(mp).float_value
         for j in range(cfg.j_max + 1):
-            yield [m, j, _surd(cfg, pollaczek_mass_closed(j, mp))]
+            yield [m, j, pollaczek_mass_closed(j, mp) if cfg.mode == "exact"
+                   else floats(j)]
 
 
 def _rows_coeffs(cfg: RunConfig) -> Iterator[list[Cell]]:

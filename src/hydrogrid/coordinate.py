@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
+from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
+                       _mul, _root_pair, _root_surd, as_surd, surd_pow)
 
 
 class ZeroPivotError(ArithmeticError):
@@ -333,61 +334,95 @@ def _alpha_vector(n: int, delta: Fraction) -> tuple[QuadraticSurd, ...]:
     return tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
 
 
-def _polynomial(n: int, delta: Fraction) -> Callable[[int], QuadraticSurd]:
-    """k -> sum_j alpha_j ell_j r^j at r = k*delta, the wavefunction's
-    polynomial factor.
+def _polynomial(n: int, delta: Fraction) -> tuple[
+        list[tuple[int, int]], int, int, int, tuple[int, int]]:
+    """The wavefunction's polynomial factor and decay factor on integers.
 
-    Each coefficient alpha_j ell_j is split once into a + b sqrt(D), so
-    every evaluation runs in Fraction arithmetic and builds one surd.
+    With t = delta/n = tn/td in lowest terms and p = td^2 + tn^2,
+    mu = sqrt(p)/td and q = (sqrt(p) - tn)/td.  The coefficient
+    alpha_j ell_j delta^j of k^j is written over one common denominator
+    den as an integer pair (a_j, b_j), meaning (a_j + b_j sqrt(p))/den.
+    Returns the pairs from the highest degree down, den, p, td and the
+    pair sqrt(p) - tn.  When p is a perfect square, mu is rational, so
+    every b_j is 0, and sqrt(p) folds into that pair's integers.
     """
-    alphas = _alpha_vector(n, delta)
+    ed = eigen_data(n, delta)
+    tn, td = ed.t.numerator, ed.t.denominator
+    p = td * td + tn * tn
     ell = laguerre_ref(n).coefficients
-    parts = [(c.a, c.b) for c in (alphas[j - 1] * ell[j]
-                                  for j in range(1, n + 1))]
-    d = eigen_data(n, delta).mu.D
+    coeffs = [(c.a, c.b / td) for c in (
+        alpha * (ell[j] * delta ** j)
+        for j, alpha in enumerate(_alpha_vector(n, delta), start=1))]
+    den = math.lcm(*(x.denominator for pair in coeffs for x in pair))
+    pairs = [(int(a * den), int(b * den)) for a, b in reversed(coeffs)]
+    root, rb = _root_pair(p)
+    return pairs, den, p, td, (root - tn, rb)
 
-    def at(k: int) -> QuadraticSurd:
-        r = k * delta
-        a = b = Fraction(0)
-        power = Fraction(1)
-        for ca, cb in parts:
-            power *= r
-            a += ca * power
-            b += cb * power
-        return QuadraticSurd(a, b, d)
 
-    return at
+def _horner(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:
+    """sum_j (a_j + b_j sqrt(p)) k^j, j >= 1, as a pair, from the highest
+    degree down."""
+    a = b = 0
+    for ca, cb in pairs:
+        a = a * k + ca
+        b = b * k + cb
+    return a * k, b * k
 
 
 def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
-    """Exact lattice eigenfunction value u^n_k at grid point r = k*delta."""
+    """Exact lattice eigenfunction value u^n_k at grid point r = k*delta.
+
+    q^k is a fresh power, the reference for the running product of
+    `wavefunction_values`.
+    """
     if k < 1:
         raise ValueError("grid index must be >= 1")
     delta = Fraction(delta)
     ed = eigen_data(n, delta)
-    return _polynomial(n, delta)(k) * surd_pow(ed.q, k)
+    pairs, den, p, td, _ = _polynomial(n, delta)
+    return _root_surd(*_horner(pairs, k), den, p, td) * surd_pow(ed.q, k)
+
+
+def _wavefunction_terms(n: int, delta: RationalLike, kmax: int
+                        ) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
+    """p, td and an iterator of (a, b, den) with u_k = (a + b sqrt(p))/den
+    for k = 1..kmax.
+
+    u_k = (Horner(a)(k) + sqrt(p) Horner(b)(k)) N_k / (den td^k) with the
+    running numerator N_k = (sqrt(p) - tn)^k of q^k (see `_polynomial`).
+    n, delta and kmax are checked before the iteration starts.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    pairs, den, p, td, step = _polynomial(n, Fraction(delta))
+
+    def terms() -> Iterator[tuple[int, int, int]]:
+        qnum, scale = (1, 0), den
+        for k in range(1, kmax + 1):
+            qnum = _mul(qnum, step, p)
+            scale *= td
+            yield (*_mul(_horner(pairs, k), qnum, p), scale)
+
+    return p, td, terms()
 
 
 def wavefunction_values(n: int, delta: RationalLike,
                         kmax: int) -> Iterator[QuadraticSurd]:
     """u^n_1, ..., u^n_kmax in one pass, equal to `wavefunction` at each k.
 
-    q^k is carried as an exact running product; no value is kept once
+    Read from one integer stream, one surd per k; no value is kept once
     the caller has moved past it.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    delta = Fraction(delta)
-    q = eigen_data(n, delta).q  # validates n and delta before iteration
-    poly = _polynomial(n, delta)
+    p, td, terms = _wavefunction_terms(n, delta, kmax)
+    return (_root_surd(a, b, den, p, td) for a, b, den in terms)
 
-    def values() -> Iterator[QuadraticSurd]:
-        qpow = as_surd(1)
-        for k in range(1, kmax + 1):
-            qpow = qpow * q
-            yield poly(k) * qpow
 
-    return values()
+def wavefunction_floats(n: int, delta: RationalLike,
+                        kmax: int) -> Iterator[float]:
+    """The doubles nearest to u^n_1, ..., u^n_kmax, rounded straight from
+    the integers of `wavefunction_values`, with no surd built."""
+    p, _, terms = _wavefunction_terms(n, delta, kmax)
+    return (_int_surd_to_float(a, b, den, p) for a, b, den in terms)
 
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:

@@ -132,6 +132,29 @@ def _root_surd(a: int, b: int, den: int, p: int, td: int) -> "QuadraticSurd":
     return _make(a * td, b, den * td, _radicand(p, td * td))
 
 
+# Integer pairs (a, b) stand for a + b sqrt(p), for one integer p >= 0 that
+# the caller carries; `_root_surd` and `_int_surd_to_float` read them.
+
+def _root_pair(p: int) -> tuple[int, int]:
+    """sqrt(p) as a pair: (s, 0) when p = s**2, else (0, 1), so that a
+    perfect square folds into the integers and every b stays 0."""
+    s = math.isqrt(p)
+    return (s, 0) if s * s == p else (0, 1)
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int],
+         p: int) -> tuple[int, int]:
+    """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
+    return x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0]
+
+
+def _pow(x: tuple[int, int], e: int, p: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(e):
+        out = _mul(out, x, p)
+    return out
+
+
 def _operands(x: "QuadraticSurd", y: object):
     """y's integers (A, B, C) over the radicand of x op y, and that radicand,
     or None when y is no exact scalar.

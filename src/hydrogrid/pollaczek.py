@@ -25,7 +25,7 @@ from typing import Union
 
 from .coordinate import EigenData, _state
 from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
-                       _root_surd, as_surd, surd_pow)
+                       _mul, _pow, _root_pair, _root_surd, as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -86,19 +86,6 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
     return (j + 1) * acc
 
 
-def _mul(x: tuple[int, int], y: tuple[int, int],
-         p: int) -> tuple[int, int]:
-    """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
-    return x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0]
-
-
-def _pow(x: tuple[int, int], e: int, p: int) -> tuple[int, int]:
-    out = (1, 0)
-    for _ in range(e):
-        out = _mul(out, x, p)
-    return out
-
-
 class ClosedFormSequence:
     """P_0(x_m), P_1(x_m), ... by the closed form, on integer numerators.
 
@@ -135,9 +122,8 @@ class ClosedFormSequence:
         m = mp.m
         tn, td = mp.t.numerator, mp.t.denominator
         p = td * td + tn * tn
-        root = math.isqrt(p)
         self._p, self._td = p, td
-        self._root = (root, 0) if root * root == p else (0, 1)  # sqrt(p)
+        self._root = _root_pair(p)
         lcm = math.lcm(*range(1, m + 2))
         self._den0 = td ** (2 * m) * lcm  # the denominator at j = 0
         powers = [_pow(self._root, e, p) for e in range(m + 1)]

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import hydrogrid.cli as cli
 import hydrogrid.coordinate as coordinate
+import hydrogrid.numerics as numerics
+import hydrogrid.pollaczek as pollaczek
 from hydrogrid.cli import RunConfig, main, run
 from hydrogrid.coordinate import ZeroPivotError
-from hydrogrid.numerics import surd_to_float
 
 from golden_stdout import GOLDEN_STDOUT, stdout_digest
 
@@ -206,13 +208,21 @@ SURD_COLUMNS = {"spectrum": 3, "wavefunction": 1, "pollaczek": 1,
 ])
 def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
                                                  tmp_path):
+    # Every float cell is rounded by the one integer core: `surd_to_float`
+    # reads the numerics global, the wavefunction stream and the
+    # closed-form sequence import the name.  The sequence keeps its floats,
+    # so its cache is cleared for the count to see this run's cells.
     calls = []
+    original = numerics._int_surd_to_float
 
     def counting(*args):
         calls.append(args)
-        return surd_to_float(*args)
+        return original(*args)
 
-    monkeypatch.setattr("hydrogrid.cli.surd_to_float", counting)
+    for mod in (numerics, coordinate, pollaczek, cli):
+        if hasattr(mod, "_int_surd_to_float"):
+            monkeypatch.setattr(mod, "_int_surd_to_float", counting)
+    pollaczek.closed_form_sequence.cache_clear()
     out = tmp_path / f"table.{output}"
     assert main(argv.split() + ["--mode", "float", "--output", output,
                                 "--out", str(out)]) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hydrogrid.coordinate import (
     ZeroPivotError,
@@ -17,9 +18,11 @@ from hydrogrid.coordinate import (
     solve_constraint_system,
     wavefunction,
     wavefunction_float,
+    wavefunction_floats,
     wavefunction_values,
 )
-from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
+from hydrogrid.numerics import (QuadraticSurd, floats_close, surd_pow,
+                                surd_to_float)
 from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
@@ -310,6 +313,53 @@ def test_wavefunction_values_equal_pointwise(n, delta):
 
 def test_wavefunction_values_empty_for_no_rows():
     assert list(wavefunction_values(3, 1, 0)) == []
+
+
+def fraction_polynomial(n, delta, k):
+    """sum_j alpha_j ell_j (k delta)^j in Fraction arithmetic over each
+    coefficient's parts a + b sqrt(D): the reference for the integer
+    stream, independent of its common denominator and its pairs."""
+    table = alpha_inner(n, n - 1)
+    ell = laguerre_ref(n).coefficients
+    parts = [(c.a, c.b) for c in (table.assembled(n - j, delta) * ell[j]
+                                  for j in range(1, n + 1))]
+    r = k * delta
+    a = b = Fraction(0)
+    power = Fraction(1)
+    for ca, cb in parts:
+        power *= r
+        a += ca * power
+        b += cb * power
+    return QuadraticSurd(a, b, eigen_data(n, delta).mu.D)
+
+
+def assert_stream_matches_reference(n, delta, kmax):
+    q = eigen_data(n, delta).q
+    exact = list(wavefunction_values(n, delta, kmax))
+    assert exact == [fraction_polynomial(n, delta, k) * surd_pow(q, k)
+                     for k in range(1, kmax + 1)]
+    assert wavefunction(n, delta, kmax) == exact[-1]
+    # bit for bit, signed zeros included
+    assert [x.hex() for x in wavefunction_floats(n, delta, kmax)] \
+        == [surd_to_float(u).hex() for u in exact]
+    return exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 40), s=st.integers(1, 40), n=st.integers(1, 10),
+       kmax=st.integers(1, 60))
+def test_wavefunction_stream_equals_fraction_reference(r, s, n, kmax):
+    assert_stream_matches_reference(n, Fraction(r, s), kmax)
+
+
+@pytest.mark.parametrize("n, delta", [(1, Fraction(3, 4)),
+                                      (2, Fraction(3, 2))])
+def test_wavefunction_stream_over_a_perfect_square(n, delta):
+    # t = delta/n = 3/4 gives p = 4**2 + 3**2 = 25: sqrt(p) folds into the
+    # integers, and mu = 5/4 and q = 1/2 are rational
+    assert eigen_data(n, delta).q == Fraction(1, 2)
+    exact = assert_stream_matches_reference(n, delta, 60)
+    assert all(u.is_rational() for u in exact)
 
 
 @pytest.mark.parametrize("broken", [None, 1, 2, 7, 11, 12])
