@@ -55,6 +55,7 @@ from .spectral import (
     eigen_bisection,
     eigen_residual,
     eigenvalues_between,
+    exact_sturm_count,
     exp_part,
     gram_matrix,
     inner_product,

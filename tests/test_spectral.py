@@ -20,6 +20,7 @@ from hydrogrid.spectral import (
     eigen_bisection,
     eigen_residual,
     eigenvalues_between,
+    exact_sturm_count,
     exp_part,
     exp_part_float_reference,
     gram_matrix,
@@ -43,6 +44,15 @@ def test_build_small_operators():
 def test_build_rejects_empty():
     with pytest.raises(ValueError):
         build_truncated(1, 0)
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5, True, "3"])
+def test_build_rejects_a_size_that_is_not_an_int(size):
+    # 2.0 used to build and fail at the first count; True was size 1
+    with pytest.raises(TypeError, match="int"):
+        build_truncated(Fraction(1, 2), size)
+    with pytest.raises(TypeError, match="int"):
+        spectral.TridiagonalOperator(delta=Fraction(1, 2), size=size)
 
 
 def test_free_lattice_spectrum_inside_band():
@@ -411,6 +421,51 @@ def test_sturm_count_equals_full_walk_on_a_grid():
                 assert sturm_count(op, x) == reference_sturm_count(op, x)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4),
+                                   Fraction(2)])
+@pytest.mark.parametrize("size", [1, 2, 50, 2206])
+def test_sturm_count_with_an_exact_zero_first_pivot(delta, size):
+    op = build_truncated(delta, size)
+    x = op.diagonal_floats()[0]  # the first pivot is diag[0] - x = 0.0
+    assert sturm_count(op, x) == reference_sturm_count(op, x)
+    assert sturm_count(op, x) == exact_sturm_count(op, x)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50, 2206])
+@pytest.mark.parametrize("x", [0.0, -0.0])
+def test_sturm_count_at_signed_zero_on_the_free_lattice(size, x):
+    # 0.0 - x is 0.0 for either sign of x: the first pivot is an exact zero
+    op = build_truncated(0, size)
+    assert sturm_count(op, x) == reference_sturm_count(op, x)
+    assert sturm_count(op, x) == exact_sturm_count(op, x) == (size + 1) // 2
+
+
+def test_exact_sturm_count_by_hand_through_zero_minors():
+    # delta = 0, N = 3 has eigenvalues -1/sqrt(2), 0, 1/sqrt(2).
+    op = build_truncated(0, 3)
+    # x = 0: P = 1, 0, -2, 0.  P_1 = 0 takes -, P_2 stays -, P_3 = 0
+    # takes +: two changes, the eigenvalue at x itself included, as the
+    # float count's zero pivot counts negative.
+    assert exact_sturm_count(op, 0) == sturm_count(op, 0.0) == 2
+    # x = 1/2, an eigenvalue of the leading 2x2 block: P = 1, -2, 0, 48.
+    # The inner zero adds one change whichever sign it takes.
+    assert exact_sturm_count(op, Fraction(1, 2)) == sturm_count(op, 0.5) == 2
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize("size", [400, 2206])
+def test_exact_sturm_count_matches_the_float_count(delta, size):
+    # x = 1 and a +-1e-10 bracket round each of the three largest float
+    # eigenvalues: each bracket holds exactly one eigenvalue, exactly.
+    op = build_truncated(delta, size)
+    assert exact_sturm_count(op, 1) == sturm_count(op, 1.0)
+    for e in point_spectrum_above(op)[-3:]:
+        lo, hi = e - 1e-10, e + 1e-10
+        counts = exact_sturm_count(op, lo), exact_sturm_count(op, hi)
+        assert counts == (sturm_count(op, lo), sturm_count(op, hi))
+        assert counts[1] - counts[0] == 1
+
+
 def lowest_eigenvalues_above(op, x0, k):
     """The k lowest eigenvalues above x0 at float resolution: for each,
     the smallest float at which the Sturm count goes up by one more."""
@@ -547,6 +602,25 @@ def test_point_spectrum_bisection_path_pinned(monkeypatch):
     assert len(calls) == 1062
     assert digest == ("5118a9188eb190d80fe0adb3fc63a474"
                       "4d931ec7f850e075aa0738ef2208c78f")
+
+
+def test_point_spectrum_bisection_path_pinned_at_solver_size(monkeypatch):
+    # The same record at a solvers-benchmark size, taken with the count
+    # that tallied negative pivots.
+    calls = []
+    original = spectral.sturm_count
+
+    def recording(op, x):
+        calls.append(x)
+        return original(op, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", recording)
+    point_spectrum_above(build_truncated(Fraction(1, 2), 6978))
+    digest = hashlib.sha256(
+        "\n".join(x.hex() for x in calls).encode()).hexdigest()
+    assert len(calls) == 1404
+    assert digest == ("2b6518e8dd904ae563aacf1dc02a7a4c"
+                      "2f547c1f6eddd23e9c15ee25626e6315")
 
 
 # float.hex() of point spectra, recorded with the full-walk Sturm count:
