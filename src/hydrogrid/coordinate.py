@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Mapping
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Mapping
 
-from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
-                       _mul, _root_pair, _root_surd, as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _require, _StateField,
+                       as_surd, surd_pow)
 
 
 class ZeroPivotError(ArithmeticError):
@@ -56,6 +56,7 @@ class EigenData:
     by `eigen_data` (delta > 0) and `pollaczek.mass_point` (delta >= 0),
     which share one cached object per state; so equality and hashing
     are by identity, and a lookup keyed by the bundle hashes its id.
+    `field` is the integer form of the state's field Q(sqrt(D)).
     """
     n: int
     delta: Fraction
@@ -66,6 +67,10 @@ class EigenData:
     @property
     def m(self) -> int:
         return self.n - 1
+
+    @cached_property
+    def field(self) -> _StateField:
+        return _StateField(self.t)
 
     @property
     def E(self) -> QuadraticSurd:
@@ -156,6 +161,7 @@ def _state(n: int, delta: RationalLike) -> EigenData:
 
 def eigen_data(n: int, delta: RationalLike) -> EigenData:
     """Closed-form lattice eigenvalue data for state n at step delta > 0."""
+    _require(n, (int,), "state index")
     if n <= 0:
         raise ValueError("state index must be positive")
     delta = Fraction(delta)
@@ -334,29 +340,23 @@ def _alpha_vector(n: int, delta: Fraction) -> tuple[QuadraticSurd, ...]:
     return tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
 
 
-def _polynomial(n: int, delta: Fraction) -> tuple[
-        list[tuple[int, int]], int, int, int, tuple[int, int]]:
-    """The wavefunction's polynomial factor and decay factor on integers.
+def _polynomial(n: int, delta: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """The wavefunction's polynomial factor on integers.
 
-    With t = delta/n = tn/td in lowest terms and p = td^2 + tn^2,
-    mu = sqrt(p)/td and q = (sqrt(p) - tn)/td.  The coefficient
-    alpha_j ell_j delta^j of k^j is written over one common denominator
-    den as an integer pair (a_j, b_j), meaning (a_j + b_j sqrt(p))/den.
-    Returns the pairs from the highest degree down, den, p, td and the
-    pair sqrt(p) - tn.  When p is a perfect square, mu is rational, so
-    every b_j is 0, and sqrt(p) folds into that pair's integers.
+    The coefficient alpha_j ell_j delta^j of k^j is written over one
+    common denominator den as a pair (a_j, b_j) of the state's `field`,
+    meaning (a_j + b_j sqrt(p))/den; a surd's b is divided by td, since
+    sqrt(D) = sqrt(p)/td.  Returns the pairs from the highest degree
+    down, and den.  When p is a perfect square, mu is rational, so every
+    b_j is 0.
     """
-    ed = eigen_data(n, delta)
-    tn, td = ed.t.numerator, ed.t.denominator
-    p = td * td + tn * tn
+    td = eigen_data(n, delta).field.td
     ell = laguerre_ref(n).coefficients
     coeffs = [(c.a, c.b / td) for c in (
         alpha * (ell[j] * delta ** j)
         for j, alpha in enumerate(_alpha_vector(n, delta), start=1))]
     den = math.lcm(*(x.denominator for pair in coeffs for x in pair))
-    pairs = [(int(a * den), int(b * den)) for a, b in reversed(coeffs)]
-    root, rb = _root_pair(p)
-    return pairs, den, p, td, (root - tn, rb)
+    return [(int(a * den), int(b * den)) for a, b in reversed(coeffs)], den
 
 
 def _horner(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:
@@ -379,31 +379,32 @@ def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
         raise ValueError("grid index must be >= 1")
     delta = Fraction(delta)
     ed = eigen_data(n, delta)
-    pairs, den, p, td, _ = _polynomial(n, delta)
-    return _root_surd(*_horner(pairs, k), den, p, td) * surd_pow(ed.q, k)
+    pairs, den = _polynomial(n, delta)
+    return ed.field.surd(*_horner(pairs, k), den) * surd_pow(ed.q, k)
 
 
-def _wavefunction_terms(n: int, delta: RationalLike, kmax: int
-                        ) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
-    """p, td and an iterator of (a, b, den) with u_k = (a + b sqrt(p))/den
-    for k = 1..kmax.
+def _wavefunction_stream(n: int, delta: RationalLike, kmax: int,
+                         read: Callable[..., object]) -> Iterator:
+    """u^n_1, ..., u^n_kmax, each read by read(field, a, b, den), one of
+    the readers of the state's `field`, from u_k = (a + b sqrt(p))/den.
 
-    u_k = (Horner(a)(k) + sqrt(p) Horner(b)(k)) N_k / (den td^k) with the
-    running numerator N_k = (sqrt(p) - tn)^k of q^k (see `_polynomial`).
-    n, delta and kmax are checked before the iteration starts.
+    u_k = (Horner(a)(k) + sqrt(p) Horner(b)(k)) N_k / (den td^k), with
+    N_k / (den td^k) the field's running q-power from 1/den (see
+    `_polynomial`).  n, delta and kmax are checked before the iteration
+    starts.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    pairs, den, p, td, step = _polynomial(n, Fraction(delta))
+    field = eigen_data(n, delta).field
+    pairs, den = _polynomial(n, Fraction(delta))
 
-    def terms() -> Iterator[tuple[int, int, int]]:
-        qnum, scale = (1, 0), den
-        for k in range(1, kmax + 1):
-            qnum = _mul(qnum, step, p)
-            scale *= td
-            yield (*_mul(_horner(pairs, k), qnum, p), scale)
+    def stream() -> Iterator:
+        powers = field.q_powers(den=den)
+        next(powers)  # q^0
+        for k, (qnum, scale) in zip(range(1, kmax + 1), powers):
+            yield read(field, *field.mul(_horner(pairs, k), qnum), scale)
 
-    return p, td, terms()
+    return stream()
 
 
 def wavefunction_values(n: int, delta: RationalLike,
@@ -413,16 +414,14 @@ def wavefunction_values(n: int, delta: RationalLike,
     Read from one integer stream, one surd per k; no value is kept once
     the caller has moved past it.
     """
-    p, td, terms = _wavefunction_terms(n, delta, kmax)
-    return (_root_surd(a, b, den, p, td) for a, b, den in terms)
+    return _wavefunction_stream(n, delta, kmax, _StateField.surd)
 
 
 def wavefunction_floats(n: int, delta: RationalLike,
                         kmax: int) -> Iterator[float]:
     """The doubles nearest to u^n_1, ..., u^n_kmax, rounded straight from
     the integers of `wavefunction_values`, with no surd built."""
-    p, _, terms = _wavefunction_terms(n, delta, kmax)
-    return (_int_surd_to_float(a, b, den, p) for a, b, den in terms)
+    return _wavefunction_stream(n, delta, kmax, _StateField.to_float)
 
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:

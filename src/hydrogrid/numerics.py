@@ -10,7 +10,9 @@ D.  Field operations over a known radicand need no Fraction and no
 perfect-square test; a, b and D are derived when read.  Equality is by
 value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
 rational square factor combine.  The module also owns the
-float-comparison policy shared by every other module.
+float-comparison policy shared by every other module, and the integer
+form of one state's field (`_StateField`), which the closed-form
+sequence and the lattice wavefunction both run on.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache, total_ordering
-from typing import Union
+from functools import lru_cache, reduce, total_ordering
+from typing import Iterator, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadraticSurd"]
@@ -101,6 +103,13 @@ def _parts(x: RationalLike) -> tuple[int, int]:
                     f"{type(x).__name__}")
 
 
+def _require(value: object, kinds: tuple[type, ...], what: str) -> None:
+    """Raise TypeError unless value is one of kinds; a bool never is."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{what} must be {names}, got {value!r}")
+
+
 _new = object.__new__
 
 
@@ -120,39 +129,50 @@ def _make(a: int, b: int, c: int, rad: _Radicand | None) -> "QuadraticSurd":
     return x
 
 
-def _root_surd(a: int, b: int, den: int, p: int, td: int) -> "QuadraticSurd":
-    """(a + b sqrt(p))/den for den > 0, over the radicand D = p/td**2 in
-    lowest terms, which must be irrational unless b is 0.
+class _StateField:
+    """The integer form of the field Q(sqrt(D)) of one state, D = 1 + t**2.
 
-    With r = p td**2, sqrt(p) = sqrt(r)/td, so the value is
-    (a td + b sqrt(r))/(den td).
+    With t = tn/td in lowest terms and p = td**2 + tn**2, D = p/td**2 is
+    in lowest terms (gcd(p, td) = gcd(tn**2, td) = 1), mu = sqrt(p)/td and
+    q = mu - t = (sqrt(p) - tn)/td.  An integer pair (a, b) stands for
+    a + b sqrt(p).  `root` is sqrt(p) as a pair: (s, 0) when p = s**2, else
+    (0, 1), so a perfect square folds into the integers and every b
+    stays 0.  A value (a + b sqrt(p))/den with den > 0 is read by `surd`,
+    over mu's own radicand object (sqrt(p) = sqrt(p td**2)/td), or by
+    `to_float`, straight from the integers.
     """
-    if not b:
-        return _make(a, 0, den, None)
-    return _make(a * td, b, den * td, _radicand(p, td * td))
 
+    __slots__ = ("p", "td", "tn", "root", "_rad")
 
-# Integer pairs (a, b) stand for a + b sqrt(p), for one integer p >= 0 that
-# the caller carries; `_root_surd` and `_int_surd_to_float` read them.
+    def __init__(self, t: Fraction) -> None:
+        tn, td = t.numerator, t.denominator
+        p = td * td + tn * tn
+        s = math.isqrt(p)
+        self.p, self.td, self.tn = p, td, tn
+        self.root, self._rad = (((s, 0), None) if s * s == p
+                                else ((0, 1), _radicand(p, td * td)))
 
-def _root_pair(p: int) -> tuple[int, int]:
-    """sqrt(p) as a pair: (s, 0) when p = s**2, else (0, 1), so that a
-    perfect square folds into the integers and every b stays 0."""
-    s = math.isqrt(p)
-    return (s, 0) if s * s == p else (0, 1)
+    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
+        return x[0] * y[0] + x[1] * y[1] * self.p, x[0] * y[1] + x[1] * y[0]
 
+    def pow(self, x: tuple[int, int], e: int) -> tuple[int, int]:
+        return reduce(self.mul, [x] * e, (1, 0))
 
-def _mul(x: tuple[int, int], y: tuple[int, int],
-         p: int) -> tuple[int, int]:
-    """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
-    return x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0]
+    def surd(self, a: int, b: int, den: int) -> "QuadraticSurd":
+        return _make(a * self.td, b, den * self.td, self._rad)
 
+    def to_float(self, a: int, b: int, den: int) -> float:
+        return _int_surd_to_float(a, b, den, self.p)
 
-def _pow(x: tuple[int, int], e: int, p: int) -> tuple[int, int]:
-    out = (1, 0)
-    for _ in range(e):
-        out = _mul(out, x, p)
-    return out
+    def q_powers(self, num: tuple[int, int] = (1, 0), den: int = 1
+                 ) -> Iterator[tuple[tuple[int, int], int]]:
+        """num q^k for k = 0, 1, ... as (pair, denominator): the running
+        product num (sqrt(p) - tn)^k over den td^k."""
+        step = (self.root[0] - self.tn, self.root[1])
+        while True:
+            yield num, den
+            num, den = self.mul(num, step), den * self.td
 
 
 def _operands(x: "QuadraticSurd", y: object):

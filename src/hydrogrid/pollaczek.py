@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _int_surd_to_float,
-                       _mul, _pow, _root_pair, _root_surd, as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _require, as_surd,
+                       surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -36,6 +36,7 @@ def mass_point(m: int, delta: RationalLike) -> EigenData:
     The same cached bundle as `eigen_data(m + 1, delta)`: x_m is its mu,
     s = delta/(m+1) its t, and q = x_m - s its decay factor.
     """
+    _require(m, (int,), "mass-point index")
     if m < 0:
         raise ValueError("mass-point index must be nonnegative")
     return _state(m + 1, delta)
@@ -103,31 +104,27 @@ class ClosedFormSequence:
     vanishes at every j > m + 1 and is zero.  So f satisfies the
     recursion at every j >= 0 from P_{-1} = 0, P_0 = 1: f(j) = P_j(x_m).
 
-    The integer form: with s = tn/td in lowest terms and p = td^2 + tn^2,
-    D = p/td^2, x = sqrt(p)/td and q^{-1} = x + s = (sqrt(p) + tn)/td.
-    An integer pair (a, b) stands for a + b sqrt(p); when p is a perfect
-    square, sqrt(p) is an integer and every b is 0.  With L = lcm(1..m+1)
-    clearing the denominators of beta and the sum over l taken first,
+    The integer form is the mass point's `field`: s = tn/td, pairs
+    (a, b) for a + b sqrt(p), x = sqrt(p)/td and q^{-1} = x + s
+    = (sqrt(p) + tn)/td.  With L = lcm(1..m+1) clearing the denominators
+    of beta and the sum over l taken first,
     Q_m(j) = sum_{i<=m} C(j,i) v_i / (td^m L) with the pairs
         v_i = sum_{l>=i} C(m,l) (-tn)^l sqrt(p)^{m-l} L 2^i/(i+1) C(l,i),
     and q^{j-m} = N_j / td^{m+j} with N_j = (sqrt(p) + tn)^m
     (sqrt(p) - tn)^j, so
         P_j(x_m) = (j+1) N_j sum_i C(j,i) v_i / (td^{2m+j} L).
-    Each degree costs m + 1 integer multiply-adds, and N_{j+1} is N_j
-    times sqrt(p) - tn.  D = p/td^2 in lowest terms, since gcd(tn, td) = 1.
+    Each degree costs m + 1 integer multiply-adds, and N_j over
+    td^{2m+j} L is the field's running q-power from N_0 over td^{2m} L.
     """
 
     def __init__(self, mp: EigenData) -> None:
         self.mp = mp
-        m = mp.m
-        tn, td = mp.t.numerator, mp.t.denominator
-        p = td * td + tn * tn
-        self._p, self._td = p, td
-        self._root = _root_pair(p)
+        field = mp.field
+        m, tn, root = mp.m, field.tn, field.root
         lcm = math.lcm(*range(1, m + 2))
-        self._den0 = td ** (2 * m) * lcm  # the denominator at j = 0
-        powers = [_pow(self._root, e, p) for e in range(m + 1)]
-        v = []
+        self._den0 = field.td ** (2 * m) * lcm  # the denominator at j = 0
+        powers = [field.pow(root, e) for e in range(m + 1)]
+        self._v: list[tuple[int, int]] = []  # v_0, ..., v_m
         for i in range(m + 1):
             a = b = 0
             for l in range(i, m + 1):
@@ -135,12 +132,9 @@ class ClosedFormSequence:
                      * (lcm // (i + 1)) * 2 ** i)
                 a += c * powers[m - l][0]
                 b += c * powers[m - l][1]
-            v.append((a, b))
-        self._v = tuple(v)
-        # N_j of the next j, and the factor sqrt(p) - tn that steps it
-        self._qnum = _pow((self._root[0] + tn, self._root[1]), m, p)
-        self._step = (self._root[0] - tn, self._root[1])
-        self._den = self._den0  # td^{2m+j} L of the next j
+            self._v.append((a, b))
+        self._qpowers = field.q_powers(
+            field.pow((root[0] + tn, root[1]), m), self._den0)
         self._terms: list[tuple[int, int, int]] = []
         self._floats: list[float] = []
 
@@ -152,32 +146,26 @@ class ClosedFormSequence:
             a += binom * va
             b += binom * vb
             binom = binom * (j - i) // (i + 1)
-        return _mul(qnum, ((j + 1) * a, (j + 1) * b), self._p)
-
-    def _surd(self, a: int, b: int, den: int) -> QuadraticSurd:
-        return _root_surd(a, b, den, self._p, self._td)
+        return self.mp.field.mul(qnum, ((j + 1) * a, (j + 1) * b))
 
     def _term(self, j: int) -> tuple[int, int, int]:
         if j < 0:
             raise ValueError("degree must be nonnegative")
         terms = self._terms
         while len(terms) <= j:
-            a, b = self.factorized(len(terms), self._qnum)
-            terms.append((a, b, self._den))
-            self._qnum = _mul(self._qnum, self._step, self._p)
-            self._den *= self._td
+            qnum, den = next(self._qpowers)
+            terms.append((*self.factorized(len(terms), qnum), den))
         return terms[j]
 
     def value(self, j: int) -> QuadraticSurd:
-        return self._surd(*self._term(j))
+        return self.mp.field.surd(*self._term(j))
 
     def float_value(self, j: int) -> float:
         if j < 0:
             raise ValueError("degree must be nonnegative")
         floats = self._floats
         while len(floats) <= j:
-            a, b, den = self._term(len(floats))
-            floats.append(_int_surd_to_float(a, b, den, self._p))
+            floats.append(self.mp.field.to_float(*self._term(len(floats))))
         return floats[j]
 
 
@@ -190,14 +178,12 @@ def closed_form_sequence(mp: EigenData) -> ClosedFormSequence:
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
     # The factorized form, with N_j = td^{2 min(j,m)} (sqrt(p) -/+ tn)^{|j-m|}
     # by a fresh power instead of the sequence's running product.
-    seq = closed_form_sequence(mp)
-    tn, td = mp.t.numerator, seq._td
-    root, rb = seq._root
-    a, b = _pow((root - tn if j >= mp.m else root + tn, rb), abs(j - mp.m),
-                seq._p)
-    scale = td ** (2 * min(j, mp.m))
-    return seq._surd(*seq.factorized(j, (a * scale, b * scale)),
-                     seq._den0 * td ** j)
+    seq, field, m = closed_form_sequence(mp), mp.field, mp.m
+    tn = field.tn if j < m else -field.tn
+    a, b = field.pow((field.root[0] + tn, field.root[1]), abs(j - m))
+    scale = field.td ** (2 * min(j, m))
+    return field.surd(*seq.factorized(j, (a * scale, b * scale)),
+                      seq._den0 * field.td ** j)
 
 
 def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:

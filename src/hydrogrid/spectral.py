@@ -21,7 +21,8 @@ from itertools import islice
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import QuadraticSurd, RationalLike, as_surd, surd_pow
+from .numerics import (QuadraticSurd, RationalLike, _require, as_surd,
+                       surd_pow)
 from .pollaczek import closed_form_sequence, mass_point
 
 
@@ -40,9 +41,8 @@ class TridiagonalOperator:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise TypeError(
-                f"truncation size must be an int, got {self.size!r}")
+        _require(self.size, (int,), "truncation size")
+        _require(self.delta, (int, Fraction), "delta")
         if self.size < 1:
             raise ValueError("truncation size must be >= 1")
         if self.delta < 0:
@@ -158,8 +158,11 @@ def exact_sturm_count(op: TridiagonalOperator,
     recurrence would carry the zeros down to P_0), and a zero P_k with
     k < N sits between minors of opposite sign, so it adds one change
     whichever sign it takes: the count is the number of eigenvalues
-    below x, plus one when x is itself an eigenvalue.
+    below x, plus one when x is itself an eigenvalue.  A float x that is
+    NaN or infinite raises ValueError.
     """
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     x = Fraction(x)
     a, b = x.numerator, x.denominator
     r, s = op.delta.numerator, op.delta.denominator

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from hydrogrid.coordinate import (
 )
 from hydrogrid.numerics import (QuadraticSurd, floats_close, surd_pow,
                                 surd_to_float)
-from hydrogrid.pollaczek import mass_point
+from hydrogrid.pollaczek import closed_form_sequence, mass_point
 from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
 
@@ -75,6 +76,20 @@ def test_eigen_data_rejects_bad_input():
         eigen_data(0, 1)
     with pytest.raises(ValueError):
         eigen_data(2, 0)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, 2.5, "1"])
+def test_eigen_data_rejects_a_state_index_that_is_not_an_int(n):
+    # a bool or float index used to reach the cached bundle: True cached
+    # state 1 under n = True, and a warm cache answered 1.0 with state 1
+    delta = Fraction(7, 11)
+    with pytest.raises(TypeError, match="state index must be int"):
+        eigen_data(n, delta)
+    ed = eigen_data(1, delta)
+    assert type(ed.n) is int
+    with pytest.raises(TypeError, match="state index must be int"):
+        eigen_data(n, delta)
+    assert eigen_data(1, delta) is ed
 
 
 @pytest.mark.parametrize("delta", [Fraction(-1), Fraction(-1, 2)])
@@ -360,6 +375,30 @@ def test_wavefunction_stream_over_a_perfect_square(n, delta):
     assert eigen_data(n, delta).q == Fraction(1, 2)
     exact = assert_stream_matches_reference(n, delta, 60)
     assert all(u.is_rational() for u in exact)
+
+
+@pytest.mark.parametrize("n, delta", [(3, Fraction(1, 2)),
+                                      (3, Fraction(9, 4))])
+def test_integer_streams_are_written_over_the_field_of_mu(n, delta):
+    # the wavefunction stream and the closed-form sequence both read the
+    # bundle's one field: an irrational value is written over the radicand
+    # object of mu itself, and the running q-power is q^k exactly
+    ed = eigen_data(n, delta)
+    field = ed.field
+    assert field is ed.field is mass_point(n - 1, delta).field
+    powers = [field.surd(*num, den)
+              for num, den in islice(field.q_powers(), 61)]
+    assert powers == [surd_pow(ed.q, k) for k in range(61)]
+    sequence = closed_form_sequence(mass_point(n - 1, delta))
+    values = [*wavefunction_values(n, delta, 60), *powers,
+              *(sequence.value(j) for j in range(61))]
+    irrational = [v for v in values if not v.is_rational()]
+    if delta == Fraction(9, 4):  # t = 3/4: p = 25, mu = 5/4
+        assert ed.mu == Fraction(5, 4)
+        assert not irrational
+    else:
+        assert len(irrational) > 150
+        assert all(v._rad is ed.mu._rad for v in irrational)
 
 
 @pytest.mark.parametrize("broken", [None, 1, 2, 7, 11, 12])

@@ -68,6 +68,19 @@ def test_bundle_equality_is_identity():
     assert closed_form_sequence(twin) is not closed_form_sequence(mp)
 
 
+@pytest.mark.parametrize("m", [True, False, 1.0, 0.5, "1"])
+def test_mass_point_rejects_an_index_that_is_not_an_int(m):
+    # 1.0 used to fail deep in the surd constructor on a cold cache and
+    # return state 2 on a warm one
+    delta = Fraction(5, 13)
+    with pytest.raises(TypeError, match="mass-point index must be int"):
+        mass_point(m, delta)
+    mp = mass_point(1, delta)
+    with pytest.raises(TypeError, match="mass-point index must be int"):
+        mass_point(m, delta)
+    assert mass_point(1, delta) is mp and type(mp.n) is int
+
+
 @pytest.mark.parametrize("m", range(4))
 def test_mass_point_at_delta_zero_has_no_energy(m):
     with pytest.raises(ValueError, match="undefined at delta=0"):

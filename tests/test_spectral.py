@@ -55,6 +55,29 @@ def test_build_rejects_a_size_that_is_not_an_int(size):
         spectral.TridiagonalOperator(delta=Fraction(1, 2), size=size)
 
 
+@pytest.mark.parametrize("delta", [0.5, "1/2", True, None])
+def test_operator_rejects_a_delta_that_is_not_exact(delta):
+    # a float delta used to build and count, then fail in
+    # exact_sturm_count with AttributeError
+    with pytest.raises(TypeError, match="delta must be int or Fraction"):
+        spectral.TridiagonalOperator(delta=delta, size=3)
+
+
+def test_build_truncated_converts_delta_exactly():
+    op = build_truncated(0.5, 3)
+    assert op.delta == Fraction(1, 2) and type(op.delta) is Fraction
+    integral = spectral.TridiagonalOperator(delta=1, size=3)
+    assert exact_sturm_count(integral, 1) == sturm_count(integral, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_exact_sturm_count_rejects_a_non_finite_x(x):
+    # NaN used to leak Fraction's message and +-inf raised OverflowError
+    with pytest.raises(ValueError, match="x must be finite") as info:
+        exact_sturm_count(build_truncated(Fraction(1, 2), 4), x)
+    assert str(x) in str(info.value)
+
+
 def test_free_lattice_spectrum_inside_band():
     op = build_truncated(0, 3)
     eigs = np.linalg.eigvalsh(op.materialize())
