@@ -39,7 +39,6 @@ from .pollaczek import (
     ClosedFormSequence,
     beta_coeff,
     chebyshev_u,
-    closed_form_sequence,
     mass_point,
     pollaczek_explicit_trig,
     pollaczek_mass_closed,

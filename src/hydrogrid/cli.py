@@ -26,7 +26,7 @@ from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
                          wavefunction_values)
 from .numerics import (QuadraticSurd, parse_rational, surd_to_float,
                        surd_to_json)
-from .pollaczek import closed_form_sequence, mass_point, pollaczek_mass_closed
+from .pollaczek import mass_point, pollaczek_mass_closed
 
 OUT_DIR_ENV = "HYDROGRID_OUT_DIR"
 
@@ -81,7 +81,7 @@ def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
 def _rows_pollaczek(cfg: RunConfig) -> Iterator[list[Cell]]:
     for m in range(cfg.n_lo, cfg.n_hi + 1):
         mp = mass_point(m, cfg.delta)
-        floats = closed_form_sequence(mp).float_value
+        floats = mp.sequence.float_value
         for j in range(cfg.j_max + 1):
             yield [m, j, pollaczek_mass_closed(j, mp) if cfg.mode == "exact"
                    else floats(j)]

@@ -26,10 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .numerics import (QuadraticSurd, RationalLike, _require, _StateField,
                        as_surd, surd_pow)
+
+if TYPE_CHECKING:
+    from .pollaczek import ClosedFormSequence
 
 
 class ZeroPivotError(ArithmeticError):
@@ -55,8 +58,11 @@ class EigenData:
     per-step decay factor, the exact field inverse of mu + t.  Built only
     by `eigen_data` (delta > 0) and `pollaczek.mass_point` (delta >= 0),
     which share one cached object per state; so equality and hashing
-    are by identity, and a lookup keyed by the bundle hashes its id.
-    `field` is the integer form of the state's field Q(sqrt(D)).
+    are by identity.  What is derived from the state is built once, on
+    first use, and held here: `field`, the integer form of the state's
+    field Q(sqrt(D)); `sequence`, the closed-form P_j(x_m); `alphas`,
+    the lattice corrections alpha_1..alpha_n; and `polynomial`, the
+    wavefunction's polynomial factor on the field's integers.
     """
     n: int
     delta: Fraction
@@ -71,6 +77,38 @@ class EigenData:
     @cached_property
     def field(self) -> _StateField:
         return _StateField(self.t)
+
+    @cached_property
+    def sequence(self) -> ClosedFormSequence:
+        from .pollaczek import ClosedFormSequence  # pollaczek imports us
+        return ClosedFormSequence(self)
+
+    @cached_property
+    def alphas(self) -> tuple[QuadraticSurd, ...]:
+        """alpha_1, ..., alpha_n assembled from `alpha_inner`; alpha_n = 1."""
+        table = alpha_inner(self.n, self.n - 1)
+        return tuple(table.assembled(self.n - j, self.delta)
+                     for j in range(1, self.n + 1))
+
+    @cached_property
+    def polynomial(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The wavefunction's polynomial factor on integers.
+
+        The coefficient alpha_j ell_j delta^j of k^j is written over one
+        common denominator den as a pair (a_j, b_j) of the state's
+        `field`, meaning (a_j + b_j sqrt(p))/den; a surd's b is divided by
+        td, since sqrt(D) = sqrt(p)/td.  Returns the pairs from the
+        highest degree down, and den.  When p is a perfect square, mu is
+        rational, so every b_j is 0.
+        """
+        td = self.field.td
+        ell = laguerre_ref(self.n).coefficients
+        coeffs = [(c.a, c.b / td) for c in (
+            alpha * (ell[j] * self.delta ** j)
+            for j, alpha in enumerate(self.alphas, start=1))]
+        den = math.lcm(*(x.denominator for pair in coeffs for x in pair))
+        return tuple((int(a * den), int(b * den))
+                     for a, b in reversed(coeffs)), den
 
     @property
     def E(self) -> QuadraticSurd:
@@ -184,9 +222,15 @@ def laguerre_ref(n: int) -> LaguerreRef:
     return LaguerreRef(n=n, coefficients=coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_coeff(n: int, k: int, l: int) -> Fraction:
-    """C_{n,k,l} = (-n/2)^k n!/(k! l! (n-k-l)!) prod_{m=1..k}(n-m), exact."""
+    """C_{n,k,l} = (-n/2)^k n!/(k! l! (n-k-l)!) prod_{m=1..k}(n-m), exact.
+
+    The cache is typed and the indices are checked on a miss, so a bool
+    or float index is rejected and never cached under an int's key.
+    """
+    for index in (n, k, l):
+        _require(index, (int,), "C coefficient index")
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     if n - k - l < 0:
@@ -206,14 +250,17 @@ def _c_or_zero(n: int, k: int, l: int) -> Fraction:
     return c_coeff(n, k, l)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def alpha_inner(n: int, kmax: int) -> AlphaTable:
     """Fill the inner coefficient table level by level.
 
     Base row alpha_{n-k,0} = 1; the m >= 1 entries follow the even/odd
     level recursions over C coefficients, dividing by
-    C(n,k,1)/n - C(n,k,0) (guarded against a zero divisor).
+    C(n,k,1)/n - C(n,k,0) (guarded against a zero divisor).  As in
+    `c_coeff`, a bool or float n or kmax is rejected, never cached.
     """
+    _require(n, (int,), "state index")
+    _require(kmax, (int,), "kmax")
     if n < 1:
         raise ValueError("state index must be positive")
     if kmax < 0:
@@ -334,32 +381,7 @@ def solve_constraint_system(system: ConstraintSystem) -> tuple[QuadraticSurd, ..
     return tuple(c[k] / ell[k] for k in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _alpha_vector(n: int, delta: Fraction) -> tuple[QuadraticSurd, ...]:
-    table = alpha_inner(n, n - 1)
-    return tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
-
-
-def _polynomial(n: int, delta: Fraction) -> tuple[list[tuple[int, int]], int]:
-    """The wavefunction's polynomial factor on integers.
-
-    The coefficient alpha_j ell_j delta^j of k^j is written over one
-    common denominator den as a pair (a_j, b_j) of the state's `field`,
-    meaning (a_j + b_j sqrt(p))/den; a surd's b is divided by td, since
-    sqrt(D) = sqrt(p)/td.  Returns the pairs from the highest degree
-    down, and den.  When p is a perfect square, mu is rational, so every
-    b_j is 0.
-    """
-    td = eigen_data(n, delta).field.td
-    ell = laguerre_ref(n).coefficients
-    coeffs = [(c.a, c.b / td) for c in (
-        alpha * (ell[j] * delta ** j)
-        for j, alpha in enumerate(_alpha_vector(n, delta), start=1))]
-    den = math.lcm(*(x.denominator for pair in coeffs for x in pair))
-    return [(int(a * den), int(b * den)) for a, b in reversed(coeffs)], den
-
-
-def _horner(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:
+def _horner(pairs: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
     """sum_j (a_j + b_j sqrt(p)) k^j, j >= 1, as a pair, from the highest
     degree down."""
     a = b = 0
@@ -375,11 +397,11 @@ def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     q^k is a fresh power, the reference for the running product of
     `wavefunction_values`.
     """
+    _require(k, (int,), "grid index")
     if k < 1:
         raise ValueError("grid index must be >= 1")
-    delta = Fraction(delta)
     ed = eigen_data(n, delta)
-    pairs, den = _polynomial(n, delta)
+    pairs, den = ed.polynomial
     return ed.field.surd(*_horner(pairs, k), den) * surd_pow(ed.q, k)
 
 
@@ -390,13 +412,15 @@ def _wavefunction_stream(n: int, delta: RationalLike, kmax: int,
 
     u_k = (Horner(a)(k) + sqrt(p) Horner(b)(k)) N_k / (den td^k), with
     N_k / (den td^k) the field's running q-power from 1/den (see
-    `_polynomial`).  n, delta and kmax are checked before the iteration
-    starts.
+    `EigenData.polynomial`).  n, delta and kmax are checked before the
+    iteration starts.
     """
+    _require(kmax, (int,), "kmax")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    field = eigen_data(n, delta).field
-    pairs, den = _polynomial(n, Fraction(delta))
+    ed = eigen_data(n, delta)
+    field = ed.field
+    pairs, den = ed.polynomial
 
     def stream() -> Iterator:
         powers = field.q_powers(den=den)
@@ -428,13 +452,11 @@ def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
-    delta = Fraction(delta)
     ed = eigen_data(n, delta)
-    alphas = _alpha_vector(n, delta)
     ell = laguerre_ref(n).coefficients
-    poly = sum(float(alphas[j - 1]) * float(ell[j]) * r ** j
-               for j in range(1, n + 1))
-    beta = -math.asinh(float(ed.t)) / float(delta)
+    poly = sum(float(alpha) * float(ell[j]) * r ** j
+               for j, alpha in enumerate(ed.alphas, start=1))
+    beta = -math.asinh(float(ed.t)) / float(ed.delta)
     return poly * math.exp(beta * r)
 
 
@@ -449,6 +471,7 @@ def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
 
     Zero for every row of the closed-form eigenfunction (u_0 = 0).
     """
+    _require(k, (int,), "grid index")
     if k < 1:
         raise ValueError("grid index must be >= 1")
     delta = Fraction(delta)

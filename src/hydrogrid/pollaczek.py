@@ -87,6 +87,13 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
     return (j + 1) * acc
 
 
+def _check_degree(j: int) -> None:
+    # before the sequence is extended: 5.0 would extend it and then fail
+    _require(j, (int,), "degree")
+    if j < 0:
+        raise ValueError("degree must be nonnegative")
+
+
 class ClosedFormSequence:
     """P_0(x_m), P_1(x_m), ... by the closed form, on integer numerators.
 
@@ -149,8 +156,7 @@ class ClosedFormSequence:
         return self.mp.field.mul(qnum, ((j + 1) * a, (j + 1) * b))
 
     def _term(self, j: int) -> tuple[int, int, int]:
-        if j < 0:
-            raise ValueError("degree must be nonnegative")
+        _check_degree(j)
         terms = self._terms
         while len(terms) <= j:
             qnum, den = next(self._qpowers)
@@ -161,24 +167,17 @@ class ClosedFormSequence:
         return self.mp.field.surd(*self._term(j))
 
     def float_value(self, j: int) -> float:
-        if j < 0:
-            raise ValueError("degree must be nonnegative")
+        _check_degree(j)
         floats = self._floats
         while len(floats) <= j:
             floats.append(self.mp.field.to_float(*self._term(len(floats))))
         return floats[j]
 
 
-@lru_cache(maxsize=None)
-def closed_form_sequence(mp: EigenData) -> ClosedFormSequence:
-    """The one closed-form sequence of mass point mp, shared by every caller."""
-    return ClosedFormSequence(mp)
-
-
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
     # The factorized form, with N_j = td^{2 min(j,m)} (sqrt(p) -/+ tn)^{|j-m|}
     # by a fresh power instead of the sequence's running product.
-    seq, field, m = closed_form_sequence(mp), mp.field, mp.m
+    seq, field, m = mp.sequence, mp.field, mp.m
     tn = field.tn if j < m else -field.tn
     a, b = field.pow((field.root[0] + tn, field.root[1]), abs(j - m))
     scale = field.td ** (2 * min(j, m))
@@ -189,10 +188,10 @@ def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
 def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:
     """P_j(x_m) by the explicit closed form, exact in Q(sqrt(D)).
 
-    Read from the mass point's `closed_form_sequence`, which evaluates
-    the factorized form (j+1) q^{j-m} Q_m(j) at every degree.
+    Read from the mass point's `sequence`, which evaluates the factorized
+    form (j+1) q^{j-m} Q_m(j) at every degree.
     """
-    return closed_form_sequence(mp).value(j)
+    return mp.sequence.value(j)
 
 
 def _rising(z: complex, k: int) -> complex:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .coordinate import eigen_data, residual_row, wavefunction_values
 from .numerics import (QuadraticSurd, RationalLike, _require, as_surd,
                        surd_pow)
-from .pollaczek import closed_form_sequence, mass_point
+from .pollaczek import mass_point
 
 
 class BracketError(ValueError):
@@ -56,17 +56,6 @@ class TridiagonalOperator:
 
     def diagonal_floats(self) -> list[float]:
         return list(self._diag)
-
-    def materialize(self):
-        """Dense numpy matrix: an oracle for tests, never used by the solver."""
-        import numpy as np
-
-        mat = np.zeros((self.size, self.size))
-        mat[np.diag_indices(self.size)] = self.diagonal_floats()
-        idx = np.arange(self.size - 1)
-        mat[idx, idx + 1] = 0.5
-        mat[idx + 1, idx] = 0.5
-        return mat
 
     def gershgorin_interval(self) -> tuple[float, float]:
         diag = self._diag
@@ -267,7 +256,7 @@ def closed_form_vector(n: int, delta: RationalLike,
         raise ValueError("vector length must be >= 1")
     if n < 1:
         raise ValueError("state index must be positive")
-    seq = closed_form_sequence(mass_point(n - 1, Fraction(delta)))
+    seq = mass_point(n - 1, Fraction(delta)).sequence
     return tuple(seq.value(j) for j in range(length))
 
 
@@ -310,7 +299,7 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     """Truncated l2 inner product sum_k u_k^n u_k^n2.
 
     Entries come from the exact closed form, each floated once per state
-    (see `closed_form_sequence`), and the truncation point is chosen from
+    (see `EigenData.sequence`), and the truncation point is chosen from
     the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
     few computed terms, so the discarded tail is below tail_tol, which
@@ -322,8 +311,7 @@ def inner_product(n: int, n2: int, delta: RationalLike,
         raise ValueError("tail bound requires delta > 0")
     mp1 = mass_point(n - 1, delta)
     mp2 = mass_point(n2 - 1, delta)
-    seq1 = closed_form_sequence(mp1)
-    seq2 = closed_form_sequence(mp2)
+    seq1, seq2 = mp1.sequence, mp2.sequence
     t = float(mp1.q) * float(mp2.q)
     if t >= 1.0:
         raise ValueError("non-convergent tail (decay factor >= 1)")

@@ -132,10 +132,8 @@ def _check_alpha_leading_forms(n_lo: int, n_hi: int) -> bool:
 def _check_ansatz_equivalence(delta: Fraction, n_max: int) -> bool:
     for n in range(1, min(n_max, 12) + 1):
         system = coordinate.ansatz_constraint_system(n, delta)
-        solved = coordinate.solve_constraint_system(system)
-        table = coordinate.alpha_inner(n, n - 1)
-        expected = tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
-        if solved != expected:
+        if (coordinate.solve_constraint_system(system)
+                != coordinate.eigen_data(n, delta).alphas):
             return False
     return True
 

@@ -211,7 +211,8 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     # Every float cell is rounded by the one integer core: `surd_to_float`
     # reads the numerics global, the wavefunction stream and the
     # closed-form sequence import the name.  The sequence keeps its floats,
-    # so its cache is cleared for the count to see this run's cells.
+    # so the bundles that hold it are cleared for the count to see this
+    # run's cells.
     calls = []
     original = numerics._int_surd_to_float
 
@@ -222,7 +223,7 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     for mod in (numerics, coordinate, pollaczek, cli):
         if hasattr(mod, "_int_surd_to_float"):
             monkeypatch.setattr(mod, "_int_surd_to_float", counting)
-    pollaczek.closed_form_sequence.cache_clear()
+    coordinate._state.cache_clear()
     out = tmp_path / f"table.{output}"
     assert main(argv.split() + ["--mode", "float", "--output", output,
                                 "--out", str(out)]) == 0

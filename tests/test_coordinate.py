@@ -24,7 +24,7 @@ from hydrogrid.coordinate import (
 )
 from hydrogrid.numerics import (QuadraticSurd, floats_close, surd_pow,
                                 surd_to_float)
-from hydrogrid.pollaczek import closed_form_sequence, mass_point
+from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
 
@@ -90,6 +90,41 @@ def test_eigen_data_rejects_a_state_index_that_is_not_an_int(n):
     with pytest.raises(TypeError, match="state index must be int"):
         eigen_data(n, delta)
     assert eigen_data(1, delta) is ed
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1"])
+@pytest.mark.parametrize("call", [
+    lambda bad, d: alpha_inner(bad, 0).assembled(0, d),
+    lambda bad, d: alpha_inner(1, bad).assembled(0, d),
+    lambda bad, d: c_coeff(bad, 0, 0),
+    lambda bad, d: c_coeff(1, bad, 0),
+    lambda bad, d: c_coeff(1, 0, bad),
+])
+def test_coefficient_tables_reject_an_index_that_is_not_an_int(call, bad):
+    # alpha_inner(True, 0).assembled(0, 1/2) used to cache state 1 under
+    # n = True, and a warm cache answered a float or bool index with the
+    # int entry; the typed caches reject it cold and warm
+    delta = Fraction(5, 17)
+    with pytest.raises(TypeError, match="must be int"):
+        call(bad, delta)
+    assert type(eigen_data(1, delta).n) is int
+    alpha_inner(1, 0), c_coeff(1, 0, 0)
+    with pytest.raises(TypeError, match="must be int"):
+        call(bad, delta)
+    assert type(alpha_inner(1, 0).n) is int
+
+
+@pytest.mark.parametrize("index", [True, False, 3.0, 2.5, "1"])
+def test_grid_indices_must_be_ints(index):
+    # wavefunction(1, 1/2, True) used to return u_1, and
+    # wavefunction_values(1, 1/2, True) yielded one value
+    delta = Fraction(1, 2)
+    for pointwise in (wavefunction, difference_residual):
+        with pytest.raises(TypeError, match="grid index must be int"):
+            pointwise(2, delta, index)
+    for stream in (wavefunction_values, wavefunction_floats):
+        with pytest.raises(TypeError, match="kmax must be int"):
+            stream(2, delta, index)
 
 
 @pytest.mark.parametrize("delta", [Fraction(-1), Fraction(-1, 2)])
@@ -389,7 +424,7 @@ def test_integer_streams_are_written_over_the_field_of_mu(n, delta):
     powers = [field.surd(*num, den)
               for num, den in islice(field.q_powers(), 61)]
     assert powers == [surd_pow(ed.q, k) for k in range(61)]
-    sequence = closed_form_sequence(mass_point(n - 1, delta))
+    sequence = mass_point(n - 1, delta).sequence
     values = [*wavefunction_values(n, delta, 60), *powers,
               *(sequence.value(j) for j in range(61))]
     irrational = [v for v in values if not v.is_rational()]

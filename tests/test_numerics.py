@@ -1,3 +1,4 @@
+import ast
 import math
 import operator
 import os
@@ -279,6 +280,27 @@ def test_import_loads_neither_numpy_nor_mpmath():
          "print('numpy' in sys.modules, 'mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_package_imports_only_the_standard_library():
+    # no runtime dependencies: every import in the package, deferred ones
+    # included, is relative or a standard-library module
+    package = os.path.dirname(hydrogrid.__file__)
+    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "spectral.py" in modules
+    for module in modules:
+        with open(os.path.join(package, module), encoding="utf-8") as src:
+            tree = ast.parse(src.read(), filename=module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    f"{module} imports {name}"
 
 
 def test_sign_and_ordering():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hydrogrid import coordinate
 from hydrogrid.coordinate import EigenData, eigen_data
 from hydrogrid.numerics import QuadraticSurd, floats_close, surd_pow
 from hydrogrid.pollaczek import (
@@ -12,7 +13,6 @@ from hydrogrid.pollaczek import (
     _closed_branch_low,
     beta_coeff,
     chebyshev_u,
-    closed_form_sequence,
     mass_point,
     mass_point_invariants_hold,
     pollaczek_explicit_trig,
@@ -63,9 +63,8 @@ def test_bundle_equality_is_identity():
     twin = EigenData(n=mp.n, delta=mp.delta, mu=mp.mu, t=mp.t, q=mp.q)
     assert twin != mp
     assert mp == eigen_data(3, Fraction(1, 2))
-    assert closed_form_sequence(mp) \
-        is closed_form_sequence(eigen_data(3, Fraction(1, 2)))
-    assert closed_form_sequence(twin) is not closed_form_sequence(mp)
+    assert mp.sequence is eigen_data(3, Fraction(1, 2)).sequence
+    assert twin.sequence is not mp.sequence
 
 
 @pytest.mark.parametrize("m", [True, False, 1.0, 0.5, "1"])
@@ -79,6 +78,21 @@ def test_mass_point_rejects_an_index_that_is_not_an_int(m):
     with pytest.raises(TypeError, match="mass-point index must be int"):
         mass_point(m, delta)
     assert mass_point(1, delta) is mp and type(mp.n) is int
+
+
+@pytest.mark.parametrize("j", [True, False, 5.0, 2.5, "1"])
+def test_closed_form_degree_must_be_an_int(j):
+    # True used to read P_1, and 5.0 extended the shared sequence to
+    # degree 5 before it failed; a rejected read leaves it as it was
+    mp = mass_point(2, Fraction(5, 19))
+    sequence = mp.sequence
+    sequence.float_value(1)
+    held = len(sequence._terms), len(sequence._floats)
+    for read in (sequence.value, sequence.float_value,
+                 lambda j: pollaczek_mass_closed(j, mp)):
+        with pytest.raises(TypeError, match="degree must be int"):
+            read(j)
+    assert (len(sequence._terms), len(sequence._floats)) == held
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -212,7 +226,7 @@ def test_closed_form_equals_recursion(delta):
 
 @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
 def test_streamed_closed_form_equals_recursion(delta):
-    closed_form_sequence.cache_clear()
+    coordinate._state.cache_clear()
     for m in range(7):
         mp = mass_point(m, delta)
         seq = pollaczek_seq(delta, mp.mu, 80)
@@ -222,12 +236,12 @@ def test_streamed_closed_form_equals_recursion(delta):
 
 def test_closed_form_sequence_out_of_order_reads():
     delta = Fraction(2, 5)
-    closed_form_sequence.cache_clear()
+    coordinate._state.cache_clear()
     mp = mass_point(3, delta)
     seq = pollaczek_seq(delta, mp.mu, 41)
     for j in (40, 2, 17, 0, 3, 4, 39):
         assert pollaczek_mass_closed(j, mp) == seq[j]
-    sequence = closed_form_sequence(mp)
+    sequence = mp.sequence
     for j in (25, 1, 41):
         assert sequence.float_value(j) == float(seq[j])
     assert sequence.value(41) == seq[41]

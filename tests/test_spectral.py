@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrogrid import numerics, pollaczek, spectral
+from hydrogrid import coordinate, numerics, pollaczek, spectral
 from hydrogrid.coordinate import eigen_data, wavefunction, wavefunction_values
 from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
                                 floats_close, surd_to_float)
@@ -32,11 +32,22 @@ from hydrogrid.spectral import (
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
 
+def materialize(op):
+    """The operator as a dense numpy matrix, the oracle for the solvers:
+    diagonal delta/k, off-diagonal 1/2."""
+    mat = np.zeros((op.size, op.size))
+    mat[np.diag_indices(op.size)] = op.diagonal_floats()
+    idx = np.arange(op.size - 1)
+    mat[idx, idx + 1] = 0.5
+    mat[idx + 1, idx] = 0.5
+    return mat
+
+
 def test_build_small_operators():
     op = build_truncated(1, 1)
-    assert op.materialize().tolist() == [[1.0]]
+    assert materialize(op).tolist() == [[1.0]]
     op2 = build_truncated(1, 2)
-    assert op2.materialize().tolist() == [[1.0, 0.5], [0.5, 0.5]]
+    assert materialize(op2).tolist() == [[1.0, 0.5], [0.5, 0.5]]
     # diagonal delta/k, off-diagonal 1/2
     assert op2.diagonal_floats() == [1.0, 0.5]
 
@@ -80,7 +91,7 @@ def test_exact_sturm_count_rejects_a_non_finite_x(x):
 
 def test_free_lattice_spectrum_inside_band():
     op = build_truncated(0, 3)
-    eigs = np.linalg.eigvalsh(op.materialize())
+    eigs = np.linalg.eigvalsh(materialize(op))
     assert np.all(eigs > -1.0) and np.all(eigs < 1.0)
 
 
@@ -110,7 +121,7 @@ def test_sturm_below_gershgorin_bound():
 def test_sturm_agrees_with_dense_diagonalization(size):
     # independent oracle: numpy dense eigenvalues
     op = build_truncated(Fraction(3, 4), size)
-    eigs = np.linalg.eigvalsh(op.materialize())
+    eigs = np.linalg.eigvalsh(materialize(op))
     for x in (-0.9, 0.2, 0.9, 1.01, 1.3):
         assert sturm_count(op, x) == int(np.sum(eigs < x))
 
@@ -147,7 +158,7 @@ def test_point_spectrum_enumeration():
 
 def test_eigenvalues_between_matches_dense():
     op = build_truncated(Fraction(1, 2), 30)
-    dense = np.linalg.eigvalsh(op.materialize())
+    dense = np.linalg.eigvalsh(materialize(op))
     ours = eigenvalues_between(op, -2.0, 2.0, tol=1e-12)
     assert len(ours) == 30
     assert np.allclose(sorted(ours), dense, atol=1e-9)
@@ -343,7 +354,7 @@ def test_gram_matrix_floats_each_entry_once(monkeypatch):
     for mod in (numerics, pollaczek, spectral):
         if hasattr(mod, "_int_surd_to_float"):
             monkeypatch.setattr(mod, "_int_surd_to_float", counting)
-    pollaczek.closed_form_sequence.cache_clear()
+    coordinate._state.cache_clear()
     states = list(range(1, 7))
     spectral.gram_matrix(states, Fraction(1, 2))
     pairs = len(states) * (len(states) + 1) // 2
@@ -354,17 +365,19 @@ def test_gram_matrix_floats_each_entry_once(monkeypatch):
 
 
 def test_gram_matrix_builds_no_surd_per_term(monkeypatch):
-    # The sums read integer numerators: the surds built do not grow with
-    # the more than 1000 terms summed.
+    # The sums read integer numerators: the surds built from cold bundles
+    # do not grow with the more than 1000 terms summed.  Every surd comes
+    # from the one trusted constructor, which the numerics code calls by
+    # its global name.
     built = []
-    original = QuadraticSurd.__init__
+    original = numerics._make
 
-    def counting(self, *args):
+    def counting(*args):
         built.append(args)
-        original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(QuadraticSurd, "__init__", counting)
-    pollaczek.closed_form_sequence.cache_clear()
+    monkeypatch.setattr(numerics, "_make", counting)
+    coordinate._state.cache_clear()
     states = list(range(1, 7))
     spectral.gram_matrix(states, Fraction(1, 2))
     assert len(built) <= 4 * len(states)
