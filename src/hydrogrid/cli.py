@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import verify as verify_mod
 from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
                          eigen_data, laguerre_ref, wavefunction_floats,
                          wavefunction_values)
@@ -34,8 +32,7 @@ COMMANDS = ("spectrum", "wavefunction", "pollaczek", "coeffs", "verify",
             "converge")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     delta: Fraction = Fraction(1)
     deltas: tuple[Fraction, ...] = ()
@@ -143,6 +140,7 @@ def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -169,6 +167,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     try:
         if cfg.command == "verify":
+            from . import verify as verify_mod  # only this command loads it
             report = verify_mod.run_verification(cfg.delta, cfg.n_lo,
                                                  cfg.n_hi, cfg.k_max)
             if cfg.output == "csv":

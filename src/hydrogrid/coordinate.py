@@ -23,10 +23,9 @@ difference equation row by row in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
 from .numerics import (QuadraticSurd, RationalLike, _require, _StateField,
                        as_surd, surd_pow)
@@ -49,7 +48,6 @@ class ZeroPivotError(ArithmeticError):
 _NO_ENERGY_AT_ZERO = "E is undefined at delta=0; the limit is -1/(2n^2)"
 
 
-@dataclass(frozen=True, eq=False)
 class EigenData:
     """The one exact bundle of state n at step delta.
 
@@ -62,13 +60,29 @@ class EigenData:
     first use, and held here: `field`, the integer form of the state's
     field Q(sqrt(D)); `sequence`, the closed-form P_j(x_m); `alphas`,
     the lattice corrections alpha_1..alpha_n; and `polynomial`, the
-    wavefunction's polynomial factor on the field's integers.
+    wavefunction's polynomial factor on the field's integers.  The
+    fields are read-only; the derived values are cached in the instance
+    dictionary, which `cached_property` writes directly.
     """
     n: int
     delta: Fraction
     mu: QuadraticSurd
     t: Fraction
     q: QuadraticSurd
+
+    def __init__(self, n: int, delta: Fraction, mu: QuadraticSurd,
+                 t: Fraction, q: QuadraticSurd) -> None:
+        self.__dict__.update(n=n, delta=delta, mu=mu, t=t, q=q)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"EigenData(n={self.n!r}, delta={self.delta!r}, "
+                f"mu={self.mu!r}, t={self.t!r}, q={self.q!r})")
 
     @property
     def m(self) -> int:
@@ -118,15 +132,13 @@ class EigenData:
         return (1 - self.mu) / (self.delta * self.delta)
 
 
-@dataclass(frozen=True)
-class LaguerreRef:
+class LaguerreRef(NamedTuple):
     """Continuum reference: u_n(r) = e^(-r/n) sum_k ell_k r^k."""
     n: int
     coefficients: Mapping[int, Fraction]
 
 
-@dataclass(frozen=True)
-class AlphaTable:
+class AlphaTable(NamedTuple):
     """Inner coefficients alpha^(n)_{n-k,m} for one n, 0 <= k <= kmax."""
     n: int
     kmax: int
@@ -164,8 +176,7 @@ class AlphaTable:
         return body * state.mu if k % 2 else QuadraticSurd(body)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Rows of the power-by-power constraints on the full polynomial
     coefficients c_k = ell_k * alpha_k (row j for r^j, j = 0..n).
 
@@ -181,6 +192,7 @@ class ConstraintSystem:
 
 def continuum_energy(n: int) -> Fraction:
     """Continuum eigenvalue -1/(2 n**2)."""
+    _require(n, (int,), "state index")
     if n <= 0:
         raise ValueError("state index must be positive")
     return Fraction(-1, 2 * n * n)
@@ -210,9 +222,11 @@ def eigen_data(n: int, delta: RationalLike) -> EigenData:
     return _state(n, delta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def laguerre_ref(n: int) -> LaguerreRef:
-    """ell_k = ((-2/n)^(k-1)/k!) C(n-1, k-1) for k = 1..n, exact."""
+    """ell_k = ((-2/n)^(k-1)/k!) C(n-1, k-1) for k = 1..n, exact; a bool
+    or float n is rejected, never cached (see `c_coeff`)."""
+    _require(n, (int,), "state index")
     if n < 1:
         raise ValueError("state index must be positive")
     coeffs = {

@@ -67,9 +67,15 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     return tuple(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def beta_coeff(j: int, m: int) -> Fraction:
-    """beta_{j,m} = sum_{l<=min(j,m)} 2**l/(l+1) C(j,l) C(m,l), exact."""
+    """beta_{j,m} = sum_{l<=min(j,m)} 2**l/(l+1) C(j,l) C(m,l), exact.
+
+    As in `coordinate.c_coeff`, the cache is typed and the indices are
+    checked on a miss, so a bool or float index is never cached.
+    """
+    _require(j, (int,), "beta index")
+    _require(m, (int,), "beta index")
     if j < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     return sum((Fraction(2 ** l, l + 1) * math.comb(j, l) * math.comb(m, l)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from fractions import Fraction
@@ -30,23 +29,40 @@ class BracketError(ValueError):
     """Bisection bracket does not isolate exactly one eigenvalue."""
 
 
-@dataclass(frozen=True)
 class TridiagonalOperator:
     """Truncation to size N of the infinite lattice operator.
 
     delta >= 0 keeps the diagonal non-increasing, which `sturm_count`
-    relies on.
+    relies on.  Read-only, and equal and hashed by (delta, size).
     """
     delta: Fraction
     size: int
 
-    def __post_init__(self) -> None:
-        _require(self.size, (int,), "truncation size")
-        _require(self.delta, (int, Fraction), "delta")
-        if self.size < 1:
+    def __init__(self, delta: Fraction, size: int) -> None:
+        _require(size, (int,), "truncation size")
+        _require(delta, (int, Fraction), "delta")
+        if size < 1:
             raise ValueError("truncation size must be >= 1")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if delta < 0:
+            raise ValueError(f"delta must be nonnegative, got {delta}")
+        self.__dict__.update(delta=delta, size=size)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.delta, self.size) == (other.delta, other.size)
+
+    def __hash__(self) -> int:
+        return hash((self.delta, self.size))
+
+    def __repr__(self) -> str:
+        return f"TridiagonalOperator(delta={self.delta!r}, size={self.size!r})"
 
     @cached_property
     def _diag(self) -> tuple[float, ...]:
@@ -252,6 +268,8 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
 def closed_form_vector(n: int, delta: RationalLike,
                        length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
+    _require(n, (int,), "state index")
+    _require(length, (int,), "vector length")
     if length < 1:
         raise ValueError("vector length must be >= 1")
     if n < 1:
@@ -284,6 +302,7 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
 
 def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
     """(sqrt(1 + (delta/n)**2) - delta/n)**k, exact."""
+    _require(k, (int,), "power")
     if k < 0:
         raise ValueError("power must be nonnegative")
     return surd_pow(eigen_data(n, delta).q, k)
@@ -305,6 +324,8 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     few computed terms, so the discarded tail is below tail_tol, which
     must be positive.
     """
+    _require(n, (int,), "state index")
+    _require(n2, (int,), "state index")
     _check_tol(tail_tol)
     delta = Fraction(delta)
     if delta <= 0:

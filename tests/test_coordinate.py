@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -280,7 +279,7 @@ def _with_entry(system, j, k, value):
     """The system with row j, column k (1-based) replaced by value."""
     rows = [list(row) for row in system.rows]
     rows[j][k - 1] = QuadraticSurd(value)
-    return replace(system, rows=tuple(tuple(row) for row in rows))
+    return system._replace(rows=tuple(tuple(row) for row in rows))
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -301,7 +300,7 @@ def test_constraint_solve_rejects_broken_structure(n, j, k, value):
 def test_constraint_solve_rejects_wrong_shape():
     system = ansatz_constraint_system(4, Fraction(1, 2))
     with pytest.raises(ArithmeticError, match="5 rows of 4 entries"):
-        solve_constraint_system(replace(system, rows=system.rows[:-1]))
+        solve_constraint_system(system._replace(rows=system.rows[:-1]))
 
 
 def test_wavefunction_n1_closed_form():

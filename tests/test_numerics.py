@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import operator
 import os
@@ -280,6 +281,91 @@ def test_import_loads_neither_numpy_nor_mpmath():
          "print('numpy' in sys.modules, 'mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def _modules_added(script: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running script with
+    argv, less those of a bare interpreter; no bytecode is written."""
+    src = os.path.dirname(os.path.dirname(hydrogrid.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    report = "\nimport sys\nprint(*sys.modules, file=sys.stderr)"
+
+    def loaded(code: str, *args: str) -> set[str]:
+        proc = subprocess.run([sys.executable, "-c", code + report, *args],
+                              env=env, capture_output=True, text=True)
+        return set(proc.stderr.splitlines()[-1].split())
+
+    return loaded(script, *argv) - loaded("")
+
+
+_CLI = ("import runpy, sys\n"
+        "sys.argv[0] = 'hydrogrid'\n"
+        "try:\n"
+        "    runpy.run_module('hydrogrid.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass")
+
+
+def test_each_process_loads_only_what_its_command_runs():
+    # import hydrogrid loads no submodule; a CSV table loads neither the
+    # verify suite nor json, and nothing in src/ loads dataclasses
+    added = _modules_added("import hydrogrid")
+    assert "hydrogrid" in added
+    assert not [m for m in added if m.startswith("hydrogrid.")]
+    added = _modules_added("import hydrogrid\nhydrogrid.spectral.sturm_count")
+    assert {"hydrogrid.spectral", "hydrogrid.pollaczek"} <= added
+    assert "hydrogrid.verify" not in added
+    added = _modules_added(_CLI, "pollaczek", "--mode", "float")
+    assert {"hydrogrid.coordinate", "hydrogrid.pollaczek"} <= added
+    assert not added & {"hydrogrid.verify", "hydrogrid.spectral",
+                        "dataclasses", "inspect", "json"}
+    added = _modules_added(_CLI, "verify", "--n", "1..2", "--kmax", "4",
+                           "--output", "json")
+    assert {"hydrogrid.verify", "hydrogrid.spectral", "json"} <= added
+    assert not added & {"dataclasses", "inspect"}
+
+
+_PUBLIC = {
+    "coordinate": [
+        "AlphaTable", "ConstraintSystem", "EigenData", "LaguerreRef",
+        "ZeroPivotError", "alpha_inner", "ansatz_constraint_system",
+        "c_coeff", "continuum_energy", "difference_residual", "eigen_data",
+        "laguerre_ref", "solve_constraint_system", "wavefunction",
+        "wavefunction_float", "wavefunction_floats", "wavefunction_values"],
+    "numerics": [
+        "DEFAULT_ABS_TOL", "DEFAULT_REL_TOL", "MixedRadicandError",
+        "NegativeRadicandError", "QuadraticSurd", "as_surd", "floats_close",
+        "parse_rational", "surd_from_json", "surd_pow", "surd_to_float",
+        "surd_to_json"],
+    "pollaczek": [
+        "ClosedFormSequence", "beta_coeff", "chebyshev_u", "mass_point",
+        "pollaczek_explicit_trig", "pollaczek_mass_closed", "pollaczek_seq",
+        "pollaczek_trig_conjugate"],
+    "spectral": [
+        "BracketError", "TridiagonalOperator", "build_truncated",
+        "closed_form_vector", "coordinate_ratio", "eigen_bisection",
+        "eigen_residual", "eigenvalues_between", "exact_sturm_count",
+        "exp_part", "gram_matrix", "inner_product", "point_spectrum_above",
+        "sturm_count"],
+}
+
+
+def test_lazy_namespace_exports_each_public_name():
+    names = sorted(name for group in _PUBLIC.values() for name in group)
+    assert len(names) == 51
+    assert sorted(hydrogrid.__all__) == names
+    assert set(names) <= set(dir(hydrogrid))
+    assert hydrogrid.__version__ == "0.1.0"
+    for module, group in _PUBLIC.items():
+        source = importlib.import_module(f"hydrogrid.{module}")
+        for name in group:
+            assert getattr(hydrogrid, name) is getattr(source, name)
+    star: dict = {}
+    exec("from hydrogrid import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    with pytest.raises(AttributeError, match="no attribute 'closed_form'"):
+        hydrogrid.closed_form
+    assert not hasattr(hydrogrid, "_closed_branch_low")
 
 
 def test_package_imports_only_the_standard_library():

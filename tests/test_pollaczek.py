@@ -67,6 +67,21 @@ def test_bundle_equality_is_identity():
     assert twin.sequence is not mp.sequence
 
 
+def test_beta_coeff_rejects_an_index_that_is_not_an_int_cold_and_warm():
+    # cold, beta_coeff(2.0, 2) failed inside math.comb; warm, the untyped
+    # cache answered beta_coeff(3.0, 1) and beta_coeff(True, 1) with the
+    # int entries
+    beta_coeff.cache_clear()
+    for cold in ((2.0, 2), (2, 2.0), (True, 1), (1, False)):
+        with pytest.raises(TypeError, match="beta index must be int"):
+            beta_coeff(*cold)
+    assert beta_coeff(3, 1) == 4 and beta_coeff(1, 1) == 2
+    for warm in ((3.0, 1), (3, 1.0), (True, 1), (1, True)):
+        with pytest.raises(TypeError, match="beta index must be int"):
+            beta_coeff(*warm)
+    assert beta_coeff.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize("m", [True, False, 1.0, 0.5, "1"])
 def test_mass_point_rejects_an_index_that_is_not_an_int(m):
     # 1.0 used to fail deep in the surd constructor on a cold cache and

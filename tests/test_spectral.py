@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrogrid import coordinate, numerics, pollaczek, spectral
+from hydrogrid.cli import RunConfig
 from hydrogrid.coordinate import eigen_data, wavefunction, wavefunction_values
 from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
                                 floats_close, surd_to_float)
@@ -72,6 +73,73 @@ def test_operator_rejects_a_delta_that_is_not_exact(delta):
     # exact_sturm_count with AttributeError
     with pytest.raises(TypeError, match="delta must be int or Fraction"):
         spectral.TridiagonalOperator(delta=delta, size=3)
+
+
+def test_operator_equality_and_hash_are_by_delta_and_size():
+    op = build_truncated(Fraction(1, 2), 4)
+    twin = spectral.TridiagonalOperator(Fraction(1, 2), 4)
+    assert op == twin and hash(op) == hash(twin)
+    assert hash(op) == hash((Fraction(1, 2), 4))
+    assert op != build_truncated(Fraction(1, 2), 5)
+    assert op != build_truncated(Fraction(1, 3), 4)
+    assert op != (Fraction(1, 2), 4)
+    assert len({op, twin, build_truncated(1, 4)}) == 2
+    assert repr(op) == "TridiagonalOperator(delta=Fraction(1, 2), size=4)"
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: eigen_data(2, Fraction(1, 2)), "mu"),
+    (lambda: eigen_data(2, Fraction(1, 2)), "sequence"),
+    (lambda: coordinate.laguerre_ref(3), "coefficients"),
+    (lambda: coordinate.alpha_inner(3, 2), "inner"),
+    (lambda: coordinate.ansatz_constraint_system(3, Fraction(1, 2)), "rows"),
+    (lambda: build_truncated(Fraction(1, 2), 4), "size"),
+    (lambda: RunConfig(command="spectrum"), "delta"),
+], ids=["EigenData", "EigenData-cached", "LaguerreRef", "AlphaTable",
+        "ConstraintSystem", "TridiagonalOperator", "RunConfig"])
+def test_value_classes_are_read_only(make, field):
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+def test_value_classes_compare_by_value():
+    delta = Fraction(1, 2)
+    system = coordinate.ansatz_constraint_system(3, delta)
+    assert system == coordinate.ansatz_constraint_system(3, delta)
+    assert system is not coordinate.ansatz_constraint_system(3, delta)
+    ref = coordinate.laguerre_ref(3)
+    assert ref == coordinate.LaguerreRef(n=3, coefficients=dict(ref.coefficients))
+    table = coordinate.alpha_inner(3, 2)
+    assert table == coordinate.AlphaTable(3, 2, dict(table.inner))
+    assert RunConfig(command="spectrum") == RunConfig("spectrum", Fraction(1))
+    assert hash(RunConfig(command="verify")) == hash(RunConfig("verify"))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("call", [
+    lambda i: closed_form_vector(i, Fraction(1, 2), 3),
+    lambda i: closed_form_vector(1, Fraction(1, 2), i),
+    lambda i: inner_product(i, 1, Fraction(1, 2)),
+    lambda i: inner_product(1, i, Fraction(1, 2)),
+    lambda i: gram_matrix([i, 2], Fraction(1, 2)),
+    lambda i: coordinate.laguerre_ref(i),
+    lambda i: coordinate.continuum_energy(i),
+    lambda i: exp_part(i, 1, Fraction(1, 2)),
+], ids=["closed_form_vector-n", "closed_form_vector-length",
+        "inner_product-n", "inner_product-n2", "gram_matrix",
+        "laguerre_ref", "continuum_energy", "exp_part"])
+def test_state_indices_must_be_ints(call, bad):
+    # each used to answer True with state 1's value, or fail with a
+    # message from deep inside; a warm cache does not change that
+    call(1)
+    with pytest.raises(TypeError, match="must be int, got"):
+        call(bad)
+    assert type(coordinate.laguerre_ref(1).n) is int
 
 
 def test_build_truncated_converts_delta_exactly():
