@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
                          eigen_data, laguerre_ref, wavefunction_floats,
                          wavefunction_values)
-from .numerics import (QuadraticSurd, parse_rational, surd_to_float,
+from .numerics import (QuadraticSurd, _index, parse_rational, surd_to_float,
                        surd_to_json)
 from .pollaczek import mass_point, pollaczek_mass_closed
 
@@ -282,14 +282,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for step in (delta,) + deltas:
         if step <= 0:
             raise ValueError(f"delta must be > 0, got {step}")
-    n_min = 0 if args.command == "pollaczek" else 1
-    if n_lo < n_min:
-        raise ValueError(f"--n must be >= {n_min}, got {args.n}")
+    _index(n_lo, "--n", 0 if args.command == "pollaczek" else 1)
     kmax_min = {"wavefunction": 1, "coeffs": 0, "verify": 2}.get(args.command)
-    if kmax_min is not None and args.kmax < kmax_min:
-        raise ValueError(f"--kmax must be >= {kmax_min}, got {args.kmax}")
-    if args.command == "pollaczek" and args.jmax < 0:
-        raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
+    if kmax_min is not None:
+        _index(args.kmax, "--kmax", kmax_min)
+    if args.command == "pollaczek":
+        _index(args.jmax, "--jmax", 0)
     return RunConfig(
         command=args.command,
         delta=delta,

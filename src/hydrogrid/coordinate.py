@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
-from .numerics import (QuadraticSurd, RationalLike, _require, _StateField,
+from .numerics import (QuadraticSurd, RationalLike, _index, _StateField,
                        as_surd, surd_pow)
 
 if TYPE_CHECKING:
@@ -192,9 +192,7 @@ class ConstraintSystem(NamedTuple):
 
 def continuum_energy(n: int) -> Fraction:
     """Continuum eigenvalue -1/(2 n**2)."""
-    _require(n, (int,), "state index")
-    if n <= 0:
-        raise ValueError("state index must be positive")
+    _index(n, "state index", 1)
     return Fraction(-1, 2 * n * n)
 
 
@@ -211,9 +209,7 @@ def _state(n: int, delta: RationalLike) -> EigenData:
 
 def eigen_data(n: int, delta: RationalLike) -> EigenData:
     """Closed-form lattice eigenvalue data for state n at step delta > 0."""
-    _require(n, (int,), "state index")
-    if n <= 0:
-        raise ValueError("state index must be positive")
+    _index(n, "state index", 1)
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError(_NO_ENERGY_AT_ZERO)
@@ -226,9 +222,7 @@ def eigen_data(n: int, delta: RationalLike) -> EigenData:
 def laguerre_ref(n: int) -> LaguerreRef:
     """ell_k = ((-2/n)^(k-1)/k!) C(n-1, k-1) for k = 1..n, exact; a bool
     or float n is rejected, never cached (see `c_coeff`)."""
-    _require(n, (int,), "state index")
-    if n < 1:
-        raise ValueError("state index must be positive")
+    _index(n, "state index", 1)
     coeffs = {
         k: Fraction(-2, n) ** (k - 1) / math.factorial(k) * math.comb(n - 1, k - 1)
         for k in range(1, n + 1)
@@ -244,9 +238,7 @@ def c_coeff(n: int, k: int, l: int) -> Fraction:
     or float index is rejected and never cached under an int's key.
     """
     for index in (n, k, l):
-        _require(index, (int,), "C coefficient index")
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be nonnegative")
+        _index(index, "C coefficient index", 0)
     if n - k - l < 0:
         raise ValueError(f"n-k-l = {n - k - l} < 0")
     prod = 1
@@ -273,12 +265,8 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
     C(n,k,1)/n - C(n,k,0) (guarded against a zero divisor).  As in
     `c_coeff`, a bool or float n or kmax is rejected, never cached.
     """
-    _require(n, (int,), "state index")
-    _require(kmax, (int,), "kmax")
-    if n < 1:
-        raise ValueError("state index must be positive")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    _index(n, "state index", 1)
+    _index(kmax, "kmax", 0)
     if kmax > n - 1:
         raise ValueError(f"kmax={kmax} exceeds n-1={n - 1}")
     inner: dict[tuple[int, int], Fraction] = {}
@@ -324,8 +312,7 @@ def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
     The symmetric/antisymmetric step factors reduce exactly to mu and
     -delta/n.
     """
-    if n < 1:
-        raise ValueError("state index must be positive")
+    _index(n, "state index", 1)
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("constraint system requires delta != 0")
@@ -411,9 +398,7 @@ def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     q^k is a fresh power, the reference for the running product of
     `wavefunction_values`.
     """
-    _require(k, (int,), "grid index")
-    if k < 1:
-        raise ValueError("grid index must be >= 1")
+    _index(k, "grid index", 1)
     ed = eigen_data(n, delta)
     pairs, den = ed.polynomial
     return ed.field.surd(*_horner(pairs, k), den) * surd_pow(ed.q, k)
@@ -429,9 +414,7 @@ def _wavefunction_stream(n: int, delta: RationalLike, kmax: int,
     `EigenData.polynomial`).  n, delta and kmax are checked before the
     iteration starts.
     """
-    _require(kmax, (int,), "kmax")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    _index(kmax, "kmax", 0)
     ed = eigen_data(n, delta)
     field = ed.field
     pairs, den = ed.polynomial
@@ -485,9 +468,7 @@ def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
 
     Zero for every row of the closed-form eigenfunction (u_0 = 0).
     """
-    _require(k, (int,), "grid index")
-    if k < 1:
-        raise ValueError("grid index must be >= 1")
+    _index(k, "grid index", 1)
     delta = Fraction(delta)
     ed = eigen_data(n, delta)
     u_prev = wavefunction(n, delta, k - 1) if k >= 2 else as_surd(0)

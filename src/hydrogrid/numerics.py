@@ -103,11 +103,13 @@ def _parts(x: RationalLike) -> tuple[int, int]:
                     f"{type(x).__name__}")
 
 
-def _require(value: object, kinds: tuple[type, ...], what: str) -> None:
-    """Raise TypeError unless value is one of kinds; a bool never is."""
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise TypeError(f"{what} must be {names}, got {value!r}")
+def _index(value: object, what: str, lo: int) -> None:
+    """The one check of an integer argument: TypeError unless value is an
+    int (a bool never is), ValueError if it is below lo."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {value}")
 
 
 _new = object.__new__
@@ -420,8 +422,7 @@ def as_surd(value: ScalarLike) -> QuadraticSurd:
 
 def surd_pow(x: QuadraticSurd, e: int) -> QuadraticSurd:
     """Exact e-fold product; surd_pow(x, 0) = 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
+    _index(e, "exponent", 0)
     return x ** e
 
 

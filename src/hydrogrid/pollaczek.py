@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _require, as_surd,
+from .numerics import (QuadraticSurd, RationalLike, _index, as_surd,
                        surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
@@ -36,9 +36,7 @@ def mass_point(m: int, delta: RationalLike) -> EigenData:
     The same cached bundle as `eigen_data(m + 1, delta)`: x_m is its mu,
     s = delta/(m+1) its t, and q = x_m - s its decay factor.
     """
-    _require(m, (int,), "mass-point index")
-    if m < 0:
-        raise ValueError("mass-point index must be nonnegative")
+    _index(m, "mass-point index", 0)
     return _state(m + 1, delta)
 
 
@@ -50,8 +48,7 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     Exact mode (x a QuadraticSurd or Fraction) keeps delta rational;
     float x runs the whole recursion in doubles.
     """
-    if jmax < 0:
-        raise ValueError("jmax must be nonnegative")
+    _index(jmax, "jmax", 0)
     d: Scalar = Fraction(delta)
     if isinstance(x, float):
         d = float(d)
@@ -74,10 +71,8 @@ def beta_coeff(j: int, m: int) -> Fraction:
     As in `coordinate.c_coeff`, the cache is typed and the indices are
     checked on a miss, so a bool or float index is never cached.
     """
-    _require(j, (int,), "beta index")
-    _require(m, (int,), "beta index")
-    if j < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
+    _index(j, "beta index", 0)
+    _index(m, "beta index", 0)
     return sum((Fraction(2 ** l, l + 1) * math.comb(j, l) * math.comb(m, l)
                 for l in range(min(j, m) + 1)), Fraction(0))
 
@@ -91,13 +86,6 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
                                          * beta_coeff(mp.m, l))
         acc = acc + term
     return (j + 1) * acc
-
-
-def _check_degree(j: int) -> None:
-    # before the sequence is extended: 5.0 would extend it and then fail
-    _require(j, (int,), "degree")
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
 
 
 class ClosedFormSequence:
@@ -162,18 +150,20 @@ class ClosedFormSequence:
         return self.mp.field.mul(qnum, ((j + 1) * a, (j + 1) * b))
 
     def _term(self, j: int) -> tuple[int, int, int]:
-        _check_degree(j)
         terms = self._terms
         while len(terms) <= j:
             qnum, den = next(self._qpowers)
             terms.append((*self.factorized(len(terms), qnum), den))
         return terms[j]
 
+    # Both readers check the degree before the sequence is extended:
+    # 5.0 would extend it and then fail.
     def value(self, j: int) -> QuadraticSurd:
+        _index(j, "degree", 0)
         return self.mp.field.surd(*self._term(j))
 
     def float_value(self, j: int) -> float:
-        _check_degree(j)
+        _index(j, "degree", 0)
         floats = self._floats
         while len(floats) <= j:
             floats.append(self.mp.field.to_float(*self._term(len(floats))))
@@ -215,8 +205,7 @@ def _phi(a: float, b: float, theta: float) -> float:
 
 def _trig_sum(first_base: complex, second_base: complex, theta: float,
               n: int) -> complex:
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    _index(n, "degree", 0)
     total = complex(0.0)
     for k in range(n + 1):
         total += (_rising(first_base, k) * _rising(second_base, n - k)

@@ -20,7 +20,7 @@ from itertools import islice
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import (QuadraticSurd, RationalLike, _require, as_surd,
+from .numerics import (QuadraticSurd, RationalLike, _index, as_surd,
                        surd_pow)
 from .pollaczek import mass_point
 
@@ -39,10 +39,9 @@ class TridiagonalOperator:
     size: int
 
     def __init__(self, delta: Fraction, size: int) -> None:
-        _require(size, (int,), "truncation size")
-        _require(delta, (int, Fraction), "delta")
-        if size < 1:
-            raise ValueError("truncation size must be >= 1")
+        _index(size, "truncation size", 1)
+        if not isinstance(delta, (int, Fraction)) or isinstance(delta, bool):
+            raise TypeError(f"delta must be int or Fraction, got {delta!r}")
         if delta < 0:
             raise ValueError(f"delta must be nonnegative, got {delta}")
         self.__dict__.update(delta=delta, size=size)
@@ -69,9 +68,6 @@ class TridiagonalOperator:
         """float(delta)/k for k = 1..N, computed once per operator."""
         delta = float(self.delta)
         return tuple(delta / k for k in range(1, self.size + 1))
-
-    def diagonal_floats(self) -> list[float]:
-        return list(self._diag)
 
     def gershgorin_interval(self) -> tuple[float, float]:
         diag = self._diag
@@ -268,12 +264,8 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
 def closed_form_vector(n: int, delta: RationalLike,
                        length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
-    _require(n, (int,), "state index")
-    _require(length, (int,), "vector length")
-    if length < 1:
-        raise ValueError("vector length must be >= 1")
-    if n < 1:
-        raise ValueError("state index must be positive")
+    _index(n, "state index", 1)
+    _index(length, "vector length", 1)
     seq = mass_point(n - 1, Fraction(delta)).sequence
     return tuple(seq.value(j) for j in range(length))
 
@@ -302,9 +294,7 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
 
 def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
     """(sqrt(1 + (delta/n)**2) - delta/n)**k, exact."""
-    _require(k, (int,), "power")
-    if k < 0:
-        raise ValueError("power must be nonnegative")
+    _index(k, "power", 0)
     return surd_pow(eigen_data(n, delta).q, k)
 
 
@@ -324,8 +314,8 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     few computed terms, so the discarded tail is below tail_tol, which
     must be positive.
     """
-    _require(n, (int,), "state index")
-    _require(n2, (int,), "state index")
+    _index(n, "state index", 1)
+    _index(n2, "state index", 1)
     _check_tol(tail_tol)
     delta = Fraction(delta)
     if delta <= 0:

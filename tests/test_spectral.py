@@ -37,7 +37,7 @@ def materialize(op):
     """The operator as a dense numpy matrix, the oracle for the solvers:
     diagonal delta/k, off-diagonal 1/2."""
     mat = np.zeros((op.size, op.size))
-    mat[np.diag_indices(op.size)] = op.diagonal_floats()
+    mat[np.diag_indices(op.size)] = list(op._diag)
     idx = np.arange(op.size - 1)
     mat[idx, idx + 1] = 0.5
     mat[idx + 1, idx] = 0.5
@@ -50,7 +50,7 @@ def test_build_small_operators():
     op2 = build_truncated(1, 2)
     assert materialize(op2).tolist() == [[1.0, 0.5], [0.5, 0.5]]
     # diagonal delta/k, off-diagonal 1/2
-    assert op2.diagonal_floats() == [1.0, 0.5]
+    assert list(op2._diag) == [1.0, 0.5]
 
 
 def test_build_rejects_empty():
@@ -121,24 +121,34 @@ def test_value_classes_compare_by_value():
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
-@pytest.mark.parametrize("call", [
-    lambda i: closed_form_vector(i, Fraction(1, 2), 3),
-    lambda i: closed_form_vector(1, Fraction(1, 2), i),
-    lambda i: inner_product(i, 1, Fraction(1, 2)),
-    lambda i: inner_product(1, i, Fraction(1, 2)),
-    lambda i: gram_matrix([i, 2], Fraction(1, 2)),
-    lambda i: coordinate.laguerre_ref(i),
-    lambda i: coordinate.continuum_energy(i),
-    lambda i: exp_part(i, 1, Fraction(1, 2)),
+@pytest.mark.parametrize("call, lo", [
+    (lambda i: closed_form_vector(i, Fraction(1, 2), 3), 1),
+    (lambda i: closed_form_vector(1, Fraction(1, 2), i), 1),
+    (lambda i: inner_product(i, 1, Fraction(1, 2)), 1),
+    (lambda i: inner_product(1, i, Fraction(1, 2)), 1),
+    (lambda i: gram_matrix([i, 2], Fraction(1, 2)), 1),
+    (lambda i: coordinate.laguerre_ref(i), 1),
+    (lambda i: coordinate.continuum_energy(i), 1),
+    (lambda i: exp_part(i, 1, Fraction(1, 2)), 0),
+    (lambda i: pollaczek.pollaczek_seq(Fraction(1, 2), Fraction(1, 3), i), 0),
+    (lambda i: pollaczek.pollaczek_explicit_trig(1, 0, 0, 0.5, i), 0),
+    (lambda i: pollaczek.pollaczek_trig_conjugate(1, 0, 0, 0.5, i), 0),
+    (lambda i: numerics.surd_pow(QuadraticSurd(0, 1, 2), i), 0),
 ], ids=["closed_form_vector-n", "closed_form_vector-length",
         "inner_product-n", "inner_product-n2", "gram_matrix",
-        "laguerre_ref", "continuum_energy", "exp_part"])
-def test_state_indices_must_be_ints(call, bad):
-    # each used to answer True with state 1's value, or fail with a
-    # message from deep inside; a warm cache does not change that
+        "laguerre_ref", "continuum_energy", "exp_part", "pollaczek_seq",
+        "pollaczek_explicit_trig", "pollaczek_trig_conjugate", "surd_pow"])
+def test_state_indices_must_be_ints(call, lo, bad):
+    # each used to answer True with the value at 1, or fail with a
+    # message from deep inside; a warm cache does not change that.  Below
+    # its lower end, each states the bound and the value: pollaczek_seq
+    # and surd_pow used to word it otherwise, and inner_product(0, 1, d)
+    # said "mass-point index must be nonnegative"
     call(1)
     with pytest.raises(TypeError, match="must be int, got"):
         call(bad)
+    with pytest.raises(ValueError, match=f"must be >= {lo}, got {lo - 1}$"):
+        call(lo - 1)
     assert type(coordinate.laguerre_ref(1).n) is int
 
 
@@ -491,7 +501,7 @@ def sturm_points(draw):
     elif kind == "random":
         x = draw(st.floats(-3.0, 4.0))
     else:
-        x = op.diagonal_floats()[draw(st.integers(0, op.size - 1))] + 1.0
+        x = list(op._diag)[draw(st.integers(0, op.size - 1))] + 1.0
         x = draw(st.sampled_from([x, math.nextafter(x, -math.inf),
                                   math.nextafter(x, math.inf)]))
     return op, x
@@ -508,7 +518,7 @@ def test_sturm_count_equals_full_walk_on_a_grid():
     for delta in STURM_DELTAS:
         for size in (1, 2, 3, 50, 777):
             op = build_truncated(delta, size)
-            diag = op.diagonal_floats()
+            diag = list(op._diag)
             xs = [-math.inf, math.inf, math.nan, -1.0, 0.0, 1.0, 1.5, 3.0]
             xs += [1.0 + 10.0 ** -j for j in range(1, 17)]
             xs += [diag[i] + 1.0 for i in range(0, size, max(1, size // 9))]
@@ -530,7 +540,7 @@ def test_sturm_count_equals_full_walk_on_a_grid():
 @pytest.mark.parametrize("size", [1, 2, 50, 2206])
 def test_sturm_count_with_an_exact_zero_first_pivot(delta, size):
     op = build_truncated(delta, size)
-    x = op.diagonal_floats()[0]  # the first pivot is diag[0] - x = 0.0
+    x = list(op._diag)[0]  # the first pivot is diag[0] - x = 0.0
     assert sturm_count(op, x) == reference_sturm_count(op, x)
     assert sturm_count(op, x) == exact_sturm_count(op, x)
 
@@ -597,7 +607,7 @@ def test_build_rejects_negative_delta():
         build_truncated(Fraction(-1, 10**9), 1)
     with pytest.raises(ValueError, match="nonnegative"):
         spectral.TridiagonalOperator(delta=Fraction(-1), size=4)
-    assert build_truncated(0, 3).diagonal_floats() == [0.0, 0.0, 0.0]
+    assert list(build_truncated(0, 3)._diag) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, -math.inf, math.inf])
