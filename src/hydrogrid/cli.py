@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
                          eigen_data, laguerre_ref, wavefunction_floats,
                          wavefunction_values)
-from .numerics import (QuadraticSurd, _index, parse_rational, surd_to_float,
-                       surd_to_json)
+from .numerics import (QuadraticSurd, _index, _step, parse_rational,
+                       surd_to_float, surd_to_json)
 from .pollaczek import mass_point, pollaczek_mass_closed
 
 OUT_DIR_ENV = "HYDROGRID_OUT_DIR"
@@ -273,15 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     allow_exp = args.mode == "float"
-    delta = parse_rational(args.delta, allow_exponent=allow_exp)
+    delta = _step(parse_rational(args.delta, allow_exponent=allow_exp))
     n_lo, n_hi = _parse_range(args.n)
     deltas: tuple[Fraction, ...] = ()
     if getattr(args, "deltas", None):
-        deltas = tuple(parse_rational(part, allow_exponent=allow_exp)
+        deltas = tuple(_step(parse_rational(part, allow_exponent=allow_exp))
                        for part in args.deltas.split(","))
-    for step in (delta,) + deltas:
-        if step <= 0:
-            raise ValueError(f"delta must be > 0, got {step}")
     _index(n_lo, "--n", 0 if args.command == "pollaczek" else 1)
     kmax_min = {"wavefunction": 1, "coeffs": 0, "verify": 2}.get(args.command)
     if kmax_min is not None:

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
 from .numerics import (QuadraticSurd, RationalLike, _index, _StateField,
-                       as_surd, surd_pow)
+                       _step, as_surd, surd_pow)
 
 if TYPE_CHECKING:
     from .pollaczek import ClosedFormSequence
@@ -45,18 +45,17 @@ class ZeroPivotError(ArithmeticError):
         self.m = m
 
 
-_NO_ENERGY_AT_ZERO = "E is undefined at delta=0; the limit is -1/(2n^2)"
-
-
 class EigenData:
     """The one exact bundle of state n at step delta.
 
     mu = sqrt(1 + t**2) with t = delta/n is both the eigenvalue of state n
     and the Pollaczek mass point x_m, m = n - 1; q = mu - t is the
     per-step decay factor, the exact field inverse of mu + t.  Built only
-    by `eigen_data` (delta > 0) and `pollaczek.mass_point` (delta >= 0),
-    which share one cached object per state; so equality and hashing
-    are by identity.  What is derived from the state is built once, on
+    by the cached `_state`, which three entry points reach after
+    `numerics._step` has checked delta: `eigen_data` (delta > 0),
+    `pollaczek.mass_point` and `AlphaTable.assembled` (delta >= 0).  They
+    share one object per state, so equality and hashing are by
+    identity.  What is derived from the state is built once, on
     first use, and held here: `field`, the integer form of the state's
     field Q(sqrt(D)); `sequence`, the closed-form P_j(x_m); `alphas`,
     the lattice corrections alpha_1..alpha_n; and `polynomial`, the
@@ -128,7 +127,8 @@ class EigenData:
     def E(self) -> QuadraticSurd:
         """Lattice energy (1 - mu)/delta**2."""
         if self.delta == 0:
-            raise ValueError(_NO_ENERGY_AT_ZERO)
+            raise ValueError("E is undefined at delta=0; the limit is "
+                             "-1/(2n^2)")
         return (1 - self.mu) / (self.delta * self.delta)
 
 
@@ -170,7 +170,7 @@ class AlphaTable(NamedTuple):
         factor of mu_n."""
         if not 0 <= k <= self.kmax:
             raise ValueError(f"k={k} outside table range 0..{self.kmax}")
-        state = _state(self.n, delta)
+        state = _state(self.n, _step(delta, zero_ok=True))
         body = sum((self.inner_coeff(k, m) * state.delta ** (2 * m)
                     for m in range(k // 2 + 1)), Fraction(0))
         return body * state.mu if k % 2 else QuadraticSurd(body)
@@ -197,11 +197,9 @@ def continuum_energy(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _state(n: int, delta: RationalLike) -> EigenData:
-    """The bundle of state n >= 1 at step delta >= 0, built once."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+def _state(n: int, delta: Fraction) -> EigenData:
+    """The bundle of state n >= 1 at a checked step delta >= 0, built
+    once."""
     t = delta / n
     mu = QuadraticSurd(0, 1, 1 + t * t)
     return EigenData(n=n, delta=delta, mu=mu, t=t, q=mu - t)
@@ -210,12 +208,7 @@ def _state(n: int, delta: RationalLike) -> EigenData:
 def eigen_data(n: int, delta: RationalLike) -> EigenData:
     """Closed-form lattice eigenvalue data for state n at step delta > 0."""
     _index(n, "state index", 1)
-    delta = Fraction(delta)
-    if delta == 0:
-        raise ValueError(_NO_ENERGY_AT_ZERO)
-    if delta < 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    return _state(n, delta)
+    return _state(n, _step(delta))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -313,10 +306,8 @@ def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
     -delta/n.
     """
     _index(n, "state index", 1)
-    delta = Fraction(delta)
-    if delta == 0:
-        raise ValueError("constraint system requires delta != 0")
-    ed = eigen_data(n, delta)
+    delta = _step(delta)
+    ed = _state(n, delta)
     q_inv = ed.mu + ed.t  # exact inverse of q
     half_sum = (ed.q + q_inv) / 2    # equals mu
     half_diff = (ed.q - q_inv) / 2   # equals -delta/n
@@ -469,7 +460,7 @@ def difference_residual(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     Zero for every row of the closed-form eigenfunction (u_0 = 0).
     """
     _index(k, "grid index", 1)
-    delta = Fraction(delta)
+    delta = _step(delta)
     ed = eigen_data(n, delta)
     u_prev = wavefunction(n, delta, k - 1) if k >= 2 else as_surd(0)
     u_here = wavefunction(n, delta, k)

@@ -112,6 +112,27 @@ def _index(value: object, what: str, lo: int) -> None:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
 
 
+def _step(value: object, zero_ok: bool = False) -> Fraction:
+    """The one check of a lattice step: delta as an exact Fraction.
+
+    TypeError unless value is an int (a bool never is), a Fraction or a
+    float; ValueError for a NaN or infinite float, and unless delta > 0
+    (delta >= 0 with zero_ok).  A float is taken at its exact value; only
+    a float is tested for finiteness, so a huge int or Fraction is never
+    converted to one.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"delta must be finite, got {value}")
+    elif not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"delta must be int, Fraction or float, got {value!r}")
+    delta = Fraction(value)
+    if delta < 0 or not (delta or zero_ok):
+        bound = "nonnegative" if zero_ok else "> 0 (undefined at delta=0)"
+        raise ValueError(f"delta must be {bound}, got {delta}")
+    return delta
+
+
 _new = object.__new__
 
 

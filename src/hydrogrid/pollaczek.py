@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _index, as_surd,
+from .numerics import (QuadraticSurd, RationalLike, _index, _step, as_surd,
                        surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
@@ -37,7 +37,7 @@ def mass_point(m: int, delta: RationalLike) -> EigenData:
     s = delta/(m+1) its t, and q = x_m - s its decay factor.
     """
     _index(m, "mass-point index", 0)
-    return _state(m + 1, delta)
+    return _state(m + 1, _step(delta, zero_ok=True))
 
 
 def pollaczek_seq(delta: RationalLike, x: Scalar,
@@ -244,6 +244,7 @@ def pollaczek_trig_conjugate(lam: RationalLike, a: RationalLike,
 
 def chebyshev_u(j: int, theta: float) -> float:
     """sin((j+1)theta)/sin(theta): the delta=0 reduction of the family."""
+    _index(j, "degree", 0)
     return math.sin((j + 1) * theta) / math.sin(theta)
 
 

@@ -20,7 +20,7 @@ from itertools import islice
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import (QuadraticSurd, RationalLike, _index, as_surd,
+from .numerics import (QuadraticSurd, RationalLike, _index, _step, as_surd,
                        surd_pow)
 from .pollaczek import mass_point
 
@@ -42,9 +42,7 @@ class TridiagonalOperator:
         _index(size, "truncation size", 1)
         if not isinstance(delta, (int, Fraction)) or isinstance(delta, bool):
             raise TypeError(f"delta must be int or Fraction, got {delta!r}")
-        if delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {delta}")
-        self.__dict__.update(delta=delta, size=size)
+        self.__dict__.update(delta=_step(delta, zero_ok=True), size=size)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -81,7 +79,7 @@ class TridiagonalOperator:
 
 
 def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
-    return TridiagonalOperator(delta=Fraction(delta), size=size)
+    return TridiagonalOperator(delta=_step(delta, zero_ok=True), size=size)
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
@@ -266,7 +264,7 @@ def closed_form_vector(n: int, delta: RationalLike,
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
     _index(n, "state index", 1)
     _index(length, "vector length", 1)
-    seq = mass_point(n - 1, Fraction(delta)).sequence
+    seq = mass_point(n - 1, delta).sequence
     return tuple(seq.value(j) for j in range(length))
 
 
@@ -317,9 +315,7 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     _index(n, "state index", 1)
     _index(n2, "state index", 1)
     _check_tol(tail_tol)
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("tail bound requires delta > 0")
+    delta = _step(delta)
     mp1 = mass_point(n - 1, delta)
     mp2 = mass_point(n2 - 1, delta)
     seq1, seq2 = mp1.sequence, mp2.sequence
@@ -352,6 +348,7 @@ def gram_matrix(states: list[int], delta: RationalLike,
                 tail_tol: float = 1e-13) -> list[list[float]]:
     """Gram matrix of the normalized closed-form vectors, as rows."""
     _check_tol(tail_tol)
+    delta = _step(delta)
     raw = {}
     for i, n in enumerate(states):
         for n2 in states[i:]:
@@ -365,7 +362,7 @@ def gram_matrix(states: list[int], delta: RationalLike,
 def coordinate_ratio(n: int, delta: RationalLike, length: int = 8):
     """Exact global ratio wavefunction(k)/closed_form entry, verified
     constant over k = 1..length; returns the surd ratio."""
-    delta = Fraction(delta)
+    delta = _step(delta)
     vec = closed_form_vector(n, delta, length)
     values = wavefunction_values(n, delta, length)
     ratio = next(values) / vec[0]

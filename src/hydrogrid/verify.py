@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 
 from . import coordinate, pollaczek, spectral
-from .numerics import QuadraticSurd, floats_close, surd_to_float
+from .numerics import (QuadraticSurd, _index, _step, floats_close,
+                       surd_to_float)
 
 
 def _check_surd_field_axioms() -> bool:
@@ -286,7 +287,15 @@ def _diag_band_count(delta: Fraction) -> int:
 
 
 def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
-    """Run every module invariant at the given scale; returns the report."""
+    """Run every module invariant at the given scale; returns the report.
+
+    The configuration is checked as the CLI checks `verify`'s: delta > 0,
+    1 <= n_lo <= n_hi and kmax >= 2.
+    """
+    delta = _step(delta)
+    _index(n_lo, "n_lo", 1)
+    _index(n_hi, "n_hi", n_lo)
+    _index(kmax, "kmax", 2)
     m_max = max(n_hi - 1, 3)
     j_max = max(kmax, 12)
     checks = {

@@ -259,3 +259,17 @@ def test_out_of_domain_input_rejected(argv, message, capsys):
     assert captured.out == ""
     assert "usage" in captured.err
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((Fraction(1, 2), 0, 0, 2), ValueError, "n_lo must be >= 1, got 0"),
+    ((Fraction(1, 2), 5, 2, 2), ValueError, "n_hi must be >= 5, got 2"),
+    ((Fraction(1, 2), 1, 2, 1), ValueError, "kmax must be >= 2, got 1"),
+    ((Fraction(1, 2), True, 2, 2), TypeError, "n_lo must be int"),
+    ((Fraction(-1, 2), 1, 2, 2), ValueError, "delta must be > 0"),
+])
+def test_run_verification_rejects_what_the_cli_rejects(args, error, message):
+    # the two empty ranges used to report all_passed: True
+    from hydrogrid.verify import run_verification
+    with pytest.raises(error, match=message):
+        run_verification(*args)

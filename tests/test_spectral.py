@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrogrid import coordinate, numerics, pollaczek, spectral
+from hydrogrid import coordinate, numerics, pollaczek, spectral, verify
 from hydrogrid.cli import RunConfig
 from hydrogrid.coordinate import eigen_data, wavefunction, wavefunction_values
 from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
@@ -134,10 +134,12 @@ def test_value_classes_compare_by_value():
     (lambda i: pollaczek.pollaczek_explicit_trig(1, 0, 0, 0.5, i), 0),
     (lambda i: pollaczek.pollaczek_trig_conjugate(1, 0, 0, 0.5, i), 0),
     (lambda i: numerics.surd_pow(QuadraticSurd(0, 1, 2), i), 0),
+    (lambda i: pollaczek.chebyshev_u(i, 0.5), 0),
 ], ids=["closed_form_vector-n", "closed_form_vector-length",
         "inner_product-n", "inner_product-n2", "gram_matrix",
         "laguerre_ref", "continuum_energy", "exp_part", "pollaczek_seq",
-        "pollaczek_explicit_trig", "pollaczek_trig_conjugate", "surd_pow"])
+        "pollaczek_explicit_trig", "pollaczek_trig_conjugate", "surd_pow",
+        "chebyshev_u"])
 def test_state_indices_must_be_ints(call, lo, bad):
     # each used to answer True with the value at 1, or fail with a
     # message from deep inside; a warm cache does not change that.  Below
@@ -150,6 +152,70 @@ def test_state_indices_must_be_ints(call, lo, bad):
     with pytest.raises(ValueError, match=f"must be >= {lo}, got {lo - 1}$"):
         call(lo - 1)
     assert type(coordinate.laguerre_ref(1).n) is int
+
+
+# Every entry point that takes a lattice step delta, and whether it
+# accepts delta = 0 (the Chebyshev limit).
+DELTA_ENTRY_POINTS = [
+    ("eigen_data", lambda d: eigen_data(1, d), False),
+    ("ansatz_constraint_system",
+     lambda d: coordinate.ansatz_constraint_system(2, d), False),
+    ("assembled", lambda d: coordinate.alpha_inner(3, 2).assembled(1, d),
+     True),
+    ("difference_residual",
+     lambda d: coordinate.difference_residual(1, d, 1), False),
+    ("mass_point", lambda d: mass_point(0, d), True),
+    ("build_truncated", lambda d: build_truncated(d, 3), True),
+    ("TridiagonalOperator", lambda d: spectral.TridiagonalOperator(d, 3),
+     True),
+    ("inner_product", lambda d: inner_product(1, 2, d), False),
+    ("gram_matrix", lambda d: gram_matrix([1, 2], d), False),
+    ("gram_matrix-empty", lambda d: gram_matrix([], d), False),
+    ("closed_form_vector", lambda d: closed_form_vector(1, d, 3), True),
+    ("coordinate_ratio", lambda d: coordinate_ratio(1, d, 3), False),
+    ("run_verification", lambda d: verify.run_verification(d, 1, 2, 2),
+     False),
+]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (True, TypeError), ("1/2", TypeError), (None, TypeError),
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (-1, ValueError), (Fraction(-1, 10**9), ValueError), (-0.5, ValueError),
+], ids=["True", "str", "None", "nan", "inf", "-inf", "-1", "-1e-9", "-0.5"])
+@pytest.mark.parametrize("name, call, zero_ok", DELTA_ENTRY_POINTS,
+                         ids=[row[0] for row in DELTA_ENTRY_POINTS])
+def test_every_delta_entry_point_checks_one_domain(name, call, zero_ok,
+                                                   bad, error):
+    # True and "1/2" used to be taken (a str built a second bundle for a
+    # cached state), inf escaped as OverflowError, and the same rejection
+    # was worded five ways
+    if name == "TridiagonalOperator" and isinstance(bad, float):
+        error = TypeError  # exact only; build_truncated takes the floats
+    with pytest.raises(error, match="^delta must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, zero_ok", DELTA_ENTRY_POINTS,
+                         ids=[row[0] for row in DELTA_ENTRY_POINTS])
+def test_delta_zero_is_rejected_exactly_where_delta_must_be_positive(
+        name, call, zero_ok):
+    if zero_ok:
+        call(0)
+    else:
+        with pytest.raises(ValueError, match=r"^delta must be > 0 .*got 0$"):
+            call(0)
+
+
+def test_a_step_is_one_exact_fraction_whatever_its_type():
+    assert (mass_point(0, 0.5) is mass_point(0, Fraction(1, 2))
+            is eigen_data(1, Fraction(1, 2)))
+    assert type(numerics._step(1)) is Fraction
+    # finiteness is tested on floats only: a step beyond the double
+    # range is exact, not infinite
+    huge = Fraction(10**400)
+    assert numerics._step(huge) == numerics._step(10**400) == huge
+    assert mass_point(0, huge).delta == huge
 
 
 def test_build_truncated_converts_delta_exactly():
