@@ -46,32 +46,39 @@ class ZeroPivotError(ArithmeticError):
 
 
 class EigenData:
-    """The one exact bundle of state n at step delta.
+    """The one exact bundle of state n at step delta, built from (n, delta)
+    alone.
 
-    mu = sqrt(1 + t**2) with t = delta/n is both the eigenvalue of state n
-    and the Pollaczek mass point x_m, m = n - 1; q = mu - t is the
-    per-step decay factor, the exact field inverse of mu + t.  Built only
-    by the cached `_state`, which three entry points reach after
-    `numerics._step` has checked delta: `eigen_data` (delta > 0),
-    `pollaczek.mass_point` and `AlphaTable.assembled` (delta >= 0).  They
-    share one object per state, so equality and hashing are by
-    identity.  What is derived from the state is built once, on
-    first use, and held here: `field`, the integer form of the state's
-    field Q(sqrt(D)); `sequence`, the closed-form P_j(x_m); `alphas`,
-    the lattice corrections alpha_1..alpha_n; and `polynomial`, the
-    wavefunction's polynomial factor on the field's integers.  The
-    fields are read-only; the derived values are cached in the instance
+    With t = delta/n, `field` is the integer form of the state's field
+    Q(sqrt(D)), D = 1 + t**2, and mu = sqrt(D) and q = mu - t are read
+    from it: mu is both the eigenvalue of state n and the Pollaczek mass
+    point x_m, m = n - 1, and q, the per-step decay factor, is the exact
+    field inverse of mu + t.  Built only by the cached `_state`, which
+    three entry points reach after `numerics._step` has checked delta:
+    `eigen_data` (delta > 0), `pollaczek.mass_point` and
+    `AlphaTable.assembled` (delta >= 0).  They share one object per
+    state, so equality and hashing are by identity.  What is derived
+    from the state is built once, on first use, and held here:
+    `sequence`, the closed-form P_j(x_m); `alphas`, the lattice
+    corrections alpha_1..alpha_n; and `polynomial`, the wavefunction's
+    polynomial factor on the field's integers.  The fields are
+    read-only; the derived values are cached in the instance
     dictionary, which `cached_property` writes directly.
     """
     n: int
     delta: Fraction
-    mu: QuadraticSurd
     t: Fraction
+    field: _StateField
+    mu: QuadraticSurd
     q: QuadraticSurd
 
-    def __init__(self, n: int, delta: Fraction, mu: QuadraticSurd,
-                 t: Fraction, q: QuadraticSurd) -> None:
-        self.__dict__.update(n=n, delta=delta, mu=mu, t=t, q=q)
+    def __init__(self, n: int, delta: Fraction) -> None:
+        t = delta / n
+        field = _StateField(t)
+        (s, b), td = field.root, field.td
+        self.__dict__.update(n=n, delta=delta, t=t, field=field,
+                             mu=field.surd(s, b, td),
+                             q=field.surd(s - field.tn, b, td))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -80,16 +87,11 @@ class EigenData:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return (f"EigenData(n={self.n!r}, delta={self.delta!r}, "
-                f"mu={self.mu!r}, t={self.t!r}, q={self.q!r})")
+        return f"EigenData(n={self.n!r}, delta={self.delta!r})"
 
     @property
     def m(self) -> int:
         return self.n - 1
-
-    @cached_property
-    def field(self) -> _StateField:
-        return _StateField(self.t)
 
     @cached_property
     def sequence(self) -> ClosedFormSequence:
@@ -107,21 +109,19 @@ class EigenData:
     def polynomial(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """The wavefunction's polynomial factor on integers.
 
-        The coefficient alpha_j ell_j delta^j of k^j is written over one
-        common denominator den as a pair (a_j, b_j) of the state's
-        `field`, meaning (a_j + b_j sqrt(p))/den; a surd's b is divided by
-        td, since sqrt(D) = sqrt(p)/td.  Returns the pairs from the
-        highest degree down, and den.  When p is a perfect square, mu is
-        rational, so every b_j is 0.
+        The coefficient alpha_j ell_j delta^j of k^j is read by the
+        field's `parts` as (a_j + b_j sqrt(p))/den_j and written over the
+        common denominator den = lcm(den_j) as the pair (a_j, b_j) scaled
+        by den/den_j.  Returns the pairs from the highest degree down,
+        and den.  When p is a perfect square, mu is rational, so every
+        b_j is 0.
         """
-        td = self.field.td
         ell = laguerre_ref(self.n).coefficients
-        coeffs = [(c.a, c.b / td) for c in (
-            alpha * (ell[j] * self.delta ** j)
-            for j, alpha in enumerate(self.alphas, start=1))]
-        den = math.lcm(*(x.denominator for pair in coeffs for x in pair))
-        return tuple((int(a * den), int(b * den))
-                     for a, b in reversed(coeffs)), den
+        coeffs = [self.field.parts(alpha * (ell[j] * self.delta ** j))
+                  for j, alpha in enumerate(self.alphas, start=1)]
+        den = math.lcm(*(c for _, _, c in coeffs))
+        return tuple((a * (den // c), b * (den // c))
+                     for a, b, c in reversed(coeffs)), den
 
     @property
     def E(self) -> QuadraticSurd:
@@ -196,13 +196,8 @@ def continuum_energy(n: int) -> Fraction:
     return Fraction(-1, 2 * n * n)
 
 
-@lru_cache(maxsize=None)
-def _state(n: int, delta: Fraction) -> EigenData:
-    """The bundle of state n >= 1 at a checked step delta >= 0, built
-    once."""
-    t = delta / n
-    mu = QuadraticSurd(0, 1, 1 + t * t)
-    return EigenData(n=n, delta=delta, mu=mu, t=t, q=mu - t)
+# The bundle of state n >= 1 at a checked step delta >= 0, built once.
+_state = lru_cache(maxsize=None)(EigenData)
 
 
 def eigen_data(n: int, delta: RationalLike) -> EigenData:

@@ -4,15 +4,17 @@ Rationals are the stdlib `fractions.Fraction` (always kept in lowest terms
 with a positive denominator, which is exactly the normal form required
 here).  `QuadraticSurd` represents a + b*sqrt(D) with rational a, b and a
 nonnegative rational radicand D.  It stores Python ints: with D = p/q in
-lowest terms and r = pq, a + b*sqrt(D) = (A + B*sqrt(r))/C with C > 0 and
-gcd(A, B, C) = 1, over one radicand object shared by every surd with that
-D.  Field operations over a known radicand need no Fraction and no
+lowest terms, sqrt(D) = sqrt(r)/s with r = p and s = sqrt(q) when q is a
+perfect square, else r = pq and s = q, and a + b*sqrt(D)
+= (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1, over one radicand
+object shared by every surd with that D.  Field operations over a known radicand need no Fraction and no
 perfect-square test; a, b and D are derived when read.  Equality is by
 value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
 rational square factor combine.  The module also owns the
 float-comparison policy shared by every other module, and the integer
 form of one state's field (`_StateField`), which the closed-form
-sequence and the lattice wavefunction both run on.
+sequence and the lattice wavefunction both run on: a surd in that field
+stores exactly the field's integers.
 """
 
 from __future__ import annotations
@@ -66,22 +68,25 @@ def parse_rational(text: str, allow_exponent: bool = False) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
-class _Radicand:
-    """An irrational radicand D = p/q: sqrt(D) = sqrt(r)/q with r = pq,
-    which is never a perfect square."""
+def _root(p: int, q: int) -> tuple[int, int]:
+    """(r, s) with sqrt(p/q) = sqrt(r)/s for p/q in lowest terms: (p, s)
+    when q = s**2, so a state's D = p/td**2 keeps its own p, else (pq, q)."""
+    s = math.isqrt(q)
+    return (p, s) if s * s == q else (p * q, q)
 
-    __slots__ = ("D", "q", "r")
+
+class _Radicand:
+    """An irrational radicand D = p/q: sqrt(D) = sqrt(r)/scale with
+    (r, scale) = `_root(p, q)`, r never a perfect square."""
+
+    __slots__ = ("D", "r", "scale")
 
     def __init__(self, p: int, q: int) -> None:
         self.D = Fraction(p, q)
-        self.q = q
-        self.r = p * q
+        self.r, self.scale = _root(p, q)
 
 
-@lru_cache(maxsize=None)
-def _radicand(p: int, q: int) -> _Radicand:
-    """The one radicand object of D = p/q."""
-    return _Radicand(p, q)
+_radicand = lru_cache(maxsize=None)(_Radicand)  # the one object of D = p/q
 
 
 def _root_ratio(r1: int, r2: int) -> tuple[int, int] | None:
@@ -161,8 +166,9 @@ class _StateField:
     a + b sqrt(p).  `root` is sqrt(p) as a pair: (s, 0) when p = s**2, else
     (0, 1), so a perfect square folds into the integers and every b
     stays 0.  A value (a + b sqrt(p))/den with den > 0 is read by `surd`,
-    over mu's own radicand object (sqrt(p) = sqrt(p td**2)/td), or by
-    `to_float`, straight from the integers.
+    over the radicand object of D, whose r is p (see `_root`), or by
+    `to_float`, straight from the integers; `parts` reads a surd of the
+    field back into its integers.
     """
 
     __slots__ = ("p", "td", "tn", "root", "_rad")
@@ -183,7 +189,15 @@ class _StateField:
         return reduce(self.mul, [x] * e, (1, 0))
 
     def surd(self, a: int, b: int, den: int) -> "QuadraticSurd":
-        return _make(a * self.td, b, den * self.td, self._rad)
+        return _make(a, b, den, self._rad)
+
+    def parts(self, x: "QuadraticSurd") -> tuple[int, int, int]:
+        """(a, b, den) with x = (a + b sqrt(p))/den, the inverse of `surd`;
+        MixedRadicandError unless x is rational or over the field's
+        radicand object."""
+        if x._B and x._rad is not self._rad:
+            raise MixedRadicandError(f"{x} is not in Q(sqrt({self.p}))")
+        return x._A, x._B, x._C
 
     def to_float(self, a: int, b: int, den: int) -> float:
         return _int_surd_to_float(a, b, den, self.p)
@@ -253,11 +267,11 @@ class QuadraticSurd:
             raise NegativeRadicandError(f"negative radicand {Fraction(p, q)}")
         if not bn:
             return _make(an, 0, ad, None)
-        r = p * q
+        r, s = _root(p, q)
         root = math.isqrt(r)
-        if root * root == r:  # sqrt(D) = root/q is rational
-            return _make(an * bd * q + bn * root * ad, 0, ad * bd * q, None)
-        return _make(an * bd * q, bn * ad, ad * bd * q, _radicand(p, q))
+        if root * root == r:  # sqrt(D) = root/s is rational
+            return _make(an * bd * s + bn * root * ad, 0, ad * bd * s, None)
+        return _make(an * bd * s, bn * ad, ad * bd * s, _radicand(p, q))
 
     @property
     def a(self) -> Fraction:
@@ -267,7 +281,7 @@ class QuadraticSurd:
     def b(self) -> Fraction:
         if not self._B:
             return Fraction(0)
-        return Fraction(self._B * self._rad.q, self._C)
+        return Fraction(self._B * self._rad.scale, self._C)
 
     @property
     def D(self) -> Fraction:
