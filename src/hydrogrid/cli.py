@@ -28,9 +28,6 @@ from .pollaczek import mass_point, pollaczek_mass_closed
 
 OUT_DIR_ENV = "HYDROGRID_OUT_DIR"
 
-COMMANDS = ("spectrum", "wavefunction", "pollaczek", "coeffs", "verify",
-            "converge")
-
 
 class RunConfig(NamedTuple):
     command: str

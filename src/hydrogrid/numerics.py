@@ -7,8 +7,9 @@ nonnegative rational radicand D.  It stores Python ints: with D = p/q in
 lowest terms, sqrt(D) = sqrt(r)/s with r = p and s = sqrt(q) when q is a
 perfect square, else r = pq and s = q, and a + b*sqrt(D)
 = (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1, over one radicand
-object shared by every surd with that D.  Field operations over a known radicand need no Fraction and no
-perfect-square test; a, b and D are derived when read.  Equality is by
+object shared by every surd with that D.  Field operations over a known
+radicand need no Fraction and no perfect-square test; a, b = B s/C and
+D are derived when read.  Equality is by
 value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
 rational square factor combine.  The module also owns the
 float-comparison policy shared by every other module, and the integer
@@ -117,21 +118,27 @@ def _index(value: object, what: str, lo: int) -> None:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
 
 
-def _step(value: object, zero_ok: bool = False) -> Fraction:
-    """The one check of a lattice step: delta as an exact Fraction.
+def _delta(value: object) -> Fraction:
+    """delta of any sign as an exact Fraction: the type-and-finiteness
+    half of `_step`.
 
     TypeError unless value is an int (a bool never is), a Fraction or a
-    float; ValueError for a NaN or infinite float, and unless delta > 0
-    (delta >= 0 with zero_ok).  A float is taken at its exact value; only
-    a float is tested for finiteness, so a huge int or Fraction is never
-    converted to one.
+    float; ValueError for a NaN or infinite float.  A float is taken at
+    its exact value; only a float is tested for finiteness, so a huge int
+    or Fraction is never converted to one.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"delta must be finite, got {value}")
     elif not isinstance(value, (int, Fraction)) or isinstance(value, bool):
         raise TypeError(f"delta must be int, Fraction or float, got {value!r}")
-    delta = Fraction(value)
+    return Fraction(value)
+
+
+def _step(value: object, zero_ok: bool = False) -> Fraction:
+    """The one check of a lattice step: `_delta`, then ValueError unless
+    delta > 0 (delta >= 0 with zero_ok)."""
+    delta = _delta(value)
     if delta < 0 or not (delta or zero_ok):
         bound = "nonnegative" if zero_ok else "> 0 (undefined at delta=0)"
         raise ValueError(f"delta must be {bound}, got {delta}")

@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _index, _step, as_surd,
-                       surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _step,
+                       as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -46,10 +46,11 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     by x's type.
 
     Exact mode (x a QuadraticSurd or Fraction) keeps delta rational;
-    float x runs the whole recursion in doubles.
+    float x runs the whole recursion in doubles.  delta may take any
+    sign.
     """
     _index(jmax, "jmax", 0)
-    d: Scalar = Fraction(delta)
+    d: Scalar = _delta(delta)
     if isinstance(x, float):
         d = float(d)
     elif not isinstance(x, QuadraticSurd):
@@ -197,9 +198,15 @@ def _rising(z: complex, k: int) -> complex:
     return out
 
 
-def _phi(a: float, b: float, theta: float) -> float:
+def _theta(theta: float) -> None:
+    """The one check of an angle: theta in the open interval (0, pi), where
+    sin(theta) > 0; NaN is outside it."""
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie in the open interval (0, pi)")
+
+
+def _phi(a: float, b: float, theta: float) -> float:
+    _theta(theta)
     return (a * math.cos(theta) + b) / math.sin(theta)
 
 
@@ -243,8 +250,10 @@ def pollaczek_trig_conjugate(lam: RationalLike, a: RationalLike,
 
 
 def chebyshev_u(j: int, theta: float) -> float:
-    """sin((j+1)theta)/sin(theta): the delta=0 reduction of the family."""
+    """sin((j+1)theta)/sin(theta): the delta=0 reduction of the family,
+    for theta in (0, pi) as in the trigonometric sums."""
     _index(j, "degree", 0)
+    _theta(theta)
     return math.sin((j + 1) * theta) / math.sin(theta)
 
 

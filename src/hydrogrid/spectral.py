@@ -20,8 +20,8 @@ from itertools import islice
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import (QuadraticSurd, RationalLike, _index, _step, as_surd,
-                       surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _step,
+                       as_surd, surd_pow)
 from .pollaczek import mass_point
 
 
@@ -274,9 +274,9 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
 
     Exact entries u_1..u_K, from any iterable (`wavefunction_values`
     too), are read in one pass; a mu over another radicand raises
-    MixedRadicandError.
+    MixedRadicandError.  delta may take any sign.
     """
-    delta = Fraction(delta)
+    delta = _delta(delta)
     best = u_prev = u_here = as_surd(0)
     k = 0
     for k, u_next in enumerate(entries):
@@ -297,8 +297,9 @@ def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
 
 
 def exp_part_float_reference(k: int, n: int, delta: RationalLike) -> float:
-    """Transcendental form exp(-k*arsinh(delta/n)) for cross-checking."""
-    return math.exp(-k * math.asinh(float(Fraction(delta)) / n))
+    """Transcendental form exp(-k*arsinh(delta/n)) for cross-checking;
+    delta may take any sign."""
+    return math.exp(-k * math.asinh(float(_delta(delta)) / n))
 
 
 def inner_product(n: int, n2: int, delta: RationalLike,

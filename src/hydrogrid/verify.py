@@ -114,8 +114,8 @@ def _check_eigen_invariants(delta: Fraction, n_max: int) -> bool:
     return True
 
 
-def _check_alpha_leading_forms(n_lo: int, n_hi: int) -> bool:
-    for n in range(max(n_lo, 5), n_hi + 1):
+def _check_alpha_leading_forms(n_hi: int) -> bool:
+    for n in range(5, n_hi + 1):
         table = coordinate.alpha_inner(n, min(4, n - 1))
         if table.inner_coeff(2, 1) != Fraction(3 * n - 1, 3 * n * n * (n - 1)):
             return False
@@ -180,11 +180,10 @@ def _check_tridiagonal_identity(delta: Fraction, n_max: int, k_max: int) -> bool
         n, delta, k_max))
 
 
-def _check_bisection_mass_points(delta: Fraction) -> bool:
-    op = spectral.build_truncated(delta, 400)
+def _check_bisection_mass_points(op: spectral.TridiagonalOperator) -> bool:
     found = spectral.point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     for m in range(4):
-        target = surd_to_float(pollaczek.mass_point(m, delta).mu)
+        target = surd_to_float(pollaczek.mass_point(m, op.delta).mu)
         if not any(abs(x - target) < 1e-8 for x in found):
             return False
     return True
@@ -281,8 +280,7 @@ def _diag_alpha_order_normalized(n_values: list[int], kmax: int) -> dict:
     return out
 
 
-def _diag_band_count(delta: Fraction) -> int:
-    op = spectral.build_truncated(delta, 400)
+def _diag_band_count(op: spectral.TridiagonalOperator) -> int:
     return spectral.sturm_count(op, 1.0) - spectral.sturm_count(op, -1.0)
 
 
@@ -298,6 +296,7 @@ def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
     _index(kmax, "kmax", 2)
     m_max = max(n_hi - 1, 3)
     j_max = max(kmax, 12)
+    op = spectral.build_truncated(delta, 400)
     checks = {
         "surd_field_axioms": _check_surd_field_axioms(),
         "surd_float_product_4ulp": _check_surd_float_products(),
@@ -309,7 +308,7 @@ def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
         "branch_agreement_at_j_eq_m": _check_branch_agreement(delta, m_max),
         "chebyshev_reduction_at_delta_0": _check_chebyshev_reduction(),
         "eigen_data_invariants": _check_eigen_invariants(delta, n_hi),
-        "alpha_printed_leading_forms": _check_alpha_leading_forms(5, max(n_hi, 12)),
+        "alpha_printed_leading_forms": _check_alpha_leading_forms(max(n_hi, 12)),
         "ansatz_oracle_equivalence": _check_ansatz_equivalence(delta, n_hi),
         "difference_residual_zero": _check_difference_residual(
             delta, min(n_hi, 8), kmax),
@@ -317,7 +316,7 @@ def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
         "wavefunction_float_agreement": _check_wavefunction_float(delta, n_hi),
         "tridiagonal_eigen_identity": _check_tridiagonal_identity(
             delta, min(n_hi, 8), kmax),
-        "bisection_matches_mass_points": _check_bisection_mass_points(delta),
+        "bisection_matches_mass_points": _check_bisection_mass_points(op),
         "orthonormal_gram": _check_orthonormal_gram(delta, n_hi),
         "exp_part_transcendental_agreement": _check_exp_part(delta, n_hi),
         "coordinate_spectral_proportionality": _check_coordinate_spectral_ratio(
@@ -328,7 +327,7 @@ def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
         "trig_per_degree_ratios": _diag_trig_ratios(delta),
         "alpha_order_normalized": _diag_alpha_order_normalized(
             [n for n in (6, 8) if n <= max(n_hi, 6)], kmax),
-        "eigenvalues_in_band_count": _diag_band_count(delta),
+        "eigenvalues_in_band_count": _diag_band_count(op),
     }
     return {
         "config": {"delta": str(delta), "n_range": [n_lo, n_hi], "kmax": kmax},

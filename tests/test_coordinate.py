@@ -4,7 +4,7 @@ from functools import partial
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hydrogrid.coordinate import (
     ZeroPivotError,
@@ -433,6 +433,31 @@ def test_integer_streams_are_written_over_the_field_of_mu(n, delta):
     else:
         assert len(irrational) > 150
         assert all(v._rad is ed.mu._rad for v in irrational)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8),
+       st.fractions(min_value=0, max_value=4, max_denominator=12))
+@example(4, Fraction(3))  # t = 3/4: p = 25 is a square, mu = 5/4
+@example(1, Fraction(0))  # the Chebyshev limit: mu = q = 1
+def test_each_state_is_built_from_n_and_delta(n, delta):
+    # mass_point reaches delta = 0; the bundle derives t, the field, mu
+    # and q itself, and every value of it is stored as the field's integers
+    ed = mass_point(n - 1, delta)
+    t = delta / n
+    assert ed.t == t and ed.delta == delta
+    assert ed.mu * ed.mu == 1 + t * t
+    assert ed.q == ed.mu - t and ed.q * (ed.mu + t) == 1
+    field = ed.field
+    for x in (ed.mu, ed.q, *(ed.sequence.value(j) for j in (0, 1, 5, 9))):
+        assert field.surd(*field.parts(x)) == x
+    p = t.denominator ** 2 + t.numerator ** 2
+    root = math.isqrt(p)
+    if root * root == p:
+        assert ed.mu == Fraction(root, t.denominator)
+    else:
+        assert (ed.mu._rad.r, ed.mu._rad.scale) == (p, t.denominator)
+        assert field.parts(ed.mu) == (0, 1, t.denominator)
 
 
 @pytest.mark.parametrize("broken", [None, 1, 2, 7, 11, 12])

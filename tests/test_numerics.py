@@ -73,6 +73,19 @@ def test_equivalent_radicands_are_one_field():
     assert root_half == half_root2 and hash(root_half) == hash(half_root2)
     assert QuadraticSurd(1, 3, 18) == QuadraticSurd(1, 9, 2) == \
         QuadraticSurd(1, Fraction(9, 2), 8)
+    # a square denominator keeps its numerator as the stored radicand
+    third_root2, two_thirds_root2 = (QuadraticSurd(0, Fraction(1, 3), 2),
+                                     QuadraticSurd(0, Fraction(2, 3), 2))
+    root_2_9 = QuadraticSurd(0, 1, Fraction(2, 9))
+    root_8_9 = QuadraticSurd(0, 1, Fraction(8, 9))
+    assert root_2_9 == third_root2 and hash(root_2_9) == hash(third_root2)
+    assert root_8_9 == two_thirds_root2 and \
+        hash(root_8_9) == hash(two_thirds_root2)
+    assert str(root_2_9) == "0+1√(2/9)" and root_2_9.b == 1
+    # one product and one sum across the two integer forms
+    assert root_8_9 * root_half == Fraction(2, 3)
+    assert root_2_9 + root_half == QuadraticSurd(0, Fraction(5, 6), 2)
+    assert str(root_2_9 + root_half) == "0+5/2√(2/9)"
     # a mixed result keeps the left irrational operand's D
     assert str(root8 + two_root2) == "0+2√8"
     assert str(two_root2 + root8) == "0+4√2"

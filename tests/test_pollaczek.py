@@ -345,6 +345,21 @@ def test_trig_rejects_degenerate_theta():
         pollaczek_explicit_trig(1, 0, 0, math.pi, 2)
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, math.nan],
+                         ids=["0", "pi", "-0.5", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda theta: chebyshev_u(2, theta),
+    lambda theta: pollaczek_explicit_trig(1, 0, 0, theta, 2),
+    lambda theta: pollaczek_trig_conjugate(1, 0, 0, theta, 2),
+], ids=["chebyshev_u", "explicit_trig", "trig_conjugate"])
+def test_every_trig_evaluation_takes_theta_in_the_open_interval(call, theta):
+    # chebyshev_u(2, 0.0) used to raise ZeroDivisionError, and
+    # chebyshev_u(3, -0.5) returned a value
+    with pytest.raises(ValueError, match=r"^theta must lie in the open "
+                                         r"interval \(0, pi\)$"):
+        call(theta)
+
+
 def test_trig_conjugate_matches_recursion():
     # direct-summation oracle for the conjugate-base sum vs the recursion
     delta = Fraction(1, 2)

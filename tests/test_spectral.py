@@ -196,6 +196,52 @@ def test_every_delta_entry_point_checks_one_domain(name, call, zero_ok,
         call(bad)
 
 
+# Entry points that take delta of either sign: the type and finiteness
+# half of the step check, and no sign check.
+SIGNED_DELTA_ENTRY_POINTS = [
+    ("pollaczek_seq",
+     lambda d: pollaczek.pollaczek_seq(d, Fraction(1, 2), 2)),
+    ("eigen_residual", lambda d: eigen_residual(
+        closed_form_vector(1, Fraction(1, 2), 4), d,
+        mass_point(0, Fraction(1, 2)).mu)),
+    ("exp_part_float_reference",
+     lambda d: spectral.exp_part_float_reference(1, 1, d)),
+]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (True, TypeError), ("1/2", TypeError), (None, TypeError),
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+], ids=["True", "str", "None", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", SIGNED_DELTA_ENTRY_POINTS,
+                         ids=[row[0] for row in SIGNED_DELTA_ENTRY_POINTS])
+def test_every_signed_delta_entry_point_checks_type_and_finiteness(
+        name, call, bad, error):
+    # True ran at delta = 1, "1/2" was parsed, and NaN and inf escaped
+    # from Fraction with its own message
+    with pytest.raises(error, match="^delta must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", SIGNED_DELTA_ENTRY_POINTS,
+                         ids=[row[0] for row in SIGNED_DELTA_ENTRY_POINTS])
+def test_signed_delta_entry_points_accept_a_negative_step(name, call):
+    call(-1)
+    call(Fraction(-1, 2))
+
+
+def test_signed_delta_entry_points_take_a_float_at_its_exact_value():
+    # eigen_residual(..., True, mu) used to run at delta = 1 and report 1/2
+    # for an exact eigenvector
+    vector = closed_form_vector(1, Fraction(1, 2), 4)
+    mu = mass_point(0, Fraction(1, 2)).mu
+    assert eigen_residual(vector, 0.5, mu).is_zero()
+    assert (pollaczek.pollaczek_seq(0.5, Fraction(1, 3), 4)
+            == pollaczek.pollaczek_seq(Fraction(1, 2), Fraction(1, 3), 4))
+    assert (exp_part_float_reference(3, 2, 0.5)
+            == exp_part_float_reference(3, 2, Fraction(1, 2)))
+
+
 @pytest.mark.parametrize("name, call, zero_ok", DELTA_ENTRY_POINTS,
                          ids=[row[0] for row in DELTA_ENTRY_POINTS])
 def test_delta_zero_is_rejected_exactly_where_delta_must_be_positive(
