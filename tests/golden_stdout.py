@@ -89,6 +89,11 @@ GOLDEN_STDOUT = [
      "094e67956da28f96c85fc0f0249b9ff2a2d7e3471062c5e2f9792d9ddb2491a2"),
     ("verify --delta 1/2 --n 1..12 --kmax 59 --output json",
      "62d4aa5d15aa8ad8fedb83ea42a0e4fd90f88c0bd83a523b0716210a6a82571e"),
+    # deep levels of the coefficient recursion: every level up to n - 1
+    ("coeffs --delta 7/3 --n 36..40 --kmax 39 --mode exact",
+     "008ff7ca80aea5af77fea3bfd9d8287ed2b08181c764787410f1f7713eaedfad"),
+    ("coeffs --delta 7/3 --n 36..40 --kmax 39 --mode float --output json",
+     "bfedb1b0a13d0a2b3f3192da000baba5e51f238dd5f130bc5d250be45e5e20ed"),
 ]
 
 
