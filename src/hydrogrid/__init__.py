@@ -10,8 +10,8 @@ modules, imports its module.
 _MODULES = {
     "coordinate": (
         "AlphaTable", "ConstraintSystem", "EigenData", "LaguerreRef",
-        "ZeroPivotError", "alpha_inner", "ansatz_constraint_system",
-        "c_coeff", "continuum_energy", "difference_residual", "eigen_data",
+        "alpha_inner", "ansatz_constraint_system", "c_coeff",
+        "continuum_energy", "difference_residual", "eigen_data",
         "laguerre_ref", "solve_constraint_system", "wavefunction",
         "wavefunction_float", "wavefunction_floats", "wavefunction_values"),
     "numerics": (

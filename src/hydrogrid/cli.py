@@ -19,8 +19,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coordinate import (ZeroPivotError, alpha_inner, continuum_energy,
-                         eigen_data, laguerre_ref, wavefunction_floats,
+from .coordinate import (alpha_inner, continuum_energy, eigen_data,
+                         laguerre_ref, wavefunction_floats,
                          wavefunction_values)
 from .numerics import (QuadraticSurd, _index, _step, parse_rational,
                        surd_to_float, surd_to_json)
@@ -196,10 +196,6 @@ def run(cfg: RunConfig) -> int:
             text = _json_text(payload)
         _write(cfg, text)
         return 0
-    except ZeroPivotError as exc:
-        print(f"error: {exc} (n={exc.n}, k={exc.k}, m={exc.m})",
-              file=sys.stderr)
-        return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

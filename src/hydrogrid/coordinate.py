@@ -8,9 +8,10 @@ where ell_k are the continuum Laguerre coefficients, q is the per-step
 decay factor and the alpha_k carry the delta-dependent lattice
 corrections.  Two independent routes compute the alpha vector:
 
-* `alpha_inner` runs the published level-by-level recursions over the
-  combinatorial C coefficients (exact rationals), assembled into surds by
-  `AlphaTable.assembled`;
+* `alpha_inner` runs the published level-by-level recursion over the
+  combinatorial C coefficients (exact rationals), one rule for every
+  level chosen by parity, with a divisor proven nonzero, assembled into
+  surds by `AlphaTable.assembled`;
 * `ansatz_constraint_system` re-derives the linear constraints from first
   principles by binomial expansion of u(r +/- delta), and
   `solve_constraint_system` solves them by exact back-substitution on
@@ -32,17 +33,6 @@ from .numerics import (QuadraticSurd, RationalLike, _index, _StateField,
 
 if TYPE_CHECKING:
     from .pollaczek import ClosedFormSequence
-
-
-class ZeroPivotError(ArithmeticError):
-    """The level recursion hit a vanishing divisor C(n,k,1)/n - C(n,k,0)."""
-
-    def __init__(self, n: int, k: int, m: int) -> None:
-        super().__init__(
-            f"zero divisor in coefficient recursion at n={n}, k={k}, m={m}")
-        self.n = n
-        self.k = k
-        self.m = m
 
 
 class EigenData:
@@ -145,8 +135,9 @@ class AlphaTable(NamedTuple):
     inner: Mapping[tuple[int, int], Fraction]
 
     def inner_coeff(self, k: int, m: int) -> Fraction:
-        """alpha^(n)_{n-k,m}; 0 for k < 0 or an impossible m, which the
-        level recursion reads."""
+        """alpha^(n)_{n-k,m}; 0 for an impossible m (m < 0 or m > k//2),
+        which the level recursion reads, and for a row k < 0, which it
+        does not."""
         if k > self.kmax:
             raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
         if m == 0 and k >= 0:
@@ -238,56 +229,47 @@ def c_coeff(n: int, k: int, l: int) -> Fraction:
                        * math.factorial(n - k - l)))
 
 
-def _c_or_zero(n: int, k: int, l: int) -> Fraction:
-    if k < 0 or l < 0 or n - k - l < 0:
-        return Fraction(0)
-    return c_coeff(n, k, l)
-
-
 @lru_cache(maxsize=None, typed=True)
 def alpha_inner(n: int, kmax: int) -> AlphaTable:
     """Fill the inner coefficient table level by level.
 
-    Base row alpha_{n-k,0} = 1; the m >= 1 entries follow the even/odd
-    level recursions over C coefficients, dividing by
-    C(n,k,1)/n - C(n,k,0) (guarded against a zero divisor).  As in
-    `c_coeff`, a bool or float n or kmax is rejected, never cached.
+    Base row alpha_{n-k,0} = 1.  For k >= 2 and 1 <= m <= k//2, entry
+    (k, m) is a sum over the lower levels i < k, each term
+    C = C(n, i, k+1-i) times an entry of level i, with the rule chosen
+    by the parity of k - i:
+
+    * k - i even: -C alpha_{n-i, m-(k-i)/2} / n;
+    * k - i odd: C alpha_{n-i, m-(k-i-1)/2}, plus, when k is even,
+      C alpha_{n-i, m-(k-i+1)/2} / n**2.
+
+    Levels below k - 2m - 1 add only entries with a negative m, so the
+    sum starts there (or at level 0).  It is divided by
+    C(n,k,1)/n - C(n,k,0) = -(k/n) C(n,k,0), since
+    C(n,k,1)/C(n,k,0) = (n-k)!/(n-k-1)! = n - k.  That divisor is never
+    zero: k >= 1, and for k <= n - 1 the factor prod_{m<=k}(n - m) of
+    C(n,k,0) has no zero factor.  As in `c_coeff`, a bool or float n or
+    kmax is rejected, never cached.
     """
     _index(n, "state index", 1)
     _index(kmax, "kmax", 0)
     if kmax > n - 1:
         raise ValueError(f"kmax={kmax} exceeds n-1={n - 1}")
-    inner: dict[tuple[int, int], Fraction] = {}
+    inner = {(k, 0): Fraction(1) for k in range(kmax + 1)}
     table = AlphaTable(n=n, kmax=kmax, inner=inner)
     get = table.inner_coeff
-    for k in range(0, kmax + 1):
-        inner[(k, 0)] = Fraction(1)
-        kp = k // 2
-        if kp == 0:
-            continue
-        denom = _c_or_zero(n, k, 1) / n - _c_or_zero(n, k, 0)
-        for m in range(1, kp + 1):
-            if denom == 0:
-                raise ZeroPivotError(n, k, m)
-            if k % 2 == 0:
-                t1 = sum(_c_or_zero(n, 2 * l, k + 1 - 2 * l)
-                         * get(2 * l, l + m - kp)
-                         for l in range(kp - m, kp)) / n
-                t2 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
-                         * get(2 * l + 1, l + m - kp + 1)
-                         for l in range(kp - m - 1, kp))
-                t3 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
-                         * get(2 * l + 1, l + m - kp)
-                         for l in range(kp - m, kp)) / (n * n)
-                inner[(k, m)] = (-t1 + t2 + t3) / denom
-            else:
-                t1 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
-                         * get(2 * l + 1, l + m - kp)
-                         for l in range(kp - m, kp)) / n
-                t2 = sum(_c_or_zero(n, 2 * l, k + 1 - 2 * l)
-                         * get(2 * l, l + m - kp)
-                         for l in range(kp - m, kp + 1))
-                inner[(k, m)] = (-t1 + t2) / denom
+    for k in range(2, kmax + 1):
+        denom = -Fraction(k, n) * c_coeff(n, k, 0)
+        for m in range(1, k // 2 + 1):
+            total = Fraction(0)
+            for i in range(max(k - 2 * m - 1, 0), k):
+                c, d = c_coeff(n, i, k + 1 - i), k - i
+                if d % 2 == 0:
+                    total -= c * get(i, m - d // 2) / n
+                else:
+                    total += c * get(i, m - (d - 1) // 2)
+                    if k % 2 == 0:
+                        total += c * get(i, m - (d + 1) // 2) / (n * n)
+            inner[(k, m)] = total / denom
     return table
 
 

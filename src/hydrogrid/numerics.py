@@ -118,9 +118,10 @@ def _index(value: object, what: str, lo: int) -> None:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
 
 
-def _delta(value: object) -> Fraction:
-    """delta of any sign as an exact Fraction: the type-and-finiteness
-    half of `_step`.
+def _delta(value: object, what: str) -> Fraction:
+    """The one check of a real argument of any sign (delta, a point x, a
+    Pollaczek parameter), named what, as an exact Fraction: the
+    type-and-finiteness half of `_step`.
 
     TypeError unless value is an int (a bool never is), a Fraction or a
     float; ValueError for a NaN or infinite float.  A float is taken at
@@ -129,16 +130,16 @@ def _delta(value: object) -> Fraction:
     """
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"delta must be finite, got {value}")
+            raise ValueError(f"{what} must be finite, got {value}")
     elif not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise TypeError(f"delta must be int, Fraction or float, got {value!r}")
+        raise TypeError(f"{what} must be int, Fraction or float, got {value!r}")
     return Fraction(value)
 
 
 def _step(value: object, zero_ok: bool = False) -> Fraction:
     """The one check of a lattice step: `_delta`, then ValueError unless
     delta > 0 (delta >= 0 with zero_ok)."""
-    delta = _delta(value)
+    delta = _delta(value, "delta")
     if delta < 0 or not (delta or zero_ok):
         bound = "nonnegative" if zero_ok else "> 0 (undefined at delta=0)"
         raise ValueError(f"delta must be {bound}, got {delta}")

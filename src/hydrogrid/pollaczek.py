@@ -45,16 +45,17 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     """(P_0(x), ..., P_jmax(x)) by the three-term recursion, exact or float
     by x's type.
 
-    Exact mode (x a QuadraticSurd or Fraction) keeps delta rational;
+    Exact mode (x a QuadraticSurd, Fraction or int) keeps delta rational;
     float x runs the whole recursion in doubles.  delta may take any
-    sign.
+    sign; x and delta are checked by `numerics._delta`.
     """
     _index(jmax, "jmax", 0)
-    d: Scalar = _delta(delta)
+    d: Scalar = _delta(delta, "delta")
     if isinstance(x, float):
+        _delta(x, "x")  # finite
         d = float(d)
     elif not isinstance(x, QuadraticSurd):
-        x = Fraction(x)
+        x = _delta(x, "x")
     cur: Scalar = type(x)(1)
     prev: Scalar = cur - cur
     values = [cur]
@@ -205,9 +206,14 @@ def _theta(theta: float) -> None:
         raise ValueError("theta must lie in the open interval (0, pi)")
 
 
-def _phi(a: float, b: float, theta: float) -> float:
+def _parameters(lam: RationalLike, a: RationalLike, b: RationalLike,
+                theta: float) -> tuple[float, float]:
+    """lam and Phi = (a cos(theta) + b)/sin(theta) as floats, with lam, a
+    and b checked by `numerics._delta` and theta by `_theta`."""
+    lam, a, b = (float(_delta(v, name))
+                 for v, name in ((lam, "lam"), (a, "a"), (b, "b")))
     _theta(theta)
-    return (a * math.cos(theta) + b) / math.sin(theta)
+    return lam, (a * math.cos(theta) + b) / math.sin(theta)
 
 
 def _trig_sum(first_base: complex, second_base: complex, theta: float,
@@ -231,8 +237,7 @@ def pollaczek_explicit_trig(lam: RationalLike, a: RationalLike,
     convention relating the two is undetermined and is only reported by
     the verification tooling, never silently corrected here.
     """
-    lam_f = float(Fraction(lam))
-    phi = _phi(float(Fraction(a)), float(Fraction(b)), theta)
+    lam_f, phi = _parameters(lam, a, b, theta)
     return _trig_sum(complex(-lam_f, phi), complex(lam_f, phi), theta, n)
 
 
@@ -244,8 +249,7 @@ def pollaczek_trig_conjugate(lam: RationalLike, a: RationalLike,
     x = cos(theta) to float precision (its generating function is
     (1-z*e^{i*theta})^{-(lam-i*Phi)} (1-z*e^{-i*theta})^{-(lam+i*Phi)}).
     """
-    lam_f = float(Fraction(lam))
-    phi = _phi(float(Fraction(a)), float(Fraction(b)), theta)
+    lam_f, phi = _parameters(lam, a, b, theta)
     return _trig_sum(complex(lam_f, -phi), complex(lam_f, phi), theta, n)
 
 

@@ -157,12 +157,11 @@ def exact_sturm_count(op: TridiagonalOperator,
     recurrence would carry the zeros down to P_0), and a zero P_k with
     k < N sits between minors of opposite sign, so it adds one change
     whichever sign it takes: the count is the number of eigenvalues
-    below x, plus one when x is itself an eigenvalue.  A float x that is
-    NaN or infinite raises ValueError.
+    below x, plus one when x is itself an eigenvalue.  x is checked by
+    `numerics._delta`: NaN or infinity raises ValueError, and anything
+    but an int, Fraction or float raises TypeError.
     """
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    x = Fraction(x)
+    x = _delta(x, "x")
     a, b = x.numerator, x.denominator
     r, s = op.delta.numerator, op.delta.denominator
     sb2 = (s * b) ** 2
@@ -276,7 +275,7 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     too), are read in one pass; a mu over another radicand raises
     MixedRadicandError.  delta may take any sign.
     """
-    delta = _delta(delta)
+    delta = _delta(delta, "delta")
     best = u_prev = u_here = as_surd(0)
     k = 0
     for k, u_next in enumerate(entries):
@@ -298,8 +297,10 @@ def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
 
 def exp_part_float_reference(k: int, n: int, delta: RationalLike) -> float:
     """Transcendental form exp(-k*arsinh(delta/n)) for cross-checking;
-    delta may take any sign."""
-    return math.exp(-k * math.asinh(float(_delta(delta)) / n))
+    k and n are checked as in `exp_part`, and delta may take any sign."""
+    _index(k, "power", 0)
+    _index(n, "state index", 1)
+    return math.exp(-k * math.asinh(float(_delta(delta, "delta")) / n))
 
 
 def inner_product(n: int, n2: int, delta: RationalLike,

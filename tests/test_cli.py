@@ -9,7 +9,6 @@ import hydrogrid.coordinate as coordinate
 import hydrogrid.numerics as numerics
 import hydrogrid.pollaczek as pollaczek
 from hydrogrid.cli import RunConfig, main, run
-from hydrogrid.coordinate import ZeroPivotError
 
 from golden_stdout import GOLDEN_STDOUT, stdout_digest
 
@@ -146,18 +145,6 @@ def test_bad_range_rejected(capsys):
 def test_domain_error_exit_code(capsys):
     assert main(["spectrum", "--delta", "0", "--n", "1..1"]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_zero_pivot_diagnostic_exit(monkeypatch, capsys):
-    def broken_alpha_inner(n, kmax):
-        raise ZeroPivotError(n, 2, 1)
-
-    monkeypatch.setattr("hydrogrid.cli.alpha_inner", broken_alpha_inner)
-    code = run(RunConfig(command="coeffs", delta=Fraction(1), n_lo=5, n_hi=5,
-                         k_max=4))
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "n=5" in err and "k=2" in err and "m=1" in err
 
 
 def test_verify_report_small(tmp_path, capsys):

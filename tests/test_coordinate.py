@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hydrogrid.coordinate import (
-    ZeroPivotError,
+    AlphaTable,
     alpha_inner,
     ansatz_constraint_system,
     c_coeff,
@@ -227,6 +227,64 @@ def test_alpha_table_rejects_rows_outside_the_table():
 def test_alpha_inner_rejects_kmax_beyond_n():
     with pytest.raises(ValueError):
         alpha_inner(4, 4)
+
+
+def _c_or_zero(n, k, l):
+    if k < 0 or l < 0 or n - k - l < 0:
+        return Fraction(0)
+    return c_coeff(n, k, l)
+
+
+def two_branch_alpha_inner(n, kmax):
+    """The level recursion as two branches, one per parity of k, with
+    three sums for even k and two for odd k, zero C coefficients for
+    out-of-range indices and a zero-divisor check: the reference for
+    `alpha_inner`'s one parity rule."""
+    inner = {}
+    get = AlphaTable(n=n, kmax=kmax, inner=inner).inner_coeff
+    for k in range(0, kmax + 1):
+        inner[(k, 0)] = Fraction(1)
+        kp = k // 2
+        if kp == 0:
+            continue
+        denom = _c_or_zero(n, k, 1) / n - _c_or_zero(n, k, 0)
+        for m in range(1, kp + 1):
+            if denom == 0:
+                raise ArithmeticError(f"zero divisor at n={n}, k={k}")
+            if k % 2 == 0:
+                t1 = sum(_c_or_zero(n, 2 * l, k + 1 - 2 * l)
+                         * get(2 * l, l + m - kp)
+                         for l in range(kp - m, kp)) / n
+                t2 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
+                         * get(2 * l + 1, l + m - kp + 1)
+                         for l in range(kp - m - 1, kp))
+                t3 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
+                         * get(2 * l + 1, l + m - kp)
+                         for l in range(kp - m, kp)) / (n * n)
+                inner[(k, m)] = (-t1 + t2 + t3) / denom
+            else:
+                t1 = sum(_c_or_zero(n, 2 * l + 1, k - 2 * l)
+                         * get(2 * l + 1, l + m - kp)
+                         for l in range(kp - m, kp)) / n
+                t2 = sum(_c_or_zero(n, 2 * l, k + 1 - 2 * l)
+                         * get(2 * l, l + m - kp)
+                         for l in range(kp - m, kp + 1))
+                inner[(k, m)] = (-t1 + t2) / denom
+    return inner
+
+
+def test_alpha_inner_equals_two_branch_reference():
+    for n in range(1, 41):
+        assert alpha_inner(n, n - 1).inner == two_branch_alpha_inner(n, n - 1)
+
+
+def test_level_divisor_is_nonzero():
+    # C(n,k,1)/C(n,k,0) = n - k, so the divisor is -(k/n) C(n,k,0), and
+    # C(n,k,0) holds prod_{m<=k}(n - m), nonzero for k <= n - 1
+    for n in range(3, 80):
+        for k in range(2, n):
+            divisor = c_coeff(n, k, 1) / n - c_coeff(n, k, 0)
+            assert divisor == -Fraction(k, n) * c_coeff(n, k, 0) != 0
 
 
 def test_alpha_assemble_examples():
@@ -505,9 +563,3 @@ def test_difference0_residual_second_order():
         fine = difference0_residual(u, r, 0.05, energy)
         ratio = coarse / fine
         assert 3.4 < ratio < 4.6
-
-
-def test_zero_pivot_error_carries_indices():
-    err = ZeroPivotError(5, 3, 1)
-    assert (err.n, err.k, err.m) == (5, 3, 1)
-    assert "n=5" in str(err)

@@ -130,6 +130,8 @@ def test_value_classes_compare_by_value():
     (lambda i: coordinate.laguerre_ref(i), 1),
     (lambda i: coordinate.continuum_energy(i), 1),
     (lambda i: exp_part(i, 1, Fraction(1, 2)), 0),
+    (lambda i: exp_part_float_reference(i, 1, Fraction(1, 2)), 0),
+    (lambda i: exp_part_float_reference(1, i, Fraction(1, 2)), 1),
     (lambda i: pollaczek.pollaczek_seq(Fraction(1, 2), Fraction(1, 3), i), 0),
     (lambda i: pollaczek.pollaczek_explicit_trig(1, 0, 0, 0.5, i), 0),
     (lambda i: pollaczek.pollaczek_trig_conjugate(1, 0, 0, 0.5, i), 0),
@@ -137,7 +139,9 @@ def test_value_classes_compare_by_value():
     (lambda i: pollaczek.chebyshev_u(i, 0.5), 0),
 ], ids=["closed_form_vector-n", "closed_form_vector-length",
         "inner_product-n", "inner_product-n2", "gram_matrix",
-        "laguerre_ref", "continuum_energy", "exp_part", "pollaczek_seq",
+        "laguerre_ref", "continuum_energy", "exp_part",
+        "exp_part_float_reference-k", "exp_part_float_reference-n",
+        "pollaczek_seq",
         "pollaczek_explicit_trig", "pollaczek_trig_conjugate", "surd_pow",
         "chebyshev_u"])
 def test_state_indices_must_be_ints(call, lo, bad):
@@ -240,6 +244,54 @@ def test_signed_delta_entry_points_take_a_float_at_its_exact_value():
             == pollaczek.pollaczek_seq(Fraction(1, 2), Fraction(1, 3), 4))
     assert (exp_part_float_reference(3, 2, 0.5)
             == exp_part_float_reference(3, 2, Fraction(1, 2)))
+
+
+# Every real argument other than delta that takes any sign, through the
+# same type-and-finiteness check, named by the argument.
+REAL_ARGUMENTS = [
+    ("x", lambda v: pollaczek.pollaczek_seq(Fraction(1, 2), v, 2)),
+    ("x", lambda v: exact_sturm_count(build_truncated(1, 5), v)),
+    ("lam", lambda v: pollaczek.pollaczek_explicit_trig(v, 0, -1, 0.5, 2)),
+    ("a", lambda v: pollaczek.pollaczek_explicit_trig(1, v, -1, 0.5, 2)),
+    ("b", lambda v: pollaczek.pollaczek_explicit_trig(1, 0, v, 0.5, 2)),
+    ("lam", lambda v: pollaczek.pollaczek_trig_conjugate(v, 0, -1, 0.5, 2)),
+    ("a", lambda v: pollaczek.pollaczek_trig_conjugate(1, v, -1, 0.5, 2)),
+    ("b", lambda v: pollaczek.pollaczek_trig_conjugate(1, 0, v, 0.5, 2)),
+]
+REAL_ARGUMENT_IDS = ["pollaczek_seq-x", "exact_sturm_count-x",
+                     "explicit_trig-lam", "explicit_trig-a", "explicit_trig-b",
+                     "trig_conjugate-lam", "trig_conjugate-a",
+                     "trig_conjugate-b"]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (True, TypeError), ("1/2", TypeError), (None, TypeError),
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+], ids=["True", "str", "None", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", REAL_ARGUMENTS, ids=REAL_ARGUMENT_IDS)
+def test_every_real_argument_checks_type_and_finiteness(name, call, bad,
+                                                        error):
+    # True ran as 1 (pollaczek_seq at x = 1, exact_sturm_count counted 4),
+    # "1/2" was parsed, NaN and inf returned NaN or inf values, and a NaN
+    # for a leaked "cannot convert NaN to integer ratio"
+    with pytest.raises(error, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", REAL_ARGUMENTS, ids=REAL_ARGUMENT_IDS)
+def test_real_arguments_take_any_sign_and_a_float(name, call):
+    for value in (-1, Fraction(-1, 3), Fraction(1, 2), 0.25, -0.75):
+        call(value)
+
+
+def test_a_float_x_runs_in_doubles_and_an_exact_x_exactly():
+    floats = pollaczek.pollaczek_seq(Fraction(1, 2), 0.25, 3)
+    exact = pollaczek.pollaczek_seq(Fraction(1, 2), Fraction(1, 4), 3)
+    assert all(type(v) is float for v in floats)
+    assert all(type(v) is Fraction for v in exact)
+    assert all(floats_close(f, float(e)) for f, e in zip(floats, exact))
+    op = build_truncated(Fraction(1, 2), 6)
+    assert exact_sturm_count(op, 0.25) == exact_sturm_count(op, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("name, call, zero_ok", DELTA_ENTRY_POINTS,
