@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
-from .numerics import (QuadraticSurd, RationalLike, _index, _StateField,
-                       _step, as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _index, _real,
+                       _StateField, _step, as_surd, surd_pow)
 
 if TYPE_CHECKING:
     from .pollaczek import ClosedFormSequence
@@ -135,9 +135,11 @@ class AlphaTable(NamedTuple):
     inner: Mapping[tuple[int, int], Fraction]
 
     def inner_coeff(self, k: int, m: int) -> Fraction:
-        """alpha^(n)_{n-k,m}; 0 for an impossible m (m < 0 or m > k//2),
-        which the level recursion reads, and for a row k < 0, which it
-        does not."""
+        """alpha^(n)_{n-k,m}; 0 for an impossible m (m < 0 or m > k//2)
+        and for a row k < 0.  k and m are ints, as in every method of the
+        table."""
+        _index(k, "k")
+        _index(m, "m")
         if k > self.kmax:
             raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
         if m == 0 and k >= 0:
@@ -148,6 +150,8 @@ class AlphaTable(NamedTuple):
 
     def order_normalized(self, k: int, m: int) -> Fraction:
         """inner * n^(2m) (n-k+2m-1)!/(n-k)! / C(k//2, m), for 1 <= m <= k//2."""
+        _index(k, "k")
+        _index(m, "m")
         if not 1 <= m <= k // 2:
             raise ValueError(f"order normalization needs 1 <= m <= {k // 2}")
         n = self.n
@@ -159,6 +163,7 @@ class AlphaTable(NamedTuple):
     def assembled(self, k: int, delta: RationalLike) -> QuadraticSurd:
         """alpha^(n,delta)_{n-k}: even k are rational, odd k carry one
         factor of mu_n."""
+        _index(k, "k")
         if not 0 <= k <= self.kmax:
             raise ValueError(f"k={k} outside table range 0..{self.kmax}")
         state = _state(self.n, _step(delta, zero_ok=True))
@@ -197,25 +202,19 @@ def eigen_data(n: int, delta: RationalLike) -> EigenData:
     return _state(n, _step(delta))
 
 
-@lru_cache(maxsize=None, typed=True)
 def laguerre_ref(n: int) -> LaguerreRef:
-    """ell_k = ((-2/n)^(k-1)/k!) C(n-1, k-1) for k = 1..n, exact; a bool
-    or float n is rejected, never cached (see `c_coeff`)."""
+    """ell_k = ((-2/n)^(k-1)/k!) C(n-1, k-1) for k = 1..n, exact."""
     _index(n, "state index", 1)
     coeffs = {
-        k: Fraction(-2, n) ** (k - 1) / math.factorial(k) * math.comb(n - 1, k - 1)
+        k: Fraction((-2) ** (k - 1) * math.comb(n - 1, k - 1),
+                    n ** (k - 1) * math.factorial(k))
         for k in range(1, n + 1)
     }
     return LaguerreRef(n=n, coefficients=coeffs)
 
 
-@lru_cache(maxsize=None, typed=True)
 def c_coeff(n: int, k: int, l: int) -> Fraction:
-    """C_{n,k,l} = (-n/2)^k n!/(k! l! (n-k-l)!) prod_{m=1..k}(n-m), exact.
-
-    The cache is typed and the indices are checked on a miss, so a bool
-    or float index is rejected and never cached under an int's key.
-    """
+    """C_{n,k,l} = (-n/2)^k n!/(k! l! (n-k-l)!) prod_{m=1..k}(n-m), exact."""
     for index in (n, k, l):
         _index(index, "C coefficient index", 0)
     if n - k - l < 0:
@@ -223,13 +222,11 @@ def c_coeff(n: int, k: int, l: int) -> Fraction:
     prod = 1
     for m in range(1, k + 1):
         prod *= n - m
-    return (Fraction(-n, 2) ** k * prod
-            * Fraction(math.factorial(n),
-                       math.factorial(k) * math.factorial(l)
-                       * math.factorial(n - k - l)))
+    return Fraction((-n) ** k * prod * math.factorial(n),
+                    2 ** k * math.factorial(k) * math.factorial(l)
+                    * math.factorial(n - k - l))
 
 
-@lru_cache(maxsize=None, typed=True)
 def alpha_inner(n: int, kmax: int) -> AlphaTable:
     """Fill the inner coefficient table level by level.
 
@@ -247,30 +244,30 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
     C(n,k,1)/n - C(n,k,0) = -(k/n) C(n,k,0), since
     C(n,k,1)/C(n,k,0) = (n-k)!/(n-k-1)! = n - k.  That divisor is never
     zero: k >= 1, and for k <= n - 1 the factor prod_{m<=k}(n - m) of
-    C(n,k,0) has no zero factor.  As in `c_coeff`, a bool or float n or
-    kmax is rejected, never cached.
+    C(n,k,0) has no zero factor.  Each level computes its C(n, i, k+1-i)
+    once, for every m to read.
     """
     _index(n, "state index", 1)
     _index(kmax, "kmax", 0)
     if kmax > n - 1:
         raise ValueError(f"kmax={kmax} exceeds n-1={n - 1}")
     inner = {(k, 0): Fraction(1) for k in range(kmax + 1)}
-    table = AlphaTable(n=n, kmax=kmax, inner=inner)
-    get = table.inner_coeff
+    get = inner.get  # an impossible m is absent and reads 0
     for k in range(2, kmax + 1):
         denom = -Fraction(k, n) * c_coeff(n, k, 0)
+        cs = [c_coeff(n, i, k + 1 - i) for i in range(k)]
         for m in range(1, k // 2 + 1):
             total = Fraction(0)
             for i in range(max(k - 2 * m - 1, 0), k):
-                c, d = c_coeff(n, i, k + 1 - i), k - i
+                c, d = cs[i], k - i
                 if d % 2 == 0:
-                    total -= c * get(i, m - d // 2) / n
+                    total -= c * get((i, m - d // 2), 0) / n
                 else:
-                    total += c * get(i, m - (d - 1) // 2)
+                    total += c * get((i, m - (d - 1) // 2), 0)
                     if k % 2 == 0:
-                        total += c * get(i, m - (d + 1) // 2) / (n * n)
+                        total += c * get((i, m - (d + 1) // 2), 0) / (n * n)
             inner[(k, m)] = total / denom
-    return table
+    return AlphaTable(n=n, kmax=kmax, inner=inner)
 
 
 def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
@@ -415,6 +412,7 @@ def wavefunction_floats(n: int, delta: RationalLike,
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0."""
+    _real(r, "r")
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     ed = eigen_data(n, delta)

@@ -109,13 +109,21 @@ def _parts(x: RationalLike) -> tuple[int, int]:
                     f"{type(x).__name__}")
 
 
-def _index(value: object, what: str, lo: int) -> None:
+def _index(value: object, what: str, lo: int | None = None) -> None:
     """The one check of an integer argument: TypeError unless value is an
-    int (a bool never is), ValueError if it is below lo."""
+    int (a bool never is), ValueError if it is below lo, when lo is given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be int, got {value!r}")
-    if value < lo:
+    if lo is not None and value < lo:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
+
+
+def _real(value: object, what: str) -> None:
+    """The type half of `_delta`, for a real argument whose range is
+    checked by its own rule (an angle, a tolerance, a bound): TypeError
+    unless value is an int (a bool never is), a Fraction or a float."""
+    if not isinstance(value, (int, Fraction, float)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be int, Fraction or float, got {value!r}")
 
 
 def _delta(value: object, what: str) -> Fraction:
@@ -123,16 +131,13 @@ def _delta(value: object, what: str) -> Fraction:
     Pollaczek parameter), named what, as an exact Fraction: the
     type-and-finiteness half of `_step`.
 
-    TypeError unless value is an int (a bool never is), a Fraction or a
-    float; ValueError for a NaN or infinite float.  A float is taken at
-    its exact value; only a float is tested for finiteness, so a huge int
-    or Fraction is never converted to one.
+    `_real`, then ValueError for a NaN or infinite float.  A float is
+    taken at its exact value; only a float is tested for finiteness, so a
+    huge int or Fraction is never converted to one.
     """
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{what} must be finite, got {value}")
-    elif not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise TypeError(f"{what} must be int, Fraction or float, got {value!r}")
+    _real(value, what)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
     return Fraction(value)
 
 

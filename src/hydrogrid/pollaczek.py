@@ -20,12 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _step,
-                       as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _real,
+                       _step, as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -66,17 +65,15 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     return tuple(values)
 
 
-@lru_cache(maxsize=None, typed=True)
 def beta_coeff(j: int, m: int) -> Fraction:
     """beta_{j,m} = sum_{l<=min(j,m)} 2**l/(l+1) C(j,l) C(m,l), exact.
 
-    As in `coordinate.c_coeff`, the cache is typed and the indices are
-    checked on a miss, so a bool or float index is never cached.
+    Summed on integers, since C(j,l)/(l+1) = C(j+1,l+1)/(j+1).
     """
     _index(j, "beta index", 0)
     _index(m, "beta index", 0)
-    return sum((Fraction(2 ** l, l + 1) * math.comb(j, l) * math.comb(m, l)
-                for l in range(min(j, m) + 1)), Fraction(0))
+    return Fraction(sum(2 ** l * math.comb(j + 1, l + 1) * math.comb(m, l)
+                        for l in range(min(j, m) + 1)), j + 1)
 
 
 def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
@@ -200,8 +197,9 @@ def _rising(z: complex, k: int) -> complex:
 
 
 def _theta(theta: float) -> None:
-    """The one check of an angle: theta in the open interval (0, pi), where
-    sin(theta) > 0; NaN is outside it."""
+    """The one check of an angle: a real (`numerics._real`) in the open
+    interval (0, pi), where sin(theta) > 0; NaN is outside it."""
+    _real(theta, "theta")
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie in the open interval (0, pi)")
 

@@ -20,8 +20,8 @@ from itertools import islice
 from fractions import Fraction
 
 from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _step,
-                       as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _real,
+                       _step, as_surd, surd_pow)
 from .pollaczek import mass_point
 
 
@@ -128,7 +128,7 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
         d = v - x - 0.25 / d
         if d >= 0.0:
             if d == 0.0:
-                d = -eps * max(1.0, abs(v - x) + 1.0)
+                d = -eps * (abs(v - x) + 1.0)
             else:
                 positive += 1
     for v in islice(diag, tail, None):
@@ -137,7 +137,7 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
             break
         if d >= 0.0:
             if d == 0.0:
-                d = -eps * max(1.0, abs(v - x) + 1.0)
+                d = -eps * (abs(v - x) + 1.0)
             else:
                 positive += 1
     return n - positive
@@ -179,11 +179,14 @@ def exact_sturm_count(op: TridiagonalOperator,
 
 def _check_tol(tol: float) -> None:
     # An infinite tol would stop every refinement and tail sum at once.
+    _real(tol, "tol")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _check_bounds(lo: float, hi: float) -> None:
+    _real(lo, "lo")
+    _real(hi, "hi")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(
             f"bounds must be finite, not NaN or infinite, got ({lo}, {hi})")
@@ -253,6 +256,7 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
                          tol: float = 1e-12) -> list[float]:
     """Eigenvalues above threshold (the discrete branch), descending x_m
     order not guaranteed; returned ascending."""
+    _real(threshold, "threshold")
     _, hi = op.gershgorin_interval()
     # a threshold at or above the upper end leaves the empty interval
     return eigenvalues_between(op, threshold, max(threshold, hi + 1.0), tol)

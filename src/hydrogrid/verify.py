@@ -102,14 +102,11 @@ def _check_chebyshev_reduction() -> bool:
 
 
 def _check_eigen_invariants(delta: Fraction, n_max: int) -> bool:
+    # mu**2 - t**2 = 1 and q(mu + t) = 1 are the mass point's invariants
     for n in range(1, n_max + 1):
         ed = coordinate.eigen_data(n, delta)
-        t = delta / n
-        if ed.mu * ed.mu - t * t != 1:
-            return False
-        if -delta * delta * ed.E + 1 != ed.mu:
-            return False
-        if ed.q * (ed.mu + t) != 1:
+        if not (pollaczek.mass_point_invariants_hold(ed)
+                and -delta * delta * ed.E + 1 == ed.mu):
             return False
     return True
 

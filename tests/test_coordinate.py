@@ -102,7 +102,7 @@ def test_eigen_data_rejects_a_state_index_that_is_not_an_int(n):
 def test_coefficient_tables_reject_an_index_that_is_not_an_int(call, bad):
     # alpha_inner(True, 0).assembled(0, 1/2) used to cache state 1 under
     # n = True, and a warm cache answered a float or bool index with the
-    # int entry; the typed caches reject it cold and warm
+    # int entry; the index is rejected before any table is built
     delta = Fraction(5, 17)
     with pytest.raises(TypeError, match="must be int"):
         call(bad, delta)
@@ -173,6 +173,23 @@ def test_c_coeff_values():
         c_coeff(3, -1, 0)
 
 
+def test_c_coeff_and_laguerre_ref_equal_their_factor_by_factor_products():
+    # both build one Fraction from integers; the references multiply the
+    # factors of their docstrings one Fraction at a time
+    f = math.factorial
+    for n in range(25):
+        for k in range(n + 1):
+            prod = math.prod(range(n - k, n))  # prod_{m=1..k} (n - m)
+            for l in range(n - k + 1):
+                assert c_coeff(n, k, l) == (
+                    Fraction(-n, 2) ** k * prod
+                    * Fraction(f(n), f(k) * f(l) * f(n - k - l)))
+    for n in range(1, 40):
+        assert laguerre_ref(n).coefficients == {
+            k: Fraction(-2, n) ** (k - 1) / f(k) * math.comb(n - 1, k - 1)
+            for k in range(1, n + 1)}
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_alpha_inner_leading_terms(n):
     table = alpha_inner(n, min(4, n - 1))
@@ -218,10 +235,31 @@ def test_alpha_table_rejects_rows_outside_the_table():
     for k in (3, -1, -2):
         with pytest.raises(ValueError, match="table range"):
             table.assembled(k, Fraction(1, 2))
-    # k < 0 and impossible m stay zero: the level recursion reads them
+    # impossible m (m = -1, m > k//2) stay zero, since the level recursion
+    # reads them; so do rows k < 0, which it never reads
     assert table.inner_coeff(-1, 0) == 0
     assert table.inner_coeff(-2, 1) == 0
     assert table.inner_coeff(2, 2) == 0
+    assert table.inner_coeff(2, -1) == 0
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 3.0, "2"],
+                         ids=["True", "False", "2.0", "3.0", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda table, v: table.inner_coeff(v, 0)),
+    ("m", lambda table, v: table.inner_coeff(4, v)),
+    ("k", lambda table, v: table.order_normalized(v, 1)),
+    ("m", lambda table, v: table.order_normalized(4, v)),
+    ("k", lambda table, v: table.assembled(v, Fraction(1, 2))),
+], ids=["inner_coeff-k", "inner_coeff-m", "order_normalized-k",
+        "order_normalized-m", "assembled-k"])
+def test_alpha_table_methods_take_only_int_indices(name, call, bad):
+    # inner_coeff(2.0, 1) returned the entry 17/540, inner_coeff(True, 0)
+    # returned 1, order_normalized(4, True) returned 5, assembled(True, 1/2)
+    # returned alpha for k = 1, and order_normalized(2.0, 1) and
+    # assembled(3.0, 1/2) leaked math's "cannot be interpreted" message
+    with pytest.raises(TypeError, match=f"^{name} must be int, got "):
+        call(alpha_inner(6, 5), bad)
 
 
 def test_alpha_inner_rejects_kmax_beyond_n():

@@ -69,9 +69,8 @@ def test_bundle_equality_is_identity():
 
 def test_beta_coeff_rejects_an_index_that_is_not_an_int_cold_and_warm():
     # cold, beta_coeff(2.0, 2) failed inside math.comb; warm, the untyped
-    # cache answered beta_coeff(3.0, 1) and beta_coeff(True, 1) with the
-    # int entries
-    beta_coeff.cache_clear()
+    # cache it once had answered beta_coeff(3.0, 1) and beta_coeff(True, 1)
+    # with the int entries
     for cold in ((2.0, 2), (2, 2.0), (True, 1), (1, False)):
         with pytest.raises(TypeError, match="beta index must be int"):
             beta_coeff(*cold)
@@ -79,7 +78,6 @@ def test_beta_coeff_rejects_an_index_that_is_not_an_int_cold_and_warm():
     for warm in ((3.0, 1), (3, 1.0), (True, 1), (1, True)):
         with pytest.raises(TypeError, match="beta index must be int"):
             beta_coeff(*warm)
-    assert beta_coeff.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("m", [True, False, 1.0, 0.5, "1"])
@@ -164,6 +162,15 @@ def test_beta_small_values_by_direct_summation():
     # beta(1,1) = 1 + (2/2)*1*1; beta(2,2) = 1 + 4 + 4/3
     assert beta_coeff(1, 1) == 2
     assert beta_coeff(2, 2) == Fraction(19, 3)
+
+
+def test_beta_equals_its_defining_sum():
+    # beta_coeff sums on integers over j + 1; the reference sums Fractions
+    for j in range(25):
+        for m in range(25):
+            assert beta_coeff(j, m) == sum(
+                Fraction(2 ** l, l + 1) * math.comb(j, l) * math.comb(m, l)
+                for l in range(min(j, m) + 1))
 
 
 @given(st.integers(0, 40), st.integers(0, 40))

@@ -278,6 +278,45 @@ def test_every_real_argument_checks_type_and_finiteness(name, call, bad,
         call(bad)
 
 
+# Every real argument with a range of its own (an angle, a tolerance, a
+# bound, a radius): the same type check, then that range's own message.
+BOUNDED_ARGUMENTS = [
+    ("theta", lambda v: pollaczek.chebyshev_u(2, v)),
+    ("theta", lambda v: pollaczek.pollaczek_explicit_trig(1, 0, 0, v, 2)),
+    ("theta", lambda v: pollaczek.pollaczek_trig_conjugate(1, 0, 0, v, 2)),
+    ("tol", lambda v: eigen_bisection(build_truncated(1, 50), (1.1, 1.2), v)),
+    ("tol", lambda v: eigenvalues_between(build_truncated(1, 50), 1.0, 2.0, v)),
+    ("tol", lambda v: point_spectrum_above(build_truncated(1, 50), 1.0, v)),
+    ("tol", lambda v: spectral.inner_product(1, 1, Fraction(1, 2), v)),
+    ("tol", lambda v: spectral.gram_matrix([1, 2], Fraction(1, 2), v)),
+    ("lo", lambda v: eigen_bisection(build_truncated(1, 50), (v, 1.2), 1e-9)),
+    ("hi", lambda v: eigen_bisection(build_truncated(1, 50), (1.1, v), 1e-9)),
+    ("lo", lambda v: eigenvalues_between(build_truncated(1, 50), v, 2.0)),
+    ("hi", lambda v: eigenvalues_between(build_truncated(1, 50), 1.0, v)),
+    ("threshold", lambda v: point_spectrum_above(build_truncated(1, 50), v)),
+    ("r", lambda v: coordinate.wavefunction_float(2, 1, v)),
+]
+BOUNDED_ARGUMENT_IDS = [
+    "chebyshev_u-theta", "explicit_trig-theta", "trig_conjugate-theta",
+    "eigen_bisection-tol", "eigenvalues_between-tol",
+    "point_spectrum_above-tol", "inner_product-tail_tol",
+    "gram_matrix-tail_tol", "eigen_bisection-lo", "eigen_bisection-hi",
+    "eigenvalues_between-lo", "eigenvalues_between-hi",
+    "point_spectrum_above-threshold", "wavefunction_float-r"]
+
+
+@pytest.mark.parametrize("bad", [True, "1/2", None], ids=["True", "str", "None"])
+@pytest.mark.parametrize("name, call", BOUNDED_ARGUMENTS,
+                         ids=BOUNDED_ARGUMENT_IDS)
+def test_every_bounded_real_argument_checks_its_type(name, call, bad):
+    # True ran as 1: chebyshev_u(2, True) returned 0.168 and
+    # eigen_bisection(op, (1.1, 1.2), True) returned 1.15 unrefined;
+    # a str leaked Python's "'<' not supported between instances of"
+    with pytest.raises(TypeError, match=f"^{name} must be int, Fraction or "
+                                        f"float, got "):
+        call(bad)
+
+
 @pytest.mark.parametrize("name, call", REAL_ARGUMENTS, ids=REAL_ARGUMENT_IDS)
 def test_real_arguments_take_any_sign_and_a_float(name, call):
     for value in (-1, Fraction(-1, 3), Fraction(1, 2), 0.25, -0.75):
