@@ -60,6 +60,9 @@ GOLDEN_STDOUT = [
      "03f9339896b5b1aa79014db26d22c9c50f3bc91c4ef004e8d72ec43e5ddbe9e6"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output json --mode float",
      "505f5814003c2856f9f6bc56363cb349110b9db688d24facb1c8e53fe3e6264d"),
+    # the README's continuum-limit sweep
+    ("converge --n 1..3 --deltas 1/5,1/10,1/20 --mode float",
+     "16690d021c13b242a8f31c64cd108d8897a994df9d730e9ac73c72810bd62f56"),
     ("pollaczek --delta 1/2 --n 0..1 --jmax 5 --mode float --precision-bits 64",
      "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
     # --precision-bits has no effect: every conversion is correctly rounded
