@@ -6,10 +6,11 @@ here).  `QuadraticSurd` represents a + b*sqrt(D) with rational a, b and a
 nonnegative rational radicand D.  It stores Python ints: with D = p/q in
 lowest terms, sqrt(D) = sqrt(r)/s with r = p and s = sqrt(q) when q is a
 perfect square, else r = pq and s = q, and a + b*sqrt(D)
-= (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1, over one radicand
-object shared by every surd with that D.  Field operations over a known
-radicand need no Fraction and no perfect-square test; a, b = B s/C and
-D are derived when read.  Equality is by
+= (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1, over a radicand
+object: each constructed surd builds its own, and every surd of one
+state's field shares that field's.  Field operations over one radicand
+object need no Fraction and no perfect-square test; a, b = B s/C and
+D are derived when read.  Equality and field membership are by
 value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
 rational square factor combine.  The module also owns the
 float-comparison policy shared by every other module, and the integer
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce, total_ordering
+from functools import reduce, total_ordering
 from typing import Iterator, Union
 
 RationalLike = Union[int, Fraction]
@@ -85,9 +86,6 @@ class _Radicand:
     def __init__(self, p: int, q: int) -> None:
         self.D = Fraction(p, q)
         self.r, self.scale = _root(p, q)
-
-
-_radicand = lru_cache(maxsize=None)(_Radicand)  # the one object of D = p/q
 
 
 def _root_ratio(r1: int, r2: int) -> tuple[int, int] | None:
@@ -179,9 +177,9 @@ class _StateField:
     a + b sqrt(p).  `root` is sqrt(p) as a pair: (s, 0) when p = s**2, else
     (0, 1), so a perfect square folds into the integers and every b
     stays 0.  A value (a + b sqrt(p))/den with den > 0 is read by `surd`,
-    over the radicand object of D, whose r is p (see `_root`), or by
-    `to_float`, straight from the integers; `parts` reads a surd of the
-    field back into its integers.
+    over the field's one radicand object, whose r is p (see `_root`), or
+    by `to_float`, straight from the integers; `parts` reads any surd of
+    the field back into its integers.
     """
 
     __slots__ = ("p", "td", "tn", "root", "_rad")
@@ -192,7 +190,7 @@ class _StateField:
         s = math.isqrt(p)
         self.p, self.td, self.tn = p, td, tn
         self.root, self._rad = (((s, 0), None) if s * s == p
-                                else ((0, 1), _radicand(p, td * td)))
+                                else ((0, 1), _Radicand(p, td * td)))
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
@@ -205,12 +203,18 @@ class _StateField:
         return _make(a, b, den, self._rad)
 
     def parts(self, x: "QuadraticSurd") -> tuple[int, int, int]:
-        """(a, b, den) with x = (a + b sqrt(p))/den, the inverse of `surd`;
-        MixedRadicandError unless x is rational or over the field's
-        radicand object."""
-        if x._B and x._rad is not self._rad:
+        """(a, b, den) with x = (a + b sqrt(p))/den, the inverse of `surd`.
+
+        x is read over the field's radicand by `_operands`, so a surd over
+        an equivalent radicand (sqrt(5), sqrt(20) for p = 5) reads as the
+        field's integers and one over another field raises
+        MixedRadicandError.  A rational field has no radicand: there only a
+        rational x reads, and any other raises MixedRadicandError too.
+        """
+        a, b, den, rad = _operands(self._rad, x)
+        if rad is not self._rad:
             raise MixedRadicandError(f"{x} is not in Q(sqrt({self.p}))")
-        return x._A, x._B, x._C
+        return a, b, den
 
     def to_float(self, a: int, b: int, den: int) -> float:
         return _int_surd_to_float(a, b, den, self.p)
@@ -225,15 +229,16 @@ class _StateField:
             num, den = self.mul(num, step), den * self.td
 
 
-def _operands(x: "QuadraticSurd", y: object):
-    """y's integers (A, B, C) over the radicand of x op y, and that radicand,
-    or None when y is no exact scalar.
+def _operands(rad: _Radicand | None, y: object):
+    """y's integers (A, B, C) over the radicand of x op y, for a left
+    operand x over rad (None when x is rational), and that radicand, or
+    None when y is no exact scalar.
 
-    The left irrational radicand wins.  Another radicand r2 is rewritten
-    over it by sqrt(r2) = (u/v) sqrt(r1); none exists when the fields
-    differ, and MixedRadicandError is raised.
+    The left irrational radicand wins.  A radicand is compared by identity
+    first, since every surd of one state shares its field's object; another
+    radicand r2 is rewritten over it by sqrt(r2) = (u/v) sqrt(r1), and
+    none exists when the fields differ, so MixedRadicandError is raised.
     """
-    rad = x._rad
     if isinstance(y, QuadraticSurd):
         other = y._rad
         if other is rad or other is None:
@@ -257,7 +262,7 @@ def _operands(x: "QuadraticSurd", y: object):
 class QuadraticSurd:
     """Element a + b*sqrt(D) of Q(sqrt(D)), D a nonnegative rational.
 
-    Stored as ints (A + B*sqrt(r))/C over a shared radicand (see the
+    Stored as ints (A + B*sqrt(r))/C over a radicand object (see the
     module docstring).  Construction takes int or Fraction parts, and
     perfect-square radicands fold into the rational part, so every
     rational value reads (a, 0, 0).  Values are immutable.  Equality and
@@ -284,7 +289,7 @@ class QuadraticSurd:
         root = math.isqrt(r)
         if root * root == r:  # sqrt(D) = root/s is rational
             return _make(an * bd * s + bn * root * ad, 0, ad * bd * s, None)
-        return _make(an * bd * s, bn * ad, ad * bd * s, _radicand(p, q))
+        return _make(an * bd * s, bn * ad, ad * bd * s, _Radicand(p, q))
 
     @property
     def a(self) -> Fraction:
@@ -320,7 +325,7 @@ class QuadraticSurd:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "QuadraticSurd":
-        ops = _operands(self, other)
+        ops = _operands(self._rad, other)
         if ops is None:
             return NotImplemented
         a, b, c, rad = ops
@@ -346,7 +351,7 @@ class QuadraticSurd:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "QuadraticSurd":
-        ops = _operands(self, other)
+        ops = _operands(self._rad, other)
         if ops is None:
             return NotImplemented
         a, b, c, rad = ops
@@ -372,7 +377,7 @@ class QuadraticSurd:
     def __truediv__(self, other: ScalarLike) -> "QuadraticSurd":
         if isinstance(other, QuadraticSurd):
             return self * other.inverse()
-        ops = _operands(self, other)
+        ops = _operands(self._rad, other)
         if ops is None:
             return NotImplemented
         n, _, d, rad = ops
@@ -430,7 +435,7 @@ class QuadraticSurd:
                 if (rad is None or other_rad is None
                         or _root_ratio(rad.r, other_rad.r) is None):
                     return False
-                other = _make(*_operands(self, other))
+                other = _make(*_operands(rad, other))
             return (self._A == other._A and self._B == other._B
                     and self._C == other._C)
         if isinstance(other, int):

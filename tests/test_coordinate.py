@@ -21,8 +21,8 @@ from hydrogrid.coordinate import (
     wavefunction_floats,
     wavefunction_values,
 )
-from hydrogrid.numerics import (QuadraticSurd, floats_close, surd_pow,
-                                surd_to_float)
+from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
+                                floats_close, surd_pow, surd_to_float)
 from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import closed_form_vector
 from hydrogrid.verify import _check_difference_residual
@@ -554,6 +554,27 @@ def test_each_state_is_built_from_n_and_delta(n, delta):
     else:
         assert (ed.mu._rad.r, ed.mu._rad.scale) == (p, t.denominator)
         assert field.parts(ed.mu) == (0, 1, t.denominator)
+
+
+@pytest.mark.parametrize("d", [Fraction(5, 4), 5, 20])
+def test_field_reads_a_surd_over_any_equivalent_radicand(d):
+    # state 2 at delta = 1: t = 1/2, p = 5, D = 5/4; membership is by
+    # value, so sqrt(5/4), sqrt(5) and sqrt(20) are all in the field
+    field = eigen_data(2, 1).field
+    assert field.p == 5
+    y = QuadraticSurd(Fraction(1, 7), -3, d)
+    assert field.surd(*field.parts(y)) == y
+
+
+def test_field_rejects_a_surd_of_another_field():
+    with pytest.raises(MixedRadicandError):
+        eigen_data(2, 1).field.parts(QuadraticSurd(1, 1, 3))
+    # state 3 at delta = 4: t = 4/3, p = 25, so the field is Q itself
+    field = eigen_data(3, 4).field
+    assert field.p == 25
+    with pytest.raises(MixedRadicandError):
+        field.parts(QuadraticSurd(0, 1, 2))
+    assert field.parts(QuadraticSurd(Fraction(7, 3))) == (7, 0, 3)
 
 
 @pytest.mark.parametrize("broken", [None, 1, 2, 7, 11, 12])

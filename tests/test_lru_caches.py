@@ -1,10 +1,10 @@
-"""hydrogrid memoizes with `functools.lru_cache` in exactly two places.
+"""hydrogrid memoizes with `functools.lru_cache` in exactly one place.
 
-`coordinate._state` holds the one bundle of each state, and
-`numerics._radicand` the one radicand object of each D, which the state's
-field and the surd operations compare by identity.  Everything else is a
-finite computation in n whose result the bundle already holds, so a new
-memo table is a reviewed decision: this test fails until it is added here.
+`coordinate._state` holds the one bundle of each state, with its field's
+one radicand object; surds over equivalent radicands combine by value, so
+no table of radicands is needed.  Everything else is a finite computation
+in n whose result the bundle already holds, so a new memo table is a
+reviewed decision: this test fails until it is added here.
 
 Only the standard library's `ast` is needed.  A use is `lru_cache` or
 `cache` imported from `functools` (under any alias), or read as
@@ -20,7 +20,7 @@ import hydrogrid
 
 SRC = Path(hydrogrid.__file__).resolve().parent
 MEMOS = {"lru_cache", "cache"}
-ALLOWED = {"coordinate._state", "numerics._radicand"}
+ALLOWED = {"coordinate._state"}
 
 
 def _aliases(tree: ast.Module) -> set[str]:
@@ -67,7 +67,7 @@ def memo_tables(src: Path) -> set[str]:
     return found
 
 
-def test_only_the_state_and_the_radicand_are_memoized():
+def test_only_the_state_is_memoized():
     assert memo_tables(SRC) == ALLOWED
 
 

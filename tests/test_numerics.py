@@ -106,6 +106,20 @@ def test_equivalent_radicands_are_one_field():
             root8 < other
 
 
+def test_surds_built_separately_are_one_field():
+    # each construction builds its own radicand object; the field
+    # operations still treat the two as one field
+    x, y = QuadraticSurd(1, 2, 2), QuadraticSurd(Fraction(-1, 3), 5, 2)
+    assert x._rad is not y._rad
+    assert x + y == QuadraticSurd(Fraction(2, 3), 7, 2)
+    assert x * y == QuadraticSurd(Fraction(59, 3), Fraction(13, 3), 2)
+    twin = QuadraticSurd(1, 2, 2)
+    assert twin._rad is not x._rad
+    assert x == twin and hash(x) == hash(twin)
+    assert x != y and x < y
+    assert hash(x + y) == hash(QuadraticSurd(Fraction(2, 3), 7, 2))
+
+
 @pytest.mark.parametrize("parts", [
     (0.1,), (0, 0.5, 2), (0, 1, 2.0), ("1/2", 1, "8"), (None,),
     (Decimal(1),), (0, 1, Decimal(2)), (1j,),
