@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coordinate import (alpha_inner, continuum_energy, eigen_data,
+from .coordinate import (_continuum_gap, alpha_inner, eigen_data,
                          laguerre_ref, wavefunction_floats,
                          wavefunction_values)
 from .numerics import (QuadraticSurd, _index, _step, parse_rational,
@@ -96,9 +96,7 @@ def _rows_coeffs(cfg: RunConfig) -> Iterator[list[Cell]]:
 def _rows_converge(cfg: RunConfig) -> Iterator[list[Cell]]:
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         for delta in cfg.deltas or (cfg.delta,):
-            energy = surd_to_float(eigen_data(n, delta).E)
-            gap = energy - float(continuum_energy(n))
-            yield [n, delta, energy, gap, gap / float(delta) ** 2]
+            yield [n, delta, *_continuum_gap(n, delta)]
 
 
 TABLES = {

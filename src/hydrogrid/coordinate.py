@@ -24,6 +24,7 @@ difference equation row by row in exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
@@ -135,18 +136,15 @@ class AlphaTable(NamedTuple):
     inner: Mapping[tuple[int, int], Fraction]
 
     def inner_coeff(self, k: int, m: int) -> Fraction:
-        """alpha^(n)_{n-k,m}; 0 for an impossible m (m < 0 or m > k//2)
-        and for a row k < 0.  k and m are ints, as in every method of the
-        table."""
+        """alpha^(n)_{n-k,m}, read from `inner`, which holds the base row
+        m = 0 and no impossible entry: 0 for an impossible m (m < 0 or
+        m > k//2) and for a row k < 0.  k and m are ints, as in every
+        method of the table."""
         _index(k, "k")
         _index(m, "m")
         if k > self.kmax:
             raise ValueError(f"k={k} exceeds table kmax={self.kmax}")
-        if m == 0 and k >= 0:
-            return Fraction(1)
-        if k < 0 or m < 0 or m > k // 2:
-            return Fraction(0)  # impossible coefficients
-        return self.inner[(k, m)]
+        return self.inner.get((k, m), Fraction(0))
 
     def order_normalized(self, k: int, m: int) -> Fraction:
         """inner * n^(2m) (n-k+2m-1)!/(n-k)! / C(k//2, m), for 1 <= m <= k//2."""
@@ -190,6 +188,15 @@ def continuum_energy(n: int) -> Fraction:
     """Continuum eigenvalue -1/(2 n**2)."""
     _index(n, "state index", 1)
     return Fraction(-1, 2 * n * n)
+
+
+def _continuum_gap(n: int, delta: RationalLike) -> tuple[float, float, float]:
+    """E of state n at step delta > 0, its gap E + 1/(2 n**2) to the
+    continuum and that gap over delta**2, each in doubles: the sweep that
+    `converge` prints and verify checks against 1/(8 n**4)."""
+    energy = float(eigen_data(n, delta).E)
+    gap = energy - float(continuum_energy(n))
+    return energy, gap, gap / float(delta) ** 2
 
 
 # The bundle of state n >= 1 at a checked step delta >= 0, built once.
@@ -411,16 +418,30 @@ def wavefunction_floats(n: int, delta: RationalLike,
 
 
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
-    """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0."""
+    """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0.
+
+    The bundle's `polynomial` coefficient alpha_j ell_j delta^j of k^j,
+    over delta^j, is alpha_j ell_j, rounded once by the field's
+    `to_float`.  With beta = -arsinh(t)/delta and e = n for r >= 1, else
+    e = 1, u = (sum_j alpha_j ell_j r^(j-e)) exp(e ln r + beta r): every
+    power r^(j-e) is at most 1, so a large r underflows to 0.0 instead of
+    overflowing, and the one exp rounds every term alike.  An r beyond
+    the double range is rejected like an infinite one.
+    """
     _real(r, "r")
-    if not 0.0 <= r < math.inf:
+    if not 0 <= r <= sys.float_info.max:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     ed = eigen_data(n, delta)
-    ell = laguerre_ref(n).coefficients
-    poly = sum(float(alpha) * float(ell[j]) * r ** j
-               for j, alpha in enumerate(ed.alphas, start=1))
+    x = float(r)
+    if not x:
+        return 0.0
+    pairs, den = ed.polynomial
+    dn, dd = ed.delta.numerator, ed.delta.denominator
+    e = n if x >= 1.0 else 1
+    poly = sum(ed.field.to_float(a * dd ** j, b * dd ** j, den * dn ** j)
+               * x ** (j - e) for j, (a, b) in zip(range(n, 0, -1), pairs))
     beta = -math.asinh(float(ed.t)) / float(ed.delta)
-    return poly * math.exp(beta * r)
+    return poly * math.exp(e * math.log(x) + beta * x)
 
 
 def residual_row(u_prev, u_here, u_next, k: int, delta, mu):

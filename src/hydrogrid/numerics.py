@@ -107,13 +107,17 @@ def _parts(x: RationalLike) -> tuple[int, int]:
                     f"{type(x).__name__}")
 
 
-def _index(value: object, what: str, lo: int | None = None) -> None:
+def _index(value: object, what: str, lo: int | None = None,
+           hi: int | None = None) -> None:
     """The one check of an integer argument: TypeError unless value is an
-    int (a bool never is), ValueError if it is below lo, when lo is given."""
+    int (a bool never is), ValueError if it is below lo or above hi, when
+    they are given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be int, got {value!r}")
     if lo is not None and value < lo:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{what} must be <= {hi}, got {value}")
 
 
 def _real(value: object, what: str) -> None:

@@ -216,7 +216,9 @@ def _parameters(lam: RationalLike, a: RationalLike, b: RationalLike,
 
 def _trig_sum(first_base: complex, second_base: complex, theta: float,
               n: int) -> complex:
-    _index(n, "degree", 0)
+    """The degree-n sum in doubles, for 0 <= n <= 170: 171! leaves the
+    double range, so a higher degree is rejected before the sum starts."""
+    _index(n, "degree", 0, 170)
     total = complex(0.0)
     for k in range(n + 1):
         total += (_rising(first_base, k) * _rising(second_base, n - k)

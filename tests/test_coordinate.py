@@ -433,6 +433,22 @@ def test_wavefunction_float_matches_exact_grid_values():
                 assert floats_close(exact, approx, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def test_wavefunction_float_underflows_at_a_large_r():
+    # r ** j overflowed here, though exp(beta r) is 0.0 long before
+    assert wavefunction_float(2, 1, 1e300) == 0.0
+    # an int beyond the double range is out of the domain, like inf
+    with pytest.raises(ValueError, match="r must be finite and >= 0"):
+        wavefunction_float(2, 1, 10 ** 400)
+
+
+@pytest.mark.parametrize("k", [400, 1600])
+def test_wavefunction_float_matches_far_grid_values(k):
+    delta = Fraction(1, 2)
+    exact = float(wavefunction(3, delta, k))
+    approx = wavefunction_float(3, delta, float(k * delta))
+    assert floats_close(exact, approx, rel_tol=1e-9, abs_tol=0.0)
+
+
 def test_wavefunction_small_delta_tends_to_continuum():
     # continuum limit oracle: u_1(r) = r e^{-r}
     delta = Fraction(1, 100)

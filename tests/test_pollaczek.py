@@ -380,6 +380,21 @@ def test_trig_conjugate_matches_recursion():
                                 rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_trig_sums_reach_degree_170_and_reject_171():
+    # 171! leaves the double range: the sum raised OverflowError there
+    delta = Fraction(1, 2)
+    for theta in (0.4, 1.3, 2.6):
+        seq = pollaczek_seq(delta, math.cos(theta), 170)
+        trig = pollaczek_trig_conjugate(1, 0, -delta, theta, 170)
+        assert floats_close(trig.real, seq[170], rel_tol=2e-13, abs_tol=0.0)
+        assert math.isfinite(abs(pollaczek_explicit_trig(1, 0, -delta,
+                                                         theta, 170)))
+    for trig_sum in (pollaczek_explicit_trig, pollaczek_trig_conjugate):
+        with pytest.raises(ValueError, match="^degree must be <= 170, "
+                                             "got 171$"):
+            trig_sum(1, 0, -delta, 1.3, 171)
+
+
 def test_trig_literal_example_n2():
     # direct-summation oracle for the literal formula (delta=1/2, theta=pi/3)
     theta = math.pi / 3
