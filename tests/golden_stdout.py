@@ -52,6 +52,20 @@ GOLDEN_STDOUT = [
      "88b959ebd3184da67527b40f82040c669bb3f299242e4df882db30d7a19094ab"),
     ("coeffs --delta 1 --n 3..6 --kmax 5 --output json --mode float",
      "24480b312c5dc76ecb0750639452b5b69c33929266505e02f062f9ebf4a38fca"),
+    # t = 3/4 at n = 2: p = 25, so mu = 5/4 is rational, while states 1
+    # and 3 print D = 13/4 and D = 5/4 with a scale
+    ("spectrum --delta 3/2 --n 1..3 --output csv --mode exact",
+     "0fc53c2c9dbf37c29885e5ea509d9c3159abe0015f8bd6db820afa21b8b61cec"),
+    ("spectrum --delta 3/2 --n 1..3 --output csv --mode float",
+     "37a581ee9df3cded1f747f3aff0dd364905ad0a6a1d5ee250f3a0f1d24da0863"),
+    ("spectrum --delta 3/2 --n 1..3 --output json --mode exact",
+     "0ca35e57f4e0db3e1165857688cca117445bb2cb15570f9506fd33a955ce4f25"),
+    ("spectrum --delta 3/2 --n 1..3 --output json --mode float",
+     "c2deb8015d0cf584e9e5807b2219bcd595094bf28917cd490751f9483e177477"),
+    ("pollaczek --delta 3/2 --n 0..2 --jmax 12 --mode exact",
+     "9942ac1295c223487c1c3af9f13221fbecc1733e3bdccaa3bd385b32947aa675"),
+    ("pollaczek --delta 3/2 --n 0..2 --jmax 12 --mode float",
+     "cdd6ca7e724e134aee7950d2106b00550344f6c37a6e5a0b6e84cc0cc1b88385"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output csv --mode exact",
      "bdc00adafe5ce20396096f1c9b4e6a819a2a19a7ee82d11c6071c6a2483c17fe"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output csv --mode float",
