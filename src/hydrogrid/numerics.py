@@ -3,16 +3,16 @@
 Rationals are the stdlib `fractions.Fraction` (always kept in lowest terms
 with a positive denominator, which is exactly the normal form required
 here).  `QuadraticSurd` represents a + b*sqrt(D) with rational a, b and a
-nonnegative rational radicand D.  It stores Python ints: with D = p/q in
-lowest terms, sqrt(D) = sqrt(r)/s with r = p and s = sqrt(q) when q is a
-perfect square, else r = pq and s = q, and a + b*sqrt(D)
-= (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1, over a radicand
-object: each constructed surd builds its own, and every surd of one
-state's field shares that field's.  Field operations over one radicand
-object need no Fraction and no perfect-square test; a, b = B s/C and
-D are derived when read.  Equality and field membership are by
-value: sqrt(8) == 2*sqrt(2), because two radicands that differ by a
-rational square factor combine.  The module also owns the
+nonnegative rational radicand D.  It stores five Python ints: with
+D = p/q in lowest terms, sqrt(D) = sqrt(r)/s with r = p and s = sqrt(q)
+when q is a perfect square, else r = pq and s = q, and a + b*sqrt(D)
+= (A + B*sqrt(r))/C with C > 0 and gcd(A, B, C) = 1; a rational value
+has B = 0, r = 0 and s = 1.  The value depends on A, B, C and r only, so
+r alone names the field: field operations over one r need no Fraction
+and no perfect-square test, and s matters only when a, b = B s/C and
+D = r/s**2 are read.  Equality and field membership are by value:
+sqrt(8) == 2*sqrt(2), because two r that differ by a rational square
+factor combine.  The module also owns the
 float-comparison policy shared by every other module, and the integer
 form of one state's field (`_StateField`), which the closed-form
 sequence and the lattice wavefunction both run on: a surd in that field
@@ -75,17 +75,6 @@ def _root(p: int, q: int) -> tuple[int, int]:
     when q = s**2, so a state's D = p/td**2 keeps its own p, else (pq, q)."""
     s = math.isqrt(q)
     return (p, s) if s * s == q else (p * q, q)
-
-
-class _Radicand:
-    """An irrational radicand D = p/q: sqrt(D) = sqrt(r)/scale with
-    (r, scale) = `_root(p, q)`, r never a perfect square."""
-
-    __slots__ = ("D", "r", "scale")
-
-    def __init__(self, p: int, q: int) -> None:
-        self.D = Fraction(p, q)
-        self.r, self.scale = _root(p, q)
 
 
 def _root_ratio(r1: int, r2: int) -> tuple[int, int] | None:
@@ -156,9 +145,9 @@ def _step(value: object, zero_ok: bool = False) -> Fraction:
 _new = object.__new__
 
 
-def _make(a: int, b: int, c: int, rad: _Radicand | None) -> "QuadraticSurd":
-    """The trusted constructor: (a + b sqrt(rad.r))/c for c > 0, reduced
-    by one gcd.  rad is ignored when b is 0."""
+def _make(a: int, b: int, c: int, r: int, s: int) -> "QuadraticSurd":
+    """The trusted constructor: (a + b sqrt(r))/c for c > 0, printed over
+    D = r/s**2, reduced by one gcd.  r and s are ignored when b is 0."""
     g = math.gcd(c, a, b)
     if g != 1:
         a //= g
@@ -168,7 +157,7 @@ def _make(a: int, b: int, c: int, rad: _Radicand | None) -> "QuadraticSurd":
     x._A = a
     x._B = b
     x._C = c
-    x._rad = rad if b else None
+    x._r, x._s = (r, s) if b else (0, 1)
     return x
 
 
@@ -180,21 +169,20 @@ class _StateField:
     q = mu - t = (sqrt(p) - tn)/td.  An integer pair (a, b) stands for
     a + b sqrt(p).  `root` is sqrt(p) as a pair: (s, 0) when p = s**2, else
     (0, 1), so a perfect square folds into the integers and every b
-    stays 0.  A value (a + b sqrt(p))/den with den > 0 is read by `surd`,
-    over the field's one radicand object, whose r is p (see `_root`), or
-    by `to_float`, straight from the integers; `parts` reads any surd of
-    the field back into its integers.
+    stays 0.  A value (a + b sqrt(p))/den with den > 0 is read by `surd`
+    as the surd (a + b sqrt(p))/den over D = p/td**2, so its r is p and
+    its s is td (see `_root`), or by `to_float`, straight from the
+    integers; `parts` reads any surd of the field back into its integers.
     """
 
-    __slots__ = ("p", "td", "tn", "root", "_rad")
+    __slots__ = ("p", "td", "tn", "root")
 
     def __init__(self, t: Fraction) -> None:
         tn, td = t.numerator, t.denominator
         p = td * td + tn * tn
         s = math.isqrt(p)
         self.p, self.td, self.tn = p, td, tn
-        self.root, self._rad = (((s, 0), None) if s * s == p
-                                else ((0, 1), _Radicand(p, td * td)))
+        self.root = (s, 0) if s * s == p else (0, 1)
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
@@ -204,21 +192,18 @@ class _StateField:
         return reduce(self.mul, [x] * e, (1, 0))
 
     def surd(self, a: int, b: int, den: int) -> "QuadraticSurd":
-        return _make(a, b, den, self._rad)
+        return _make(a, b, den, self.p, self.td)
 
     def parts(self, x: "QuadraticSurd") -> tuple[int, int, int]:
         """(a, b, den) with x = (a + b sqrt(p))/den, the inverse of `surd`.
 
-        x is read over the field's radicand by `_operands`, so a surd over
-        an equivalent radicand (sqrt(5), sqrt(20) for p = 5) reads as the
-        field's integers and one over another field raises
-        MixedRadicandError.  A rational field has no radicand: there only a
-        rational x reads, and any other raises MixedRadicandError too.
+        x is read over r = p by `_operands`, so a surd over an equivalent
+        radicand (sqrt(5), sqrt(20) for p = 5) reads as the field's
+        integers and one over another field raises MixedRadicandError.
+        When p is a perfect square the field is Q: no irrational r is
+        equivalent to p, so only a rational x reads there.
         """
-        a, b, den, rad = _operands(self._rad, x)
-        if rad is not self._rad:
-            raise MixedRadicandError(f"{x} is not in Q(sqrt({self.p}))")
-        return a, b, den
+        return _operands(self.p, self.td, x)[:3]
 
     def to_float(self, a: int, b: int, den: int) -> float:
         return _int_surd_to_float(a, b, den, self.p)
@@ -233,32 +218,32 @@ class _StateField:
             num, den = self.mul(num, step), den * self.td
 
 
-def _operands(rad: _Radicand | None, y: object):
-    """y's integers (A, B, C) over the radicand of x op y, for a left
-    operand x over rad (None when x is rational), and that radicand, or
+def _operands(r: int, s: int, y: object):
+    """y's integers (A, B, C) over sqrt(r) and the (r, s) of x op y, for a
+    left operand x over sqrt(r)/s (r = 0, s = 1 when x is rational), or
     None when y is no exact scalar.
 
-    The left irrational radicand wins.  A radicand is compared by identity
-    first, since every surd of one state shares its field's object; another
-    radicand r2 is rewritten over it by sqrt(r2) = (u/v) sqrt(r1), and
-    none exists when the fields differ, so MixedRadicandError is raised.
+    The left irrational operand's (r, s) wins.  Fields are compared by r:
+    an equal r needs no rewrite, and another r2 is rewritten over r by
+    sqrt(r2) = (u/v) sqrt(r), which exists only when the fields agree;
+    otherwise MixedRadicandError is raised.
     """
     if isinstance(y, QuadraticSurd):
-        other = y._rad
-        if other is rad or other is None:
-            return y._A, y._B, y._C, rad
-        if rad is None:
-            return y._A, y._B, y._C, other
-        ratio = _root_ratio(rad.r, other.r)
+        r2 = y._r
+        if r2 == r or not r2:
+            return y._A, y._B, y._C, r, s
+        if not r:
+            return y._A, y._B, y._C, r2, y._s
+        ratio = _root_ratio(r, r2)
         if ratio is None:
             raise MixedRadicandError(
-                f"cannot combine radicands {rad.D} and {other.D}")
+                f"cannot combine radicands {Fraction(r, s * s)} and {y.D}")
         u, v = ratio
-        return y._A * v, y._B * u, y._C * v, rad
+        return y._A * v, y._B * u, y._C * v, r, s
     if isinstance(y, int):
-        return y, 0, 1, rad
+        return y, 0, 1, r, s
     if isinstance(y, Fraction):
-        return y.numerator, 0, y.denominator, rad
+        return y.numerator, 0, y.denominator, r, s
     return None
 
 
@@ -266,8 +251,8 @@ def _operands(rad: _Radicand | None, y: object):
 class QuadraticSurd:
     """Element a + b*sqrt(D) of Q(sqrt(D)), D a nonnegative rational.
 
-    Stored as ints (A + B*sqrt(r))/C over a radicand object (see the
-    module docstring).  Construction takes int or Fraction parts, and
+    Stored as five ints, (A + B*sqrt(r))/C printed over D = r/s**2 (see
+    the module docstring).  Construction takes int or Fraction parts, and
     perfect-square radicands fold into the rational part, so every
     rational value reads (a, 0, 0).  Values are immutable.  Equality and
     hashing are by value: surds over equivalent radicands (D1/D2 a
@@ -278,7 +263,7 @@ class QuadraticSurd:
     Fraction.
     """
 
-    __slots__ = ("_A", "_B", "_C", "_rad")
+    __slots__ = ("_A", "_B", "_C", "_r", "_s")
 
     def __new__(cls, a: RationalLike = 0, b: RationalLike = 0,
                 d: RationalLike = 0) -> "QuadraticSurd":
@@ -288,12 +273,12 @@ class QuadraticSurd:
         if p < 0:
             raise NegativeRadicandError(f"negative radicand {Fraction(p, q)}")
         if not bn:
-            return _make(an, 0, ad, None)
+            return _make(an, 0, ad, 0, 1)
         r, s = _root(p, q)
         root = math.isqrt(r)
         if root * root == r:  # sqrt(D) = root/s is rational
-            return _make(an * bd * s + bn * root * ad, 0, ad * bd * s, None)
-        return _make(an * bd * s, bn * ad, ad * bd * s, _Radicand(p, q))
+            return _make(an * bd * s + bn * root * ad, 0, ad * bd * s, 0, 1)
+        return _make(an * bd * s, bn * ad, ad * bd * s, r, s)
 
     @property
     def a(self) -> Fraction:
@@ -303,11 +288,11 @@ class QuadraticSurd:
     def b(self) -> Fraction:
         if not self._B:
             return Fraction(0)
-        return Fraction(self._B * self._rad.scale, self._C)
+        return Fraction(self._B * self._s, self._C)
 
     @property
     def D(self) -> Fraction:
-        return self._rad.D if self._B else Fraction(0)
+        return Fraction(self._r, self._s * self._s)
 
     def is_rational(self) -> bool:
         return not self._B
@@ -329,21 +314,22 @@ class QuadraticSurd:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "QuadraticSurd":
-        ops = _operands(self._rad, other)
+        ops = _operands(self._r, self._s, other)
         if ops is None:
             return NotImplemented
-        a, b, c, rad = ops
+        a, b, c, r, s = ops
         c1 = self._C
         if c1 == c:
-            return _make(self._A + a, self._B + b, c, rad)
-        return _make(self._A * c + a * c1, self._B * c + b * c1, c1 * c, rad)
+            return _make(self._A + a, self._B + b, c, r, s)
+        return _make(self._A * c + a * c1, self._B * c + b * c1, c1 * c, r, s)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadraticSurd":
         # a reduced triple stays reduced: no gcd
         x = _new(QuadraticSurd)
-        x._A, x._B, x._C, x._rad = -self._A, -self._B, self._C, self._rad
+        x._A, x._B, x._C = -self._A, -self._B, self._C
+        x._r, x._s = self._r, self._s
         return x
 
     def __sub__(self, other: ScalarLike) -> "QuadraticSurd":
@@ -355,14 +341,12 @@ class QuadraticSurd:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "QuadraticSurd":
-        ops = _operands(self._rad, other)
+        ops = _operands(self._r, self._s, other)
         if ops is None:
             return NotImplemented
-        a, b, c, rad = ops
+        a, b, c, r, s = ops
         a1, b1 = self._A, self._B
-        bb = b1 * b  # nonzero only when both are irrational over rad
-        return _make(a1 * a + (bb * rad.r if bb else 0), a1 * b + b1 * a,
-                     self._C * c, rad)
+        return _make(a1 * a + b1 * b * r, a1 * b + b1 * a, self._C * c, r, s)
 
     __rmul__ = __mul__
 
@@ -371,25 +355,26 @@ class QuadraticSurd:
         if not b:
             if not a:
                 raise ZeroDivisionError("inverse of zero surd")
-            return _make(c if a > 0 else -c, 0, abs(a), None)
+            return _make(c if a > 0 else -c, 0, abs(a), 0, 1)
         # c/(a + b sqrt(r)) = c (a - b sqrt(r)) / n with n = a^2 - b^2 r != 0
-        n = a * a - b * b * self._rad.r
+        r, s = self._r, self._s
+        n = a * a - b * b * r
         if n < 0:
-            return _make(-c * a, c * b, -n, self._rad)
-        return _make(c * a, -c * b, n, self._rad)
+            return _make(-c * a, c * b, -n, r, s)
+        return _make(c * a, -c * b, n, r, s)
 
     def __truediv__(self, other: ScalarLike) -> "QuadraticSurd":
         if isinstance(other, QuadraticSurd):
             return self * other.inverse()
-        ops = _operands(self._rad, other)
+        ops = _operands(self._r, self._s, other)
         if ops is None:
             return NotImplemented
-        n, _, d, rad = ops
+        n, _, d, r, s = ops
         if not n:
             raise ZeroDivisionError("division of a surd by zero")
         if n < 0:
             n, d = -n, -d
-        return _make(self._A * d, self._B * d, self._C * n, rad)
+        return _make(self._A * d, self._B * d, self._C * n, r, s)
 
     def __rtruediv__(self, other: RationalLike) -> "QuadraticSurd":
         if not isinstance(other, (int, Fraction)):
@@ -401,7 +386,7 @@ class QuadraticSurd:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _make(1, 0, 1, None)
+        result = _make(1, 0, 1, 0, 1)
         base = self
         e = exponent
         while e > 0:
@@ -423,7 +408,7 @@ class QuadraticSurd:
         if (a > 0) == (b > 0):
             return 1 if a > 0 else -1
         lhs = a * a
-        rhs = b * b * self._rad.r
+        rhs = b * b * self._r
         if a > 0:  # b < 0: positive iff a**2 > b**2 r
             return (lhs > rhs) - (lhs < rhs)
         return (rhs > lhs) - (rhs < lhs)
@@ -433,13 +418,12 @@ class QuadraticSurd:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadraticSurd):
-            rad, other_rad = self._rad, other._rad
-            if other_rad is not rad:
+            r, r2 = self._r, other._r
+            if r2 != r:
                 # a rational never equals an irrational, nor do two fields
-                if (rad is None or other_rad is None
-                        or _root_ratio(rad.r, other_rad.r) is None):
+                if not r or not r2 or _root_ratio(r, r2) is None:
                     return False
-                other = _make(*_operands(rad, other))
+                other = _make(*_operands(r, self._s, other))
             return (self._A == other._A and self._B == other._B
                     and self._C == other._C)
         if isinstance(other, int):
@@ -461,7 +445,7 @@ class QuadraticSurd:
         if not b:
             return hash(Fraction(a, c))
         return hash((Fraction(a, c), b > 0,
-                     Fraction(b * b * self._rad.r, c * c)))
+                     Fraction(b * b * self._r, c * c)))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -490,8 +474,7 @@ def surd_to_float(x: QuadraticSurd) -> float:
     `_int_surd_to_float`.  A value beyond the double range raises
     OverflowError, as float(Fraction) does.
     """
-    rad = x._rad
-    return _int_surd_to_float(x._A, x._B, x._C, rad.r if rad else 0)
+    return _int_surd_to_float(x._A, x._B, x._C, x._r)
 
 
 def _int_surd_to_float(big_a: int, big_b: int, big_c: int,

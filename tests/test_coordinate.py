@@ -527,8 +527,8 @@ def test_wavefunction_stream_over_a_perfect_square(n, delta):
                                       (3, Fraction(9, 4))])
 def test_integer_streams_are_written_over_the_field_of_mu(n, delta):
     # the wavefunction stream and the closed-form sequence both read the
-    # bundle's one field: an irrational value is written over the radicand
-    # object of mu itself, and the running q-power is q^k exactly
+    # bundle's one field: an irrational value is written over the r and s
+    # of mu itself, and the running q-power is q^k exactly
     ed = eigen_data(n, delta)
     field = ed.field
     assert field is ed.field is mass_point(n - 1, delta).field
@@ -544,7 +544,7 @@ def test_integer_streams_are_written_over_the_field_of_mu(n, delta):
         assert not irrational
     else:
         assert len(irrational) > 150
-        assert all(v._rad is ed.mu._rad for v in irrational)
+        assert all((v._r, v._s) == (ed.mu._r, ed.mu._s) for v in irrational)
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,7 +568,7 @@ def test_each_state_is_built_from_n_and_delta(n, delta):
     if root * root == p:
         assert ed.mu == Fraction(root, t.denominator)
     else:
-        assert (ed.mu._rad.r, ed.mu._rad.scale) == (p, t.denominator)
+        assert (ed.mu._r, ed.mu._s) == (p, t.denominator)
         assert field.parts(ed.mu) == (0, 1, t.denominator)
 
 

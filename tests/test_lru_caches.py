@@ -1,10 +1,10 @@
 """hydrogrid memoizes with `functools.lru_cache` in exactly one place.
 
-`coordinate._state` holds the one bundle of each state, with its field's
-one radicand object; surds over equivalent radicands combine by value, so
-no table of radicands is needed.  Everything else is a finite computation
-in n whose result the bundle already holds, so a new memo table is a
-reviewed decision: this test fails until it is added here.
+`coordinate._state` holds the one bundle of each state.  A surd names its
+field by the integer r it stores, and surds over equivalent radicands
+combine by value, so no table of radicands is needed.  Everything else is
+a finite computation in n whose result the bundle already holds, so a new
+memo table is a reviewed decision: this test fails until it is added here.
 
 Only the standard library's `ast` is needed.  A use is `lru_cache` or
 `cache` imported from `functools` (under any alias), or read as

@@ -107,14 +107,16 @@ def test_equivalent_radicands_are_one_field():
 
 
 def test_surds_built_separately_are_one_field():
-    # each construction builds its own radicand object; the field
-    # operations still treat the two as one field
+    # a surd holds its field as the integer r, with no object shared
+    # between constructions; equal r is one field
     x, y = QuadraticSurd(1, 2, 2), QuadraticSurd(Fraction(-1, 3), 5, 2)
-    assert x._rad is not y._rad
+    assert (x._r, x._s) == (y._r, y._s) == (2, 1)
     assert x + y == QuadraticSurd(Fraction(2, 3), 7, 2)
     assert x * y == QuadraticSurd(Fraction(59, 3), Fraction(13, 3), 2)
     twin = QuadraticSurd(1, 2, 2)
-    assert twin._rad is not x._rad
+    fields = [getattr(twin, name) for name in QuadraticSurd.__slots__]
+    assert fields == [getattr(x, name) for name in QuadraticSurd.__slots__]
+    assert len(fields) == 5 and all(type(v) is int for v in fields)
     assert x == twin and hash(x) == hash(twin)
     assert x != y and x < y
     assert hash(x + y) == hash(QuadraticSurd(Fraction(2, 3), 7, 2))

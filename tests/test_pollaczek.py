@@ -209,13 +209,13 @@ def test_closed_form_sequence_keeps_each_degree_once():
 
 
 def test_closed_form_values_share_the_radicand_of_mu():
-    # (a + b sqrt(p))/den is written over D = p/td^2, the radicand object
+    # (a + b sqrt(p))/den is written over D = p/td^2, the r = p and s = td
     # of mu itself, so mixing a value with mu takes no field conversion
     mp = mass_point(2, Fraction(1, 2))
     value = ClosedFormSequence(mp).value(5)
     assert not value.is_rational()
     assert value.D == mp.mu.D
-    assert value._rad is mp.mu._rad
+    assert (value._r, value._s) == (mp.mu._r, mp.mu._s)
 
 
 def test_closed_degree_zero_is_one():
