@@ -420,28 +420,33 @@ def wavefunction_floats(n: int, delta: RationalLike,
 def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0.
 
-    The bundle's `polynomial` coefficient alpha_j ell_j delta^j of k^j,
-    over delta^j, is alpha_j ell_j, rounded once by the field's
-    `to_float`.  With beta = -arsinh(t)/delta and e = n for r >= 1, else
-    e = 1, u = (sum_j alpha_j ell_j r^(j-e)) exp(e ln r + beta r): every
-    power r^(j-e) is at most 1, so a large r underflows to 0.0 instead of
-    overflowing, and the one exp rounds every term alike.  An r beyond
-    the double range is rejected like an infinite one.
+    r is exact (a float is a dyadic rational), so the bundle's
+    `polynomial` is evaluated at k = r/delta = kn/kd by integer Horner as
+    (A + B sqrt(p))/C, with no cancellation in doubles.  That value times
+    2**-e2, e2 its binary exponent, is rounded once by the field's
+    `to_float`, and u = f exp(e2 ln 2 + beta r) with
+    beta = -arsinh(t)/delta, so neither factor leaves the double range
+    where u does not.  An r beyond the double range is rejected like an
+    infinite one.
     """
     _real(r, "r")
     if not 0 <= r <= sys.float_info.max:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     ed = eigen_data(n, delta)
-    x = float(r)
-    if not x:
-        return 0.0
     pairs, den = ed.polynomial
-    dn, dd = ed.delta.numerator, ed.delta.denominator
-    e = n if x >= 1.0 else 1
-    poly = sum(ed.field.to_float(a * dd ** j, b * dd ** j, den * dn ** j)
-               * x ** (j - e) for j, (a, b) in zip(range(n, 0, -1), pairs))
+    kn, kd = (Fraction(r) / ed.delta).as_integer_ratio()
+    a = b = 0
+    scale = 1
+    for ca, cb in pairs:  # sum_j (a_j + b_j sqrt(p)) kn^(j-1) kd^(n-j)
+        a = a * kn + ca * scale
+        b = b * kn + cb * scale
+        scale *= kd
+    a, b, c = a * kn, b * kn, den * scale
+    e2 = max(a.bit_length(), b.bit_length() + ed.field.p.bit_length() // 2
+             ) - c.bit_length()
+    f = ed.field.to_float(a << max(-e2, 0), b << max(-e2, 0), c << max(e2, 0))
     beta = -math.asinh(float(ed.t)) / float(ed.delta)
-    return poly * math.exp(e * math.log(x) + beta * x)
+    return f * math.exp(e2 * math.log(2) + beta * float(r))
 
 
 def residual_row(u_prev, u_here, u_next, k: int, delta, mu):

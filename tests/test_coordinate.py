@@ -449,6 +449,26 @@ def test_wavefunction_float_matches_far_grid_values(k):
     assert floats_close(exact, approx, rel_tol=1e-9, abs_tol=0.0)
 
 
+@pytest.mark.parametrize("n", [8, 16, 20, 30])
+def test_wavefunction_float_is_accurate_up_to_n_30(n):
+    # the monomial sum in doubles cancelled: 5.4e-12 relative at n = 8,
+    # 4.7e-6 at n = 20 and 3.1e-2 at n = 30 on this grid
+    delta = Fraction(1, 2)
+    exact = list(wavefunction_floats(n, delta, 40 * n - 1))
+    for k in range(1, 40 * n, 7):
+        approx = wavefunction_float(n, delta, float(k * delta))
+        assert floats_close(exact[k - 1], approx, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("n, r, exact", [(40, 1000.0, 1.8239388949708497),
+                                         (90, 8100.0, -3.5899410930587514)])
+def test_wavefunction_float_at_a_high_state(n, r, exact):
+    # 191.64 was returned at n = 40, and n = 90 raised OverflowError
+    assert float(wavefunction(n, 1, int(r))) == exact
+    assert floats_close(wavefunction_float(n, 1, r), exact, rel_tol=1e-12,
+                        abs_tol=0.0)
+
+
 def test_wavefunction_small_delta_tends_to_continuum():
     # continuum limit oracle: u_1(r) = r e^{-r}
     delta = Fraction(1, 100)
