@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -206,10 +207,17 @@ def _theta(theta: float) -> None:
 
 def _parameters(lam: RationalLike, a: RationalLike, b: RationalLike,
                 theta: float) -> tuple[float, float]:
-    """lam and Phi = (a cos(theta) + b)/sin(theta) as floats, with lam, a
-    and b checked by `numerics._delta` and theta by `_theta`."""
-    lam, a, b = (float(_delta(v, name))
-                 for v, name in ((lam, "lam"), (a, "a"), (b, "b")))
+    """lam and Phi = (a cos(theta) + b)/sin(theta) as floats, with theta
+    checked by `_theta` and lam, a and b by `numerics._delta`, then
+    rejected beyond the double range, where no float holds them."""
+    floats = []
+    for value, name in ((lam, "lam"), (a, "a"), (b, "b")):
+        value = _delta(value, name)
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{name} must be at most {sys.float_info.max} "
+                             f"in magnitude")
+        floats.append(float(value))
+    lam, a, b = floats
     _theta(theta)
     return lam, (a * math.cos(theta) + b) / math.sin(theta)
 
@@ -262,13 +270,10 @@ def chebyshev_u(j: int, theta: float) -> float:
 
 
 def mass_point_invariants_hold(mp: EigenData) -> bool:
-    """x**2 - s**2 = 1 and q*(x+s) = 1 exactly; 0 < q < 1 for delta > 0."""
+    """x**2 - s**2 = 1, q*(x+s) = 1 and, for delta > 0, 0 < q < 1, each
+    decided exactly."""
     if mp.mu * mp.mu - mp.t * mp.t != 1:
         return False
     if mp.q * (mp.mu + mp.t) != 1:
         return False
-    if mp.delta > 0:
-        qf = float(mp.q)
-        if not 0.0 < qf < 1.0:
-            return False
-    return True
+    return not mp.delta or 0 < mp.q < 1

@@ -122,6 +122,13 @@ def test_mass_point_invariants(m, delta):
     assert mass_point_invariants_hold(mass_point(m, delta))
 
 
+def test_mass_point_invariants_decide_q_exactly():
+    # float(q) rounds to 1.0 at delta = 1e-20, though 0 < q < 1 holds
+    mp = mass_point(0, Fraction(1, 10 ** 20))
+    assert float(mp.q) == 1.0 and 0 < mp.q < 1
+    assert mass_point_invariants_hold(mp)
+
+
 def test_seq_first_values_delta_one():
     # hand-unrolled recursion at x = sqrt(2): P_1 = 2x - 2, P_2 = 9 - 6x
     mp = mass_point(0, 1)

@@ -317,6 +317,18 @@ def test_every_bounded_real_argument_checks_its_type(name, call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [10 ** 400, Fraction(10 ** 400),
+                                 Fraction(-10 ** 401, 3)],
+                         ids=["int", "Fraction", "negative-Fraction"])
+@pytest.mark.parametrize("name, call", REAL_ARGUMENTS[2:],  # the trig sums
+                         ids=REAL_ARGUMENT_IDS[2:])
+def test_trig_sum_arguments_lie_in_the_double_range(name, call, bad):
+    # the trig sums run in doubles: an exact value beyond the double range
+    # leaked "integer division result too large for a float"
+    with pytest.raises(ValueError, match=f"^{name} must be at most "):
+        call(bad)
+
+
 @pytest.mark.parametrize("name, call", REAL_ARGUMENTS, ids=REAL_ARGUMENT_IDS)
 def test_real_arguments_take_any_sign_and_a_float(name, call):
     for value in (-1, Fraction(-1, 3), Fraction(1, 2), 0.25, -0.75):
