@@ -286,8 +286,6 @@ class QuadraticSurd:
 
     @property
     def b(self) -> Fraction:
-        if not self._B:
-            return Fraction(0)
         return Fraction(self._B * self._s, self._C)
 
     @property
