@@ -50,11 +50,12 @@ class EigenData:
     `AlphaTable.assembled` (delta >= 0).  They share one object per
     state, so equality and hashing are by identity.  What is derived
     from the state is built once, on first use, and held here:
-    `sequence`, the closed-form P_j(x_m); `alphas`, the lattice
-    corrections alpha_1..alpha_n; and `polynomial`, the wavefunction's
-    polynomial factor on the field's integers.  The fields are
-    read-only; the derived values are cached in the instance
-    dictionary, which `cached_property` writes directly.
+    `sequence`, the closed-form P_j(x_m); `alpha_table`, the inner
+    coefficients; `alphas`, the lattice corrections alpha_1..alpha_n;
+    and `polynomial`, the wavefunction's polynomial factor on the
+    field's integers.  The fields are read-only; the derived values are
+    cached in the instance dictionary, which `cached_property` writes
+    directly.
     """
     n: int
     delta: Fraction
@@ -90,10 +91,15 @@ class EigenData:
         return ClosedFormSequence(self)
 
     @cached_property
+    def alpha_table(self) -> AlphaTable:
+        """`alpha_inner(n, n - 1)`: level k depends only on the levels
+        below it, so its rows k <= kmax are those of any smaller kmax."""
+        return alpha_inner(self.n, self.n - 1)
+
+    @cached_property
     def alphas(self) -> tuple[QuadraticSurd, ...]:
-        """alpha_1, ..., alpha_n assembled from `alpha_inner`; alpha_n = 1."""
-        table = alpha_inner(self.n, self.n - 1)
-        return tuple(table.assembled(self.n - j, self.delta)
+        """alpha_1, ..., alpha_n assembled from `alpha_table`; alpha_n = 1."""
+        return tuple(self.alpha_table.assembled(self.n - j, self.delta)
                      for j in range(1, self.n + 1))
 
     @cached_property

@@ -192,7 +192,58 @@ def _check_bounds(lo: float, hi: float) -> None:
             f"bounds must be finite, not NaN or infinite, got ({lo}, {hi})")
 
 
-def _refine(op: TridiagonalOperator, lo: float, hi: float, c_lo: int,
+class _KnownCounts:
+    """The Sturm counts of one operator taken so far in one solve, as
+    (x, count) pairs sorted by x.
+
+    `count` answers an x counted before with its count, and an x strictly
+    between two counted points of equal count with that count, which the
+    float count's monotonicity in x implies; any other x it counts with
+    the module-level `sturm_count` and records.  So it returns only
+    counts that a real count gives, and every caller takes the branch it
+    would take counting each x afresh.
+    """
+    __slots__ = ("op", "xs", "counts")
+
+    def __init__(self, op: TridiagonalOperator) -> None:
+        self.op = op
+        self.xs: list[float] = []
+        self.counts: list[int] = []
+
+    def count(self, x: float) -> int:
+        xs, counts = self.xs, self.counts
+        i = bisect_left(xs, x)
+        if i < len(xs) and (xs[i] == x or (i and counts[i - 1] == counts[i])):
+            return counts[i]
+        return self.add(x)
+
+    def add(self, x: float) -> int:
+        """Count x with `sturm_count` and record it."""
+        c = sturm_count(self.op, x)
+        i = bisect_left(self.xs, x)
+        self.xs.insert(i, x)
+        self.counts.insert(i, c)
+        return c
+
+    def seed(self, lo: float) -> None:
+        """Count both sides of the float mass points above lo,
+        x~_m (1 -+ 2**-48) with x~_m = sqrt(1 + (delta/(m+1))**2) in
+        floats, for m = 0, 1, ... while the two counts differ by exactly
+        one.  A seed that brackets no eigenvalue costs its two counts and
+        stops the seeding.  delta = 0 has no mass points and no seeds."""
+        delta = float(self.op.delta)
+        above, k = math.inf, 1
+        while delta:
+            x = math.sqrt(1.0 + (delta / k) ** 2)
+            if not lo < x < above:
+                return  # float x~_m stopped falling, or reached lo
+            if self.add(x * (1.0 + 2.0 ** -48)) - self.add(
+                    x * (1.0 - 2.0 ** -48)) != 1:
+                return
+            above, k = x, k + 1
+
+
+def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
             tol: float) -> float:
     """Bisect (lo, hi], which holds exactly one eigenvalue above the
     c_lo eigenvalues below lo, down to width tol."""
@@ -200,7 +251,7 @@ def _refine(op: TridiagonalOperator, lo: float, hi: float, c_lo: int,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # float resolution exhausted
-        if sturm_count(op, mid) > c_lo:
+        if counts.count(mid) > c_lo:
             hi = mid
         else:
             lo = mid
@@ -215,38 +266,53 @@ def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
     if not (lo < hi):
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    c_lo = sturm_count(op, lo)
-    c_hi = sturm_count(op, hi)
+    counts = _KnownCounts(op)
+    c_lo = counts.count(lo)
+    c_hi = counts.count(hi)
     if c_hi - c_lo != 1:
         raise BracketError(
             f"bracket ({lo}, {hi}) contains {c_hi - c_lo} eigenvalues")
-    return _refine(op, lo, hi, c_lo, tol)
+    return _refine(counts, lo, hi, c_lo, tol)
 
 
 def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
                         tol: float = 1e-12) -> list[float]:
     """All eigenvalues in (lo, hi], isolated by Sturm counts then refined;
-    lo == hi is the empty interval."""
+    lo == hi is the empty interval.
+
+    Every count goes through one `_KnownCounts`, seeded first at the
+    mass points above lo, so isolation and refinement skip the counts
+    that known counts already decide and take the same branches, at the
+    same midpoints, as counting each x afresh: the result is the same to
+    the bit.  That rests on the float count being monotone in x.  It is
+    pinned, not proven: Kahan's argument, made precise by Demmel, Dhillon
+    and Ren (ETNA 3, 1995), covers the standard recurrence in monotone
+    rounding, but not `sturm_count`'s replacement of a zero pivot, and
+    tests/test_spectral.py checks monotonicity by a property over
+    consecutive floats at eigenvalues, zero-pivot points and random pairs.
+    """
     _check_bounds(lo, hi)
     if lo > hi:
         raise ValueError(f"interval must satisfy lo <= hi, got ({lo}, {hi})")
     _check_tol(tol)
+    counts = _KnownCounts(op)
+    counts.seed(lo)
     results: list[float] = []
-    stack = [(lo, hi, sturm_count(op, lo), sturm_count(op, hi))]
+    stack = [(lo, hi, counts.count(lo), counts.count(hi))]
     while stack:
         a, b, ca, cb = stack.pop()
         k = cb - ca
         if k == 0:
             continue
         if k == 1:
-            results.append(_refine(op, a, b, ca, tol))
+            results.append(_refine(counts, a, b, ca, tol))
             continue
         mid = 0.5 * (a + b)
         if not a < mid < b:
             # unresolvable cluster at float resolution
             results.extend([mid] * k)
             continue
-        cm = sturm_count(op, mid)
+        cm = counts.count(mid)
         stack.append((a, mid, ca, cm))
         stack.append((mid, b, cm, cb))
     return sorted(results)
@@ -254,8 +320,8 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
 
 def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
                          tol: float = 1e-12) -> list[float]:
-    """Eigenvalues above threshold (the discrete branch), descending x_m
-    order not guaranteed; returned ascending."""
+    """Eigenvalues in (threshold, max(threshold, Gershgorin upper end +
+    1)], the discrete branch for threshold >= 1, in ascending order."""
     _real(threshold, "threshold")
     _, hi = op.gershgorin_interval()
     # a threshold at or above the upper end leaves the empty interval

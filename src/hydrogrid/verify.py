@@ -265,11 +265,12 @@ def _diag_trig_ratios(delta: Fraction, n_max: int = 6) -> dict:
     }
 
 
-def _diag_alpha_order_normalized(n_values: list[int], kmax: int) -> dict:
+def _diag_alpha_order_normalized(delta: Fraction, n_values: list[int],
+                                 kmax: int) -> dict:
     out: dict[str, str] = {}
     for n in n_values:
-        table = coordinate.alpha_inner(n, min(kmax, n - 1))
-        for k in range(2, table.kmax + 1):
+        table = coordinate.eigen_data(n, delta).alpha_table
+        for k in range(2, min(kmax, n - 1) + 1):
             for m in range(1, k // 2 + 1):
                 out[f"n={n},k={k},m={m}"] = str(table.order_normalized(k, m))
     return out
@@ -321,7 +322,7 @@ def run_verification(delta: Fraction, n_lo: int, n_hi: int, kmax: int) -> dict:
         "p1_initial_condition": _diag_p1_convention(delta),
         "trig_per_degree_ratios": _diag_trig_ratios(delta),
         "alpha_order_normalized": _diag_alpha_order_normalized(
-            [n for n in (6, 8) if n <= max(n_hi, 6)], kmax),
+            delta, [n for n in (6, 8) if n <= max(n_hi, 6)], kmax),
         "eigenvalues_in_band_count": _diag_band_count(op),
     }
     return {

@@ -267,6 +267,18 @@ def test_alpha_inner_rejects_kmax_beyond_n():
         alpha_inner(4, 4)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bundle_alpha_table_holds_every_smaller_table(n):
+    # verify's order-normalized diagnostic reads the bundle's table for
+    # k <= min(kmax, n - 1) in place of alpha_inner(n, min(kmax, n - 1)).
+    table = eigen_data(n, Fraction(1, 2)).alpha_table
+    assert table == alpha_inner(n, n - 1)
+    for kmax in range(n):
+        small = alpha_inner(n, kmax).inner
+        assert small == {key: v for key, v in table.inner.items()
+                         if key[0] <= kmax}
+
+
 def _c_or_zero(n, k, l):
     if k < 0 or l < 0 or n - k - l < 0:
         return Fraction(0)

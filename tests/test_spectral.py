@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hydrogrid import coordinate, numerics, pollaczek, spectral, verify
 from hydrogrid.cli import RunConfig
@@ -701,11 +701,11 @@ STURM_DELTAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
 
 
 @st.composite
-def sturm_points(draw):
+def sturm_points(draw, max_size=3000):
     """An operator and an x: a special value, 1 + 10**-j, a random float,
     or the tail boundary diag[i] + 1 and its float neighbours."""
     op = build_truncated(draw(st.sampled_from(STURM_DELTAS)),
-                         draw(st.integers(1, 3000)))
+                         draw(st.integers(1, max_size)))
     kind = draw(st.sampled_from(["special", "near_one", "random",
                                  "boundary"]))
     if kind == "special":
@@ -727,6 +727,66 @@ def sturm_points(draw):
 def test_sturm_count_equals_full_walk(point):
     op, x = point
     assert sturm_count(op, x) == reference_sturm_count(op, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sturm_points(max_size=600))
+def test_sturm_count_equals_the_exact_count(point):
+    # The exact count is the independent route behind the monotonicity
+    # that `eigenvalues_between`'s known counts rest on.
+    op, x = point
+    assume(math.isfinite(x))
+    assert sturm_count(op, x) == exact_sturm_count(op, x)
+
+
+def float_counting(op, c):
+    """The smallest float x with sturm_count(op, x) >= c, for 1 <= c <= N:
+    where the c-th eigenvalue lies at float resolution."""
+    lo, hi = -3.0, op.gershgorin_interval()[1] + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if sturm_count(op, mid) >= c:
+            hi = mid
+        else:
+            lo = mid
+
+
+@st.composite
+def ascending_points(draw):
+    """An operator and ascending floats: consecutive floats around an
+    eigenvalue above 1 (any eigenvalue when none lies above 1), a
+    zero-pivot point x = diag[i] between its float neighbours, or a
+    random pair in [-3, 4]."""
+    op = build_truncated(draw(st.sampled_from(STURM_DELTAS)),
+                         draw(st.integers(1, 3000)))
+    kind = draw(st.sampled_from(["eigenvalue", "zero_pivot", "random"]))
+    if kind == "eigenvalue":
+        above_one = sturm_count(op, 1.0) + 1
+        c = draw(st.integers(above_one if above_one <= op.size else 1,
+                             op.size))
+        xs = [float_counting(op, c)]
+        for _ in range(draw(st.integers(0, 6))):
+            xs.insert(0, math.nextafter(xs[0], -math.inf))
+        while len(xs) < 8:
+            xs.append(math.nextafter(xs[-1], math.inf))
+    elif kind == "zero_pivot":
+        x = op._diag[draw(st.integers(0, op.size - 1))]
+        xs = [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    else:
+        xs = sorted([draw(st.floats(-3.0, 4.0)), draw(st.floats(-3.0, 4.0))])
+    return op, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascending_points())
+def test_sturm_count_is_monotone_in_x(points):
+    # The premise of `eigenvalues_between`'s known counts: x <= y gives
+    # sturm_count(op, x) <= sturm_count(op, y).
+    op, xs = points
+    counts = [sturm_count(op, x) for x in xs]
+    assert counts == sorted(counts)
 
 
 def test_sturm_count_equals_full_walk_on_a_grid():
@@ -913,43 +973,101 @@ def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-def test_point_spectrum_bisection_path_pinned(monkeypatch):
-    # Every x at which the solver counts, recorded with the one-loop
-    # early-stopping count: a count that differs anywhere changes the
-    # midpoints that follow it.
-    calls = []
-    original = spectral.sturm_count
+def record_point_spectrum_path(monkeypatch, delta, size):
+    """Every x at which isolation and refinement decide a count, whether
+    the known counts or `sturm_count` answer it, and the number of real
+    `sturm_count` calls."""
+    decided, counted = [], []
+    count, original = spectral._KnownCounts.count, spectral.sturm_count
 
-    def recording(op, x):
-        calls.append(x)
+    def deciding(counts, x):
+        decided.append(x)
+        return count(counts, x)
+
+    def counting(op, x):
+        counted.append(x)
         return original(op, x)
 
-    monkeypatch.setattr(spectral, "sturm_count", recording)
-    point_spectrum_above(build_truncated(Fraction(3, 4), 2206))
+    monkeypatch.setattr(spectral._KnownCounts, "count", deciding)
+    monkeypatch.setattr(spectral, "sturm_count", counting)
+    point_spectrum_above(build_truncated(delta, size))
     digest = hashlib.sha256(
-        "\n".join(x.hex() for x in calls).encode()).hexdigest()
-    assert len(calls) == 1062
+        "\n".join(x.hex() for x in decided).encode()).hexdigest()
+    return len(decided), digest, len(counted)
+
+
+def test_point_spectrum_bisection_path_pinned(monkeypatch):
+    # Every x at which the solver decides a count, recorded with the
+    # one-loop early-stopping count when each was a real count: a count
+    # that differs anywhere changes the midpoints that follow it.  The
+    # mass-point seeds and the counts they decide leave 385 real counts,
+    # 2 per seed included.
+    decided, digest, counted = record_point_spectrum_path(
+        monkeypatch, Fraction(3, 4), 2206)
+    assert decided == 1062
     assert digest == ("5118a9188eb190d80fe0adb3fc63a474"
                       "4d931ec7f850e075aa0738ef2208c78f")
+    assert counted == 385
 
 
 def test_point_spectrum_bisection_path_pinned_at_solver_size(monkeypatch):
     # The same record at a solvers-benchmark size, taken with the count
-    # that tallied negative pivots.
-    calls = []
-    original = spectral.sturm_count
-
-    def recording(op, x):
-        calls.append(x)
-        return original(op, x)
-
-    monkeypatch.setattr(spectral, "sturm_count", recording)
-    point_spectrum_above(build_truncated(Fraction(1, 2), 6978))
-    digest = hashlib.sha256(
-        "\n".join(x.hex() for x in calls).encode()).hexdigest()
-    assert len(calls) == 1404
+    # that tallied negative pivots; 474 of the 1404 are real counts.
+    decided, digest, counted = record_point_spectrum_path(
+        monkeypatch, Fraction(1, 2), 6978)
+    assert decided == 1404
     assert digest == ("2b6518e8dd904ae563aacf1dc02a7a4c"
                       "2f547c1f6eddd23e9c15ee25626e6315")
+    assert counted == 474
+
+
+def seedless_spectrum_above(op, threshold, tol):
+    """`point_spectrum_above` as it ran before counts were kept: the same
+    isolation and refinement, with a fresh `sturm_count` at every x and
+    no mass-point seeds."""
+    def refine(lo, hi, c_lo):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if sturm_count(op, mid) > c_lo:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    lo = threshold
+    hi = max(threshold, op.gershgorin_interval()[1] + 1.0)
+    results = []
+    stack = [(lo, hi, sturm_count(op, lo), sturm_count(op, hi))]
+    while stack:
+        a, b, ca, cb = stack.pop()
+        k = cb - ca
+        if k == 0:
+            continue
+        if k == 1:
+            results.append(refine(a, b, ca))
+            continue
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            results.extend([mid] * k)
+            continue
+        cm = sturm_count(op, mid)
+        stack.append((a, mid, ca, cm))
+        stack.append((mid, b, cm, cb))
+    return sorted(results)
+
+
+@pytest.mark.parametrize("threshold, tol", [(1.0, 1e-12), (1.0 + 1e-9, 1e-11)])
+@pytest.mark.parametrize("size", [1, 2, 50, 400, 2206, 8000])
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 10), Fraction(1, 2),
+                                   Fraction(3, 4), Fraction(5, 3), Fraction(2)])
+def test_point_spectrum_matches_the_seedless_reference(delta, size, threshold,
+                                                       tol):
+    op = build_truncated(delta, size)
+    found = point_spectrum_above(op, threshold, tol)
+    reference = seedless_spectrum_above(op, threshold, tol)
+    assert [x.hex() for x in found] == [x.hex() for x in reference]
 
 
 # float.hex() of point spectra, recorded with the full-walk Sturm count:
