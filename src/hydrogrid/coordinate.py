@@ -196,10 +196,21 @@ def continuum_energy(n: int) -> Fraction:
     return Fraction(-1, 2 * n * n)
 
 
+def _gap_step(delta: RationalLike, name: str = "delta") -> Fraction:
+    """A step checked by `_step` and at least 2**-537: below about
+    2**-537.5, float(delta)**2, the divisor of the gap ratio, is 0.0."""
+    delta = _step(delta)
+    if delta < Fraction(1, 2 ** 537):
+        raise ValueError(f"{name} must be at least 2**-537 (about 3.0e-162),"
+                         f" so that its float square is positive")
+    return delta
+
+
 def _continuum_gap(n: int, delta: RationalLike) -> tuple[float, float, float]:
-    """E of state n at step delta > 0, its gap E + 1/(2 n**2) to the
-    continuum and that gap over delta**2, each in doubles: the sweep that
-    `converge` prints and verify checks against 1/(8 n**4)."""
+    """E of state n at step delta >= 2**-537, its gap E + 1/(2 n**2) to
+    the continuum and that gap over delta**2, each in doubles: the sweep
+    that `converge` prints and verify checks against 1/(8 n**4)."""
+    delta = _gap_step(delta)
     energy = float(eigen_data(n, delta).E)
     gap = energy - float(continuum_energy(n))
     return energy, gap, gap / float(delta) ** 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import islice
 from fractions import Fraction
@@ -143,6 +143,27 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     return n - positive
 
 
+def _pivot_walk(op: TridiagonalOperator, x: float) -> tuple[int, float]:
+    """`sturm_count` at a non-NaN x, walked through every row, and the
+    last LDL^T pivot d_N = det(T_N - x)/det(T_{N-1} - x).
+
+    The rows take `sturm_count`'s float operations in the same order, with
+    no stop test, so the count is the same integer.  The zeros of d_N are
+    the eigenvalues of T_N, and its poles those of T_{N-1}.
+    """
+    eps = sys.float_info.epsilon
+    positive = 0
+    d = math.inf
+    for v in op._diag:
+        d = v - x - 0.25 / d
+        if d >= 0.0:
+            if d == 0.0:
+                d = -eps * (abs(v - x) + 1.0)
+            else:
+                positive += 1
+    return op.size - positive, d
+
+
 def exact_sturm_count(op: TridiagonalOperator,
                       x: RationalLike | float) -> int:
     """`sturm_count` in exact arithmetic, for a rational x (a float is
@@ -196,12 +217,15 @@ class _KnownCounts:
     """The Sturm counts of one operator taken so far in one solve, as
     (x, count) pairs sorted by x.
 
-    `count` answers an x counted before with its count, and an x strictly
-    between two counted points of equal count with that count, which the
-    float count's monotonicity in x implies; any other x it counts with
-    the module-level `sturm_count` and records.  So it returns only
+    Each pair comes from a real count: `seed` and `count` take it with
+    the module-level `sturm_count`, and `_home` with `_pivot_walk`, which
+    returns the same integer.  `count` answers an x counted before with
+    its count, and an x strictly between two counted points of equal
+    count with that count, which the float count's monotonicity in x
+    implies; any other x it counts and records.  So it returns only
     counts that a real count gives, and every caller takes the branch it
-    would take counting each x afresh.
+    would take counting each x afresh.  The monotonicity is pinned by a
+    property test, not proven (see `eigenvalues_between`).
     """
     __slots__ = ("op", "xs", "counts")
 
@@ -220,10 +244,20 @@ class _KnownCounts:
     def add(self, x: float) -> int:
         """Count x with `sturm_count` and record it."""
         c = sturm_count(self.op, x)
+        self._record(x, c)
+        return c
+
+    def walk(self, x: float) -> tuple[int, float]:
+        """Count x with `_pivot_walk`, record the count and return the
+        last pivot."""
+        c, d = _pivot_walk(self.op, x)
+        self._record(x, c)
+        return c, d
+
+    def _record(self, x: float, c: int) -> None:
         i = bisect_left(self.xs, x)
         self.xs.insert(i, x)
         self.counts.insert(i, c)
-        return c
 
     def seed(self, lo: float) -> None:
         """Count both sides of the float mass points above lo,
@@ -243,10 +277,68 @@ class _KnownCounts:
             above, k = x, k + 1
 
 
+def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
+          tol: float) -> None:
+    """Count points on both sides of the one eigenvalue lam in (lo, hi],
+    at most tol apart, steered by the last pivot d_N.
+
+    It starts from the tightest bracket (a, b] the known counts hold
+    inside (lo, hi] and narrows it by counts, each a `_pivot_walk` that
+    the known counts record.  d_N has poles between lam and its
+    neighbours, but 1/d_N = sum_i w_i/(lam_i - x) over the eigenvalues
+    lam_i of T_N, w_i >= 0, has just the one, at lam, inside (lo, hi].
+    So each step puts x at the pole of h + w/(lam - x) through the last
+    three walks: the one-pole model of a secular equation (Bunch,
+    Nielsen and Sorensen, Numer. Math. 31, 1978), moved in to tol/2 from
+    an end it would land nearer.  As in Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), it bisects instead
+    until three walks are known, and whenever that x falls outside
+    (a, b) or is no nearer the last walk than half the step before.
+    """
+    xs = counts.xs
+    j = bisect_right(counts.counts, c_lo, bisect_left(xs, lo),
+                     bisect_right(xs, hi))
+    a = max(lo, xs[j - 1]) if j else lo
+    b = min(hi, xs[j]) if j < len(xs) else hi
+    walks: list[tuple[float, float]] = []  # the last three (x, 1/d_N)
+    step = before = math.inf  # the last two distances between walks
+    while b - a > tol:
+        x = math.nan
+        if len(walks) == 3:
+            (x1, g1), (x2, g2), (x3, g3) = walks
+            t1, t2 = x1 - x3, x2 - x3
+            den = (g1 - g3) * t2 - (g2 - g3) * t1
+            if den:
+                x = x3 + t1 * t2 * (g1 - g2) / den
+            if not abs(x - x3) < 0.5 * before:
+                x = math.nan
+            elif x - a < 0.5 * tol:
+                x = a + 0.5 * tol
+            elif b - x < 0.5 * tol:
+                x = b - 0.5 * tol
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                return  # float resolution exhausted
+        c, d = counts.walk(x)
+        if walks:
+            before, step = step, abs(x - walks[-1][0])
+        walks = walks[-2:] + [(x, 1.0 / d)]
+        if c > c_lo:
+            b = x
+        else:
+            a = x
+
+
 def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
             tol: float) -> float:
     """Bisect (lo, hi], which holds exactly one eigenvalue above the
-    c_lo eigenvalues below lo, down to width tol."""
+    c_lo eigenvalues below lo, down to width tol.
+
+    `_home` counts next to the eigenvalue first, so the known counts
+    answer almost every midpoint, and the bisection takes the branches it
+    takes counting each midpoint afresh."""
+    _home(counts, lo, hi, c_lo, tol)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -260,7 +352,8 @@ def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
 
 def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
                     tol: float) -> float:
-    """Deterministic bisection for the single eigenvalue inside bracket."""
+    """Deterministic bisection for the single eigenvalue inside bracket,
+    homed in on first by `_refine`, with the bits of plain bisection."""
     lo, hi = bracket
     _check_bounds(lo, hi)
     if not (lo < hi):
@@ -280,16 +373,20 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
     """All eigenvalues in (lo, hi], isolated by Sturm counts then refined;
     lo == hi is the empty interval.
 
-    Every count goes through one `_KnownCounts`, seeded first at the
-    mass points above lo, so isolation and refinement skip the counts
-    that known counts already decide and take the same branches, at the
-    same midpoints, as counting each x afresh: the result is the same to
-    the bit.  That rests on the float count being monotone in x.  It is
-    pinned, not proven: Kahan's argument, made precise by Demmel, Dhillon
-    and Ren (ETNA 3, 1995), covers the standard recurrence in monotone
-    rounding, but not `sturm_count`'s replacement of a zero pivot, and
-    tests/test_spectral.py checks monotonicity by a property over
-    consecutive floats at eigenvalues, zero-pivot points and random pairs.
+    Every count goes through one `_KnownCounts`, which records counts
+    from three places: the seeds on both sides of the mass points above
+    lo, isolation and refinement midpoints that no known counts decide,
+    and the steps of `_home`, steered by the last pivot, before each
+    refinement.  So isolation and refinement skip the counts that known
+    counts already decide and take the same branches, at the same
+    midpoints, as counting each x afresh: the result is the same to the
+    bit.  That rests on the float count being monotone in x.  It is
+    still pinned, not proven: Kahan's argument, made precise by Demmel,
+    Dhillon and Ren (ETNA 3, 1995), covers the standard recurrence in
+    monotone rounding, but not `sturm_count`'s replacement of a zero
+    pivot, and tests/test_spectral.py checks monotonicity by a property
+    over consecutive floats at eigenvalues, zero-pivot points and random
+    pairs.
     """
     _check_bounds(lo, hi)
     if lo > hi:

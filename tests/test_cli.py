@@ -90,6 +90,17 @@ def test_converge_sweep(tmp_path):
     assert float(first[4]) == pytest.approx(0.125, rel=6e-3)
 
 
+def test_converge_takes_steps_down_to_the_float_square_bound(capsys):
+    # 2**-537 squares to the least subnormal double; a smaller step is
+    # rejected instead of dividing a gap by 0.0.
+    assert main(["converge", "--n", "1..1", "--deltas", "1e-161",
+                 "--mode", "float"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",-0.5,0,0")
+    assert coordinate._continuum_gap(1, Fraction(1, 2 ** 537))[2] == 0.0
+    with pytest.raises(ValueError, match=r"^delta must be at least 2\*\*-537"):
+        coordinate._continuum_gap(1, Fraction(1, 2 ** 538))
+
+
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -226,6 +237,12 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     ("verify --delta=-1/2", "delta must be > 0"),
     ("converge --deltas 1/5,0", "delta must be > 0"),
     ("converge --deltas 1/5,-1/10", "delta must be > 0"),
+    ("converge --n 1..1 --deltas 1e-170 --mode float",
+     "--deltas must be at least 2**-537"),
+    ("converge --n 1..1 --deltas 1/5,1e-162 --mode float",
+     "--deltas must be at least 2**-537"),
+    ("converge --deltas= --delta 1e-170 --mode float",
+     "--delta must be at least 2**-537"),
     ("wavefunction --kmax -5", "--kmax must be >= 1"),
     ("wavefunction --kmax 0", "--kmax must be >= 1"),
     ("pollaczek --jmax -1", "--jmax must be >= 0"),

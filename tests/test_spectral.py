@@ -679,6 +679,11 @@ def test_gram_matrix_builds_no_surd_per_term(monkeypatch):
 def reference_sturm_count(op, x):
     """The full-walk Sturm count the early-stopping one must reproduce:
     every row evaluated, diagonal recomputed per row."""
+    return reference_walk(op, x)[0]
+
+
+def reference_walk(op, x):
+    """`reference_sturm_count` and the last pivot of its walk."""
     eps = sys.float_info.epsilon
     count = 0
     d = 1.0
@@ -693,7 +698,7 @@ def reference_sturm_count(op, x):
             d = -eps * max(1.0, abs(diag) + 1.0)
         if d < 0.0:
             count += 1
-    return count
+    return count, d
 
 
 STURM_DELTAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
@@ -754,13 +759,13 @@ def float_counting(op, c):
 
 
 @st.composite
-def ascending_points(draw):
+def ascending_points(draw, max_size=3000):
     """An operator and ascending floats: consecutive floats around an
     eigenvalue above 1 (any eigenvalue when none lies above 1), a
     zero-pivot point x = diag[i] between its float neighbours, or a
     random pair in [-3, 4]."""
     op = build_truncated(draw(st.sampled_from(STURM_DELTAS)),
-                         draw(st.integers(1, 3000)))
+                         draw(st.integers(1, max_size)))
     kind = draw(st.sampled_from(["eigenvalue", "zero_pivot", "random"]))
     if kind == "eigenvalue":
         above_one = sturm_count(op, 1.0) + 1
@@ -789,14 +794,19 @@ def test_sturm_count_is_monotone_in_x(points):
     assert counts == sorted(counts)
 
 
+def grid_points(op):
+    """Special values, 1 + 10**-j and tail boundaries diag[i] + 1."""
+    diag = list(op._diag)
+    xs = [-math.inf, math.inf, math.nan, -1.0, 0.0, 1.0, 1.5, 3.0]
+    xs += [1.0 + 10.0 ** -j for j in range(1, 17)]
+    return xs + [diag[i] + 1.0 for i in range(0, op.size, max(1, op.size // 9))]
+
+
 def test_sturm_count_equals_full_walk_on_a_grid():
     for delta in STURM_DELTAS:
         for size in (1, 2, 3, 50, 777):
             op = build_truncated(delta, size)
-            diag = list(op._diag)
-            xs = [-math.inf, math.inf, math.nan, -1.0, 0.0, 1.0, 1.5, 3.0]
-            xs += [1.0 + 10.0 ** -j for j in range(1, 17)]
-            xs += [diag[i] + 1.0 for i in range(0, size, max(1, size // 9))]
+            xs = grid_points(op)
             for x in xs:
                 assert sturm_count(op, x) == reference_sturm_count(op, x)
             assert sturm_count(op, math.inf) == size
@@ -808,6 +818,52 @@ def test_sturm_count_equals_full_walk_on_a_grid():
             for x in (math.nextafter(e, -math.inf), e,
                       math.nextafter(e, math.inf)):
                 assert sturm_count(op, x) == reference_sturm_count(op, x)
+
+
+def assert_pivot_walk_is_a_full_walk(op, x):
+    # The count `_refine`'s homing records, and the d_N it steers by.
+    count, d = spectral._pivot_walk(op, x)
+    assert count == sturm_count(op, x)
+    ref_count, ref_d = reference_walk(op, x)
+    assert (count, d.hex()) == (ref_count, ref_d.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascending_points())
+def test_pivot_walk_equals_sturm_count_and_a_full_walk(points):
+    # Float neighbours of eigenvalues, zero-pivot points and random pairs.
+    op, xs = points
+    for x in xs:
+        assert_pivot_walk_is_a_full_walk(op, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sturm_points(max_size=600))
+def test_pivot_walk_equals_the_exact_count(point):
+    # The points `sturm_count` is checked against the exact count at; at
+    # x = diag[i] a float diagonal that is not the exact delta/k parts
+    # the two counts, for the walk and `sturm_count` alike.
+    op, x = point
+    assume(math.isfinite(x))
+    assert spectral._pivot_walk(op, x)[0] == exact_sturm_count(op, x)
+
+
+def test_pivot_walk_equals_both_counts_and_a_full_walk_on_a_grid():
+    # NaN is left out: the walk is asked only strictly inside a bracket.
+    for delta in STURM_DELTAS:
+        for size in (1, 2, 3, 50, 777):
+            op = build_truncated(delta, size)
+            for x in grid_points(op):
+                if x == x:
+                    assert_pivot_walk_is_a_full_walk(op, x)
+                if math.isfinite(x):
+                    assert (spectral._pivot_walk(op, x)[0]
+                            == exact_sturm_count(op, x))
+        op = build_truncated(delta, 8000)
+        for e in lowest_eigenvalues_above(op, 1.0, 3):
+            for x in (math.nextafter(e, -math.inf), e,
+                      math.nextafter(e, math.inf)):
+                assert_pivot_walk_is_a_full_walk(op, x)
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4),
@@ -973,69 +1029,121 @@ def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def record_real_walks(monkeypatch):
+    """The list every x that `sturm_count` counts or `_pivot_walk` walks
+    is appended to."""
+    walked = []
+    count, walk = spectral.sturm_count, spectral._pivot_walk
+
+    def counting(op, x):
+        walked.append(x)
+        return count(op, x)
+
+    def walking(op, x):
+        walked.append(x)
+        return walk(op, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", counting)
+    monkeypatch.setattr(spectral, "_pivot_walk", walking)
+    return walked
+
+
 def record_point_spectrum_path(monkeypatch, delta, size):
     """Every x at which isolation and refinement decide a count, whether
-    the known counts or `sturm_count` answer it, and the number of real
-    `sturm_count` calls."""
-    decided, counted = [], []
-    count, original = spectral._KnownCounts.count, spectral.sturm_count
+    the known counts or a real walk answer it, and the number of real
+    walks: `sturm_count` calls and pivot walks."""
+    decided = []
+    count = spectral._KnownCounts.count
 
     def deciding(counts, x):
         decided.append(x)
         return count(counts, x)
 
-    def counting(op, x):
-        counted.append(x)
-        return original(op, x)
-
     monkeypatch.setattr(spectral._KnownCounts, "count", deciding)
-    monkeypatch.setattr(spectral, "sturm_count", counting)
+    walked = record_real_walks(monkeypatch)
     point_spectrum_above(build_truncated(delta, size))
     digest = hashlib.sha256(
         "\n".join(x.hex() for x in decided).encode()).hexdigest()
-    return len(decided), digest, len(counted)
+    return len(decided), digest, len(walked)
 
 
 def test_point_spectrum_bisection_path_pinned(monkeypatch):
     # Every x at which the solver decides a count, recorded with the
     # one-loop early-stopping count when each was a real count: a count
     # that differs anywhere changes the midpoints that follow it.  The
-    # mass-point seeds and the counts they decide leave 385 real counts,
-    # 2 per seed included.
+    # mass-point seeds and the counts they decide, then the homing on
+    # the last pivot, leave 194 real walks, 2 per seed included.
     decided, digest, counted = record_point_spectrum_path(
         monkeypatch, Fraction(3, 4), 2206)
     assert decided == 1062
     assert digest == ("5118a9188eb190d80fe0adb3fc63a474"
                       "4d931ec7f850e075aa0738ef2208c78f")
-    assert counted == 385
+    assert counted == 194
 
 
 def test_point_spectrum_bisection_path_pinned_at_solver_size(monkeypatch):
     # The same record at a solvers-benchmark size, taken with the count
-    # that tallied negative pivots; 474 of the 1404 are real counts.
+    # that tallied negative pivots; 256 real walks decide the 1404.
     decided, digest, counted = record_point_spectrum_path(
         monkeypatch, Fraction(1, 2), 6978)
     assert decided == 1404
     assert digest == ("2b6518e8dd904ae563aacf1dc02a7a4c"
                       "2f547c1f6eddd23e9c15ee25626e6315")
-    assert counted == 474
+    assert counted == 256
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: point_spectrum_above(build_truncated(Fraction(3, 4), 2206)),
+    lambda: point_spectrum_above(build_truncated(Fraction(1, 2), 400),
+                                 1.0 + 1e-9, 1e-11),
+    lambda: point_spectrum_above(build_truncated(0, 50), -2.0),
+    lambda: point_spectrum_above(build_truncated(Fraction(5, 3), 3000)),
+    lambda: eigen_bisection(build_truncated(1, 400), (1.40, 1.43), 1e-12)])
+def test_no_x_is_walked_or_counted_twice_in_one_solve(monkeypatch, solve):
+    # The homing starts strictly inside the tightest known bracket, and
+    # the known counts answer every x counted before.
+    walked = record_real_walks(monkeypatch)
+    solve()
+    assert walked and len(walked) == len(set(walked))
+
+
+def test_eigen_bisection_matches_the_seedless_refinement():
+    # The same bisection path as fresh counts at every midpoint, so the
+    # same bits, with the homing in front.
+    cases = [(build_truncated(1, 2), (1.2, 1.4), 1e-12),
+             (build_truncated(1, 400), (1.40, 1.43), 1e-12),
+             (build_truncated(1, 400), (1.10, 1.13), 1e-12)]
+    # unseeded eigenvalues just above 1, and one inside the band
+    op = build_truncated(Fraction(1, 2), 2206)
+    for e in lowest_eigenvalues_above(op, 1.0, 3):
+        cases.append((op, (e - 3e-7, e + 2e-7), 1e-12))
+    op = build_truncated(0, 50)
+    e = float_counting(op, 20)
+    cases.append((op, (e - 0.01, e + 0.01), 1e-9))
+    for op, (lo, hi), tol in cases:
+        assert sturm_count(op, hi) - sturm_count(op, lo) == 1
+        found = eigen_bisection(op, (lo, hi), tol)
+        assert found.hex() == seedless_refine(op, lo, hi, tol).hex()
+
+
+def seedless_refine(op, lo, hi, tol):
+    """Bisection of (lo, hi] with a fresh `sturm_count` at every x."""
+    c_lo = sturm_count(op, lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if sturm_count(op, mid) > c_lo:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def seedless_spectrum_above(op, threshold, tol):
     """`point_spectrum_above` as it ran before counts were kept: the same
     isolation and refinement, with a fresh `sturm_count` at every x and
     no mass-point seeds."""
-    def refine(lo, hi, c_lo):
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if sturm_count(op, mid) > c_lo:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
     lo = threshold
     hi = max(threshold, op.gershgorin_interval()[1] + 1.0)
     results = []
@@ -1046,7 +1154,7 @@ def seedless_spectrum_above(op, threshold, tol):
         if k == 0:
             continue
         if k == 1:
-            results.append(refine(a, b, ca))
+            results.append(seedless_refine(op, a, b, tol))
             continue
         mid = 0.5 * (a + b)
         if not a < mid < b:
