@@ -99,7 +99,8 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     - Rows before t: the stop argument below needs g <= -1, so no pivot
       there settles the count, and the loop walks them all with no stop
       test.  A zero pivot is replaced and counted negative; a positive
-      one is tallied.
+      one is tallied.  `_pivot_walk` takes these same steps through the
+      last row, so an edit to one loop is made to the other.
     - Rows from t on: every row has g = diag - x <= -1 in floats too.
       There a pivot d <= -0.5 gives fl(0.25/d) in [-0.5, 0], hence the
       next pivot fl(g - fl(0.25/d)) <= -0.5 (rounding is monotone): no

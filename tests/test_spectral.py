@@ -759,13 +759,13 @@ def float_counting(op, c):
 
 
 @st.composite
-def ascending_points(draw, max_size=3000):
+def ascending_points(draw):
     """An operator and ascending floats: consecutive floats around an
     eigenvalue above 1 (any eigenvalue when none lies above 1), a
     zero-pivot point x = diag[i] between its float neighbours, or a
     random pair in [-3, 4]."""
     op = build_truncated(draw(st.sampled_from(STURM_DELTAS)),
-                         draw(st.integers(1, max_size)))
+                         draw(st.integers(1, 3000)))
     kind = draw(st.sampled_from(["eigenvalue", "zero_pivot", "random"]))
     if kind == "eigenvalue":
         above_one = sturm_count(op, 1.0) + 1
