@@ -83,15 +83,24 @@ def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
-    """Number of eigenvalues of the truncated operator strictly below x.
+    """Number of eigenvalues of the truncated operator at or below x, as
+    the float recurrence counts them.
 
     Standard Sturm-sequence sign count: the negative pivots of the LDL^T
     factorization of op - x, where a pivot that hits exact zero is
-    replaced by a tiny negative multiple of the row norm.  From about
-    x = 1 up, where the solvers count, almost every pivot is negative, so
-    the loop tallies the positive ones and returns n minus that tally:
-    one fused step d = (diag - x) - 0.25/d per row, and a branch only for
-    a pivot that is not negative.
+    replaced by a tiny negative multiple of the row norm.  So a zero
+    pivot counts negative and an eigenvalue at x is counted, as in
+    `exact_sturm_count`.  The diagonal is float(delta)/k, the exact
+    delta/k only where that is a binary fraction; where it is not, a zero
+    pivot at x = diag[i] can part the two counts.  At delta = 1/3, N = 1
+    and x = 0.3333333333333333 the float diagonal is x itself and this
+    count is 1, while the exact eigenvalue 1/3 lies above x and
+    `exact_sturm_count` is 0.
+
+    From about x = 1 up, where the solvers count, almost every pivot is
+    negative, so the loop tallies the positive ones and returns n minus
+    that tally: one fused step d = (diag - x) - 0.25/d per row, and a
+    branch only for a pivot that is not negative.
 
     The diagonal is non-increasing (delta >= 0), so the rows split at the
     first row t with diag[t] - x <= -1, and the count runs in two phases:
@@ -255,6 +264,16 @@ class _KnownCounts:
         self._record(x, c)
         return c, d
 
+    def gap(self, lo: float, hi: float, c_lo: int) -> tuple[float, float]:
+        """The tightest bracket (a, b] the known counts hold inside
+        (lo, hi] of the one eigenvalue there above c_lo: a counted c_lo
+        or is lo, and b counted more or is hi."""
+        xs = self.xs
+        j = bisect_right(self.counts, c_lo, bisect_left(xs, lo),
+                         bisect_right(xs, hi))
+        return (max(lo, xs[j - 1]) if j else lo,
+                min(hi, xs[j]) if j < len(xs) else hi)
+
     def _record(self, x: float, c: int) -> None:
         i = bisect_left(self.xs, x)
         self.xs.insert(i, x)
@@ -278,68 +297,156 @@ class _KnownCounts:
             above, k = x, k + 1
 
 
-def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
-          tol: float) -> None:
-    """Count points on both sides of the one eigenvalue lam in (lo, hi],
-    at most tol apart, steered by the last pivot d_N.
+def _last_interval(lo: float, hi: float, tol: float,
+                   x: float) -> tuple[float, float]:
+    """The interval (lo, hi] that `_refine`'s bisection of (lo, hi] ends
+    on when the count first rises at x: every midpoint below x counts
+    below the eigenvalue, every other one above it."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid < x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    It starts from the tightest bracket (a, b] the known counts hold
-    inside (lo, hi] and narrows it by counts, each a `_pivot_walk` that
-    the known counts record.  d_N has poles between lam and its
-    neighbours, but 1/d_N = sum_i w_i/(lam_i - x) over the eigenvalues
-    lam_i of T_N, w_i >= 0, has just the one, at lam, inside (lo, hi].
-    So each step puts x at the pole of h + w/(lam - x) through the last
-    three walks: the one-pole model of a secular equation (Bunch,
-    Nielsen and Sorensen, Numer. Math. 31, 1978), moved in to tol/2 from
-    an end it would land nearer.  As in Brent's method (Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), it bisects instead
-    until three walks are known, and whenever that x falls outside
-    (a, b) or is no nearer the last walk than half the step before.
+
+def _inside(lo: float, hi: float, tol: float, a: float, b: float,
+            upper: bool) -> float:
+    """The midpoint of `_refine`'s bisection of (lo, hi] that lies just
+    inside the end b (upper) or a of the gap (a, b]: an end of the
+    interval the bisection ends on if the eigenvalue lies next to that
+    end.  While some midpoint lies in (a, b), so does this one."""
+    if upper:
+        return _last_interval(lo, hi, tol, b)[0]
+    return _last_interval(lo, hi, tol, math.nextafter(a, math.inf))[1]
+
+
+def _pole(walks: list[tuple[float, float]]) -> float:
+    """The pole of h + w/(lam - x) through three walks (x, 1/d_N), or
+    NaN."""
+    (x1, g1), (x2, g2), (x3, g3) = walks
+    t1, t2 = x1 - x3, x2 - x3
+    den = (g1 - g3) * t2 - (g2 - g3) * t1
+    return x3 + t1 * t2 * (g1 - g2) / den if den else math.nan
+
+
+def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
+          tol: float, guess: tuple[float, float] | None = None) -> None:
+    """Walk points next to the one eigenvalue lam in (lo, hi] until
+    `_refine`'s bisection of (lo, hi] meets no midpoint that the known
+    counts leave open.
+
+    An open midpoint is one strictly inside the gap (a, b], the
+    tightest bracket of lam the known counts hold.  The homing ends when
+    `_last_interval` of b, the interval the bisection ends on, reaches
+    down to a.  Each step walks a point strictly inside the gap with
+    `_pivot_walk`, recorded in the known counts, so no x is walked
+    twice.  The steps only choose which points get counted: the
+    bisection that follows takes the branches and midpoints it takes
+    counting each x afresh, whatever the guess.
+
+    - A guess (p, s) of lam and its spread is walked first; then steps
+      of s, 4s, 16s, ... go toward lam until a walk lands on its other
+      side.  A step that would leave the gap walks `_inside` the end it
+      passes instead: a failed mass-point seed leaves a count just
+      above lam.
+    - Then each step puts x at the pole of h + w/(lam - x) through the
+      last three walks: 1/d_N = sum_i w_i/(lam_i - x) over the
+      eigenvalues lam_i of T_N, w_i >= 0, has just the one pole, lam,
+      inside (lo, hi] (the one-pole model of a secular equation, Bunch,
+      Nielsen and Sorensen, Numer. Math. 31, 1978).  When the last
+      interval around the pole already holds a walk on one side of it,
+      the step walks that interval's end on the other side instead,
+      which ends the homing if the pole is right.
+    - As in Brent's method (Algorithms for Minimization without
+      Derivatives, 1973, ch. 4), a pole is walked only if it lies inside
+      the gap and nearer the last walk than half the step before.  Else
+      the step walks `_inside` the gap next to the last walk when that
+      was at a pole or the gap is no wider than tol, and otherwise
+      bisects the gap.
     """
-    xs = counts.xs
-    j = bisect_right(counts.counts, c_lo, bisect_left(xs, lo),
-                     bisect_right(xs, hi))
-    a = max(lo, xs[j - 1]) if j else lo
-    b = min(hi, xs[j]) if j < len(xs) else hi
+    a, b = counts.gap(lo, hi, c_lo)
     walks: list[tuple[float, float]] = []  # the last three (x, 1/d_N)
     step = before = math.inf  # the last two distances between walks
-    while b - a > tol:
-        x = math.nan
-        if len(walks) == 3:
-            (x1, g1), (x2, g2), (x3, g3) = walks
-            t1, t2 = x1 - x3, x2 - x3
-            den = (g1 - g3) * t2 - (g2 - g3) * t1
-            if den:
-                x = x3 + t1 * t2 * (g1 - g2) / den
-            if not abs(x - x3) < 0.5 * before:
-                x = math.nan
-            elif x - a < 0.5 * tol:
-                x = a + 0.5 * tol
-            elif b - x < 0.5 * tol:
-                x = b - 0.5 * tol
-        if not a < x < b:
-            x = 0.5 * (a + b)
+    x, reach = guess if guess is not None else (math.nan, 0.0)
+    side = None  # whether the guess's walks so far lie above lam
+    pole = False  # whether the last walk was at a pole
+    while _last_interval(lo, hi, tol, b)[0] > a:
+        if reach:
             if not a < x < b:
-                return  # float resolution exhausted
+                x = _inside(lo, hi, tol, a, b, x >= b)
+                if side is not None:
+                    reach = 0.0
+        else:
+            x = _pole(walks) if len(walks) == 3 else math.nan
+            at_pole = False
+            if a < x < b:
+                end_lo, end_hi = _last_interval(lo, hi, tol, x)
+                if end_lo <= a:
+                    x = end_hi
+                elif end_hi >= b:
+                    x = end_lo
+                elif abs(x - walks[2][0]) < 0.5 * before:
+                    at_pole = True
+                else:
+                    x = math.nan
+            if not a < x < b:
+                if pole or b - a <= tol:
+                    x = _inside(lo, hi, tol, a, b,
+                                not walks or walks[-1][0] == b)
+                else:
+                    x = 0.5 * (a + b)
+            pole = at_pole
+        if not a < x < b:
+            return  # float resolution exhausted
         c, d = counts.walk(x)
         if walks:
             before, step = step, abs(x - walks[-1][0])
         walks = walks[-2:] + [(x, 1.0 / d)]
-        if c > c_lo:
+        above = c > c_lo
+        if above:
             b = x
         else:
             a = x
+        if reach:
+            if side is None or side == above:
+                x = x - reach if above else x + reach
+                reach, side = 4.0 * reach, above
+            else:
+                reach = 0.0
+
+
+def _predict(refined: dict[int, float], c: int,
+             tol: float) -> tuple[float, float] | None:
+    """A guess (p, s) for `_home` at the c-th eigenvalue from the bottom,
+    from the refined eigenvalues above it, by count index: p extrapolates
+    the next four cubically, and s, its spread, is how far the quadratic
+    extrapolation of the next three lies from p, but at least 4 tol.
+    None unless all four are refined."""
+    try:
+        l1, l2, l3, l4 = (refined[c + i] for i in range(1, 5))
+    except KeyError:
+        return None
+    cubic = 4.0 * l1 - 6.0 * l2 + 4.0 * l3 - l4
+    quadratic = 3.0 * l1 - 3.0 * l2 + l3
+    return cubic, max(abs(cubic - quadratic), 4.0 * tol)
 
 
 def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
-            tol: float) -> float:
+            tol: float, guess: tuple[float, float] | None = None) -> float:
     """Bisect (lo, hi], which holds exactly one eigenvalue above the
     c_lo eigenvalues below lo, down to width tol.
 
-    `_home` counts next to the eigenvalue first, so the known counts
-    answer almost every midpoint, and the bisection takes the branches it
-    takes counting each midpoint afresh."""
-    _home(counts, lo, hi, c_lo, tol)
+    `_home` walks next to the eigenvalue first, steered by the guess when
+    there is one, until the known counts answer every midpoint.  The
+    guess and the walks only choose which points get counted; the bits
+    come from this bisection, which takes the branches it takes counting
+    each midpoint afresh.  `_last_interval` retraces this loop, so an
+    edit to one is made to the other."""
+    _home(counts, lo, hi, c_lo, tol, guess)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -377,17 +484,20 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
     Every count goes through one `_KnownCounts`, which records counts
     from three places: the seeds on both sides of the mass points above
     lo, isolation and refinement midpoints that no known counts decide,
-    and the steps of `_home`, steered by the last pivot, before each
-    refinement.  So isolation and refinement skip the counts that known
-    counts already decide and take the same branches, at the same
-    midpoints, as counting each x afresh: the result is the same to the
-    bit.  That rests on the float count being monotone in x.  It is
-    still pinned, not proven: Kahan's argument, made precise by Demmel,
-    Dhillon and Ren (ETNA 3, 1995), covers the standard recurrence in
-    monotone rounding, but not `sturm_count`'s replacement of a zero
-    pivot, and tests/test_spectral.py checks monotonicity by a property
-    over consecutive floats at eigenvalues, zero-pivot points and random
-    pairs.
+    and the steps of `_home` before each refinement.  Isolation pops the
+    upper half of each split first, so the eigenvalues are refined from
+    the top down, each remembered by its count index c, and `_predict`
+    extrapolates the refined lam_{c+1..c+4} to the guess that steers
+    the homing at c.  The guesses only steer: isolation and refinement
+    skip the counts that known counts already decide and take the same
+    branches, at the same midpoints, as counting each x afresh, so the
+    result is the same to the bit.  That rests on the float count being
+    monotone in x.  It is still pinned, not proven: Kahan's argument,
+    made precise by Demmel, Dhillon and Ren (ETNA 3, 1995), covers the
+    standard recurrence in monotone rounding, but not `sturm_count`'s
+    replacement of a zero pivot, and tests/test_spectral.py checks
+    monotonicity by a property over consecutive floats at eigenvalues,
+    zero-pivot points and random pairs.
     """
     _check_bounds(lo, hi)
     if lo > hi:
@@ -395,7 +505,8 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
     _check_tol(tol)
     counts = _KnownCounts(op)
     counts.seed(lo)
-    results: list[float] = []
+    refined: dict[int, float] = {}
+    clusters: list[float] = []
     stack = [(lo, hi, counts.count(lo), counts.count(hi))]
     while stack:
         a, b, ca, cb = stack.pop()
@@ -403,17 +514,18 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
         if k == 0:
             continue
         if k == 1:
-            results.append(_refine(counts, a, b, ca, tol))
+            refined[cb] = _refine(counts, a, b, ca, tol,
+                                  _predict(refined, cb, tol))
             continue
         mid = 0.5 * (a + b)
         if not a < mid < b:
             # unresolvable cluster at float resolution
-            results.extend([mid] * k)
+            clusters.extend([mid] * k)
             continue
         cm = counts.count(mid)
         stack.append((a, mid, ca, cm))
         stack.append((mid, b, cm, cb))
-    return sorted(results)
+    return sorted([*refined.values(), *clusters])
 
 
 def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,

@@ -29,6 +29,7 @@ from hydrogrid.spectral import (
     point_spectrum_above,
     sturm_count,
 )
+from spectral_walks import SOLVERS_SPECTRA, record_walks, sturm_rows
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
@@ -848,6 +849,52 @@ def test_pivot_walk_equals_the_exact_count(point):
     assert spectral._pivot_walk(op, x)[0] == exact_sturm_count(op, x)
 
 
+@st.composite
+def exact_zero_pivot_points(draw):
+    """An operator with a binary-fraction delta and x = diag[k-1] for k
+    a power of 2: a zero first-phase pivot where the float diagonal
+    delta/k is exact."""
+    delta = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4),
+                                  Fraction(1), Fraction(2)]))
+    size = draw(st.integers(1, 600))
+    k = 2 ** draw(st.integers(0, size.bit_length() - 1))
+    return build_truncated(delta, size), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_zero_pivot_points())
+def test_the_counts_equal_the_exact_count_at_exact_zero_pivots(point):
+    # The float-equals-exact-count property at the zero-pivot points
+    # `sturm_points` does not draw: the zero pivot counts an eigenvalue
+    # at x in all three counts.
+    op, k = point
+    x = op._diag[k - 1]
+    assert Fraction(x) == op.delta / k
+    assert (sturm_count(op, x) == spectral._pivot_walk(op, x)[0]
+            == exact_sturm_count(op, x))
+
+
+def test_a_zero_pivot_counts_the_float_diagonal_not_the_exact_one():
+    # The documented convention, not a fault: delta = 1/3 has a float
+    # diagonal below 1/3, and at x = diag[0] its zero pivot counts the
+    # float eigenvalue at x, while the exact 1/3 lies above x.
+    op = build_truncated(Fraction(1, 3), 1)
+    x = op._diag[0]
+    assert x == 0.3333333333333333 and Fraction(x) < Fraction(1, 3)
+    assert sturm_count(op, x) == spectral._pivot_walk(op, x)[0] == 1
+    assert exact_sturm_count(op, x) == 0
+    assert exact_sturm_count(op, Fraction(1, 3)) == 1
+
+
+def test_sturm_rows_counts_the_rows_of_the_early_stopping_count():
+    # The rows tests/spectral_walks.py adds up for each `sturm_count`.
+    op = build_truncated(Fraction(1, 2), 400)
+    assert sturm_rows(op, 1.0 + 1e-9) == 400  # no row has diag - x <= -1
+    assert sturm_rows(op, 4.0) == 1  # the first pivot is already <= -0.5
+    assert sturm_rows(op, math.nan) == 0
+    assert sturm_rows(op, 1.75) < 400
+
+
 def test_pivot_walk_equals_both_counts_and_a_full_walk_on_a_grid():
     # NaN is left out: the walk is asked only strictly inside a bracket.
     for delta in STURM_DELTAS:
@@ -1029,25 +1076,6 @@ def test_eigenvalues_between_counts_each_bracket_end_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-def record_real_walks(monkeypatch):
-    """The list every x that `sturm_count` counts or `_pivot_walk` walks
-    is appended to."""
-    walked = []
-    count, walk = spectral.sturm_count, spectral._pivot_walk
-
-    def counting(op, x):
-        walked.append(x)
-        return count(op, x)
-
-    def walking(op, x):
-        walked.append(x)
-        return walk(op, x)
-
-    monkeypatch.setattr(spectral, "sturm_count", counting)
-    monkeypatch.setattr(spectral, "_pivot_walk", walking)
-    return walked
-
-
 def record_point_spectrum_path(monkeypatch, delta, size):
     """Every x at which isolation and refinement decide a count, whether
     the known counts or a real walk answer it, and the number of real
@@ -1060,11 +1088,11 @@ def record_point_spectrum_path(monkeypatch, delta, size):
         return count(counts, x)
 
     monkeypatch.setattr(spectral._KnownCounts, "count", deciding)
-    walked = record_real_walks(monkeypatch)
+    record = record_walks(monkeypatch.setattr)
     point_spectrum_above(build_truncated(delta, size))
     digest = hashlib.sha256(
         "\n".join(x.hex() for x in decided).encode()).hexdigest()
-    return len(decided), digest, len(walked)
+    return len(decided), digest, len(record.real)
 
 
 def test_point_spectrum_bisection_path_pinned(monkeypatch):
@@ -1072,24 +1100,26 @@ def test_point_spectrum_bisection_path_pinned(monkeypatch):
     # one-loop early-stopping count when each was a real count: a count
     # that differs anywhere changes the midpoints that follow it.  The
     # mass-point seeds and the counts they decide, then the homing on
-    # the last pivot, leave 194 real walks, 2 per seed included.
+    # the last pivot steered by refined neighbours, leave 155 real walks
+    # (62 counts, 2 per seed included, and 93 pivot walks).
     decided, digest, counted = record_point_spectrum_path(
         monkeypatch, Fraction(3, 4), 2206)
     assert decided == 1062
     assert digest == ("5118a9188eb190d80fe0adb3fc63a474"
                       "4d931ec7f850e075aa0738ef2208c78f")
-    assert counted == 194
+    assert counted == 155
 
 
 def test_point_spectrum_bisection_path_pinned_at_solver_size(monkeypatch):
     # The same record at a solvers-benchmark size, taken with the count
-    # that tallied negative pivots; 256 real walks decide the 1404.
+    # that tallied negative pivots; 192 real walks (90 counts and 102
+    # pivot walks) decide the 1404.
     decided, digest, counted = record_point_spectrum_path(
         monkeypatch, Fraction(1, 2), 6978)
     assert decided == 1404
     assert digest == ("2b6518e8dd904ae563aacf1dc02a7a4c"
                       "2f547c1f6eddd23e9c15ee25626e6315")
-    assert counted == 256
+    assert counted == 192
 
 
 @pytest.mark.parametrize("solve", [
@@ -1098,13 +1128,88 @@ def test_point_spectrum_bisection_path_pinned_at_solver_size(monkeypatch):
                                  1.0 + 1e-9, 1e-11),
     lambda: point_spectrum_above(build_truncated(0, 50), -2.0),
     lambda: point_spectrum_above(build_truncated(Fraction(5, 3), 3000)),
-    lambda: eigen_bisection(build_truncated(1, 400), (1.40, 1.43), 1e-12)])
+    lambda: eigen_bisection(build_truncated(1, 400), (1.40, 1.43), 1e-12),
+    lambda: point_spectrum_above(build_truncated(Fraction(3, 4), 3134)),
+    lambda: eigenvalues_between(build_truncated(Fraction(1, 3), 300),
+                                -3.0, 4.0, 1e-9)])
 def test_no_x_is_walked_or_counted_twice_in_one_solve(monkeypatch, solve):
-    # The homing starts strictly inside the tightest known bracket, and
-    # the known counts answer every x counted before.
-    walked = record_real_walks(monkeypatch)
+    # The homing walks only strictly inside the tightest known bracket,
+    # its last walks included, and the known counts answer every x
+    # counted before.
+    record = record_walks(monkeypatch.setattr)
     solve()
-    assert walked and len(walked) == len(set(walked))
+    assert record.real and len(record.real) == len(set(record.real))
+
+
+def bisection_steps(a, b, tol):
+    """The counts plain bisection of (a, b] takes down to width tol."""
+    steps = 0
+    while b - a > tol and a < 0.5 * (a + b) < b:
+        a, steps = 0.5 * (a + b), steps + 1
+    return steps
+
+
+def record_homings(monkeypatch):
+    """The list each homing appends (its walks, plain bisection's counts
+    on the tightest known bracket it starts from) to."""
+    walked = record_walks(monkeypatch.setattr).walked
+    home = spectral._home
+
+    def recording(counts, lo, hi, c_lo, tol, guess=None):
+        a, b = counts.gap(lo, hi, c_lo)
+        start = len(walked)
+        home(counts, lo, hi, c_lo, tol, guess)
+        homings.append((len(walked) - start, bisection_steps(a, b, tol)))
+
+    homings = []
+    monkeypatch.setattr(spectral, "_home", recording)
+    return homings
+
+
+HOMING_SWEEP = [(delta, size, tol)
+                for delta in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4),
+                              Fraction(1), Fraction(2))
+                for size in (50, 400, 2206, 5000)
+                for tol in (1e-12, 1e-9, 1e-6)]
+
+
+def test_a_homing_walks_at_most_three_more_than_bisection(monkeypatch):
+    # The slack: over the 1638 homings of the sweep, the guesses from
+    # refined neighbours and the one-pole steps took at most 3 walks more
+    # than plain bisection of the bracket they start from (7 times), and
+    # 1054 took exactly as many; in all they took 2.5 times fewer.
+    homings = record_homings(monkeypatch)
+    for delta, size, tol in HOMING_SWEEP:
+        point_spectrum_above(build_truncated(delta, size), 1.0, tol)
+    assert len(homings) == 1638
+    assert all(walks <= steps + 3 for walks, steps in homings)
+    assert 2 * sum(w for w, _ in homings) < sum(s for _, s in homings)
+
+
+@pytest.mark.parametrize("mislead", [
+    lambda p, s, tol: (p + 100.0 * s, s),
+    lambda p, s, tol: (p - 1e-7, 4.0 * tol),
+    lambda p, s, tol: (p + 1e-7, 4.0 * tol)],
+    ids=["100-spreads-off", "sure-and-below", "sure-and-above"])
+def test_a_bad_guess_costs_a_few_walks_and_no_bits(monkeypatch, mislead):
+    # The guess only steers which points are walked: a wrong one leaves
+    # every bit, and costs at most 6 walks more than plain bisection of
+    # the bracket (5 for 100 spreads off, 6 for a spread of 4 tol 1e-7
+    # off: steps of 4**i spreads reach 1e-7 in about 7 walks).
+    expected = [point_spectrum_above(build_truncated(delta, size), 1.0, tol)
+                for delta, size, tol in HOMING_SWEEP]
+    predict = spectral._predict
+
+    def misleading(refined, c, tol):
+        guess = predict(refined, c, tol)
+        return guess and mislead(*guess, tol)
+
+    monkeypatch.setattr(spectral, "_predict", misleading)
+    homings = record_homings(monkeypatch)
+    for (delta, size, tol), want in zip(HOMING_SWEEP, expected):
+        found = point_spectrum_above(build_truncated(delta, size), 1.0, tol)
+        assert [x.hex() for x in found] == [x.hex() for x in want]
+    assert all(walks <= steps + 6 for walks, steps in homings)
 
 
 def test_eigen_bisection_matches_the_seedless_refinement():
