@@ -362,7 +362,7 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
       the step walks that interval's end on the other side instead,
       which ends the homing if the pole is right.
     - As in Brent's method (Algorithms for Minimization without
-      Derivatives, 1973, ch. 4), a pole is walked only if it lies inside
+      Derivatives, 1973, ch. 4), a pole is taken only if it lies inside
       the gap and nearer the last walk than half the step before.  Else
       the step walks `_inside` the gap next to the last walk when that
       was at a pole or the gap is no wider than tol, and otherwise
@@ -382,23 +382,18 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
                     reach = 0.0
         else:
             x = _pole(walks) if len(walks) == 3 else math.nan
-            at_pole = False
-            if a < x < b:
+            at_pole = a < x < b and abs(x - walks[2][0]) < 0.5 * before
+            if at_pole:
                 end_lo, end_hi = _last_interval(lo, hi, tol, x)
                 if end_lo <= a:
-                    x = end_hi
+                    x, at_pole = end_hi, False
                 elif end_hi >= b:
-                    x = end_lo
-                elif abs(x - walks[2][0]) < 0.5 * before:
-                    at_pole = True
-                else:
-                    x = math.nan
-            if not a < x < b:
-                if pole or b - a <= tol:
-                    x = _inside(lo, hi, tol, a, b,
-                                not walks or walks[-1][0] == b)
-                else:
-                    x = 0.5 * (a + b)
+                    x, at_pole = end_lo, False
+            elif pole or b - a <= tol:
+                x = _inside(lo, hi, tol, a, b,
+                            not walks or walks[-1][0] == b)
+            else:
+                x = 0.5 * (a + b)
             pole = at_pole
         if not a < x < b:
             return  # float resolution exhausted
