@@ -1215,11 +1215,23 @@ def test_the_solvers_spectra_walk_a_fifth_fewer_rows(monkeypatch):
     # tests/spectral_walks.py's table: the homing steered only by the
     # last pivot walked 4,619,864 rows for these four spectra (406 counts
     # and 601 pivot walks); the guesses from refined neighbours and the
-    # walks that end inside the bisection's last interval save a fifth.
+    # walks that end inside the bisection's last interval save a fifth,
+    # and leave the bisection after each homing no real count to take.
     record = record_walks(monkeypatch.setattr)
+    refine = spectral._refine
+    replayed = []
+
+    def refining(counts, *args):
+        start = len(record.counted)  # the homing only walks
+        found = refine(counts, *args)
+        replayed.append(len(record.counted) - start)
+        return found
+
+    monkeypatch.setattr(spectral, "_refine", refining)
     for delta, size in SOLVERS_SPECTRA:
         point_spectrum_above(build_truncated(delta, size))
     assert record.rows <= 0.8 * 4_619_864
+    assert len(replayed) == 198 and not any(replayed)
 
 
 def test_eigen_bisection_matches_the_seedless_refinement():
