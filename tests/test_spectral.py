@@ -29,7 +29,8 @@ from hydrogrid.spectral import (
     point_spectrum_above,
     sturm_count,
 )
-from spectral_walks import SOLVERS_SPECTRA, record_walks, sturm_rows
+from spectral_walks import (SOLVERS_SPECTRA, record_walks, spectrum_walks,
+                            sturm_rows)
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
@@ -1232,6 +1233,21 @@ def test_the_solvers_spectra_walk_a_fifth_fewer_rows(monkeypatch):
         point_spectrum_above(build_truncated(delta, size))
     assert record.rows <= 0.8 * 4_619_864
     assert len(replayed) == 198 and not any(replayed)
+
+
+# tests/spectral_walks.py's table: `sturm_count` calls, pivot walks and
+# rows walked by each spectrum of the `solvers` list at seed 811.
+SOLVERS_WALKS = {(Fraction(1, 2), 7345): (93, 106, 1_114_249),
+                 (Fraction(3, 4), 3134): (74, 101, 434_923),
+                 (Fraction(3, 4), 7345): (114, 128, 1_342_701),
+                 (Fraction(1, 2), 3134): (60, 91, 383_074)}
+
+
+@pytest.mark.parametrize("delta, size", SOLVERS_SPECTRA)
+def test_the_solvers_walk_table_is_pinned(delta, size):
+    record = spectrum_walks(delta, size)
+    assert ((len(record.counted), len(record.walked), record.rows)
+            == SOLVERS_WALKS[(delta, size)])
 
 
 def test_eigen_bisection_matches_the_seedless_refinement():
