@@ -106,10 +106,8 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     first row t with diag[t] - x <= -1, and the count runs in two phases:
 
     - Rows before t: the stop argument below needs g <= -1, so no pivot
-      there settles the count, and the loop walks them all with no stop
-      test.  A zero pivot is replaced and counted negative; a positive
-      one is tallied.  `_pivot_walk` takes these same steps through the
-      last row, so an edit to one loop is made to the other.
+      there settles the count, and `_pivots` walks them all with no stop
+      test, as it walks every row for `_pivot_walk`.
     - Rows from t on: every row has g = diag - x <= -1 in floats too.
       There a pivot d <= -0.5 gives fl(0.25/d) in [-0.5, 0], hence the
       next pivot fl(g - fl(0.25/d)) <= -0.5 (rounding is monotone): no
@@ -128,49 +126,47 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     """
     if x != x:
         return 0
-    eps = sys.float_info.epsilon
     diag = op._diag
-    n = len(diag)
     tail = bisect_left(diag, True, key=lambda v: v - x <= -1.0)
-    positive = 0
-    d = math.inf  # 0.25/inf = 0.0, so the first pivot is diag[0] - x
-    for v in islice(diag, tail):
-        d = v - x - 0.25 / d
-        if d >= 0.0:
-            if d == 0.0:
-                d = -eps * (abs(v - x) + 1.0)
-            else:
-                positive += 1
+    positive, d = _pivots(diag[:tail], x)
     for v in islice(diag, tail, None):
         d = v - x - 0.25 / d
         if d <= -0.5:
             break
         if d >= 0.0:
             if d == 0.0:
-                d = -eps * (abs(v - x) + 1.0)
+                d = -sys.float_info.epsilon * (abs(v - x) + 1.0)
             else:
                 positive += 1
-    return n - positive
+    return len(diag) - positive
+
+
+def _pivots(diag: tuple[float, ...], x: float) -> tuple[int, float]:
+    """The number of positive LDL^T pivots of the leading rows diag - x
+    of an operator minus x, walked with no stop test, and the last pivot
+    (inf for no rows).  A zero pivot is replaced by -eps (|diag - x| + 1)
+    and counted negative."""
+    positive = 0
+    d = math.inf  # 0.25/inf = 0.0, so the first pivot is diag[0] - x
+    for v in diag:
+        d = v - x - 0.25 / d
+        if d >= 0.0:
+            if d == 0.0:
+                d = -sys.float_info.epsilon * (abs(v - x) + 1.0)
+            else:
+                positive += 1
+    return positive, d
 
 
 def _pivot_walk(op: TridiagonalOperator, x: float) -> tuple[int, float]:
     """`sturm_count` at a non-NaN x, walked through every row, and the
     last LDL^T pivot d_N = det(T_N - x)/det(T_{N-1} - x).
 
-    The rows take `sturm_count`'s float operations in the same order, with
-    no stop test, so the count is the same integer.  The zeros of d_N are
-    the eigenvalues of T_N, and its poles those of T_{N-1}.
+    `_pivots` walks every row with `sturm_count`'s float operations in
+    the same order, so the count is the same integer.  The zeros of d_N
+    are the eigenvalues of T_N, and its poles those of T_{N-1}.
     """
-    eps = sys.float_info.epsilon
-    positive = 0
-    d = math.inf
-    for v in op._diag:
-        d = v - x - 0.25 / d
-        if d >= 0.0:
-            if d == 0.0:
-                d = -eps * (abs(v - x) + 1.0)
-            else:
-                positive += 1
+    positive, d = _pivots(op._diag, x)
     return op.size - positive, d
 
 
@@ -228,8 +224,8 @@ class _KnownCounts:
     (x, count) pairs sorted by x.
 
     Each pair comes from a real count: `seed` and `count` take it with
-    the module-level `sturm_count`, and `_home` with `_pivot_walk`, which
-    returns the same integer.  `count` answers an x counted before with
+    the module-level `sturm_count`, and `walk`, for `_refine`'s homing
+    steps, with `_pivot_walk`, which returns the same integer.  `count` answers an x counted before with
     its count, and an x strictly between two counted points of equal
     count with that count, which the float count's monotonicity in x
     implies; any other x it counts and records.  So it returns only
@@ -299,9 +295,9 @@ class _KnownCounts:
 
 def _last_interval(lo: float, hi: float, tol: float,
                    x: float) -> tuple[float, float]:
-    """The interval (lo, hi] that `_refine`'s bisection of (lo, hi] ends
-    on when the count first rises at x: every midpoint below x counts
-    below the eigenvalue, every other one above it."""
+    """The interval that `_refine`'s bisection, at its current interval
+    (lo, hi], ends on when the count first rises at x: every midpoint
+    below x counts below the eigenvalue, every other one above it."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -315,10 +311,11 @@ def _last_interval(lo: float, hi: float, tol: float,
 
 def _inside(lo: float, hi: float, tol: float, a: float, b: float,
             upper: bool) -> float:
-    """The midpoint of `_refine`'s bisection of (lo, hi] that lies just
-    inside the end b (upper) or a of the gap (a, b]: an end of the
-    interval the bisection ends on if the eigenvalue lies next to that
-    end.  While some midpoint lies in (a, b), so does this one."""
+    """The midpoint of `_refine`'s bisection from its current interval
+    (lo, hi] that lies just inside the end b (upper) or a of the gap
+    (a, b]: an end of the interval the bisection ends on if the
+    eigenvalue lies next to that end.  While some midpoint lies in
+    (a, b), so does this one."""
     if upper:
         return _last_interval(lo, hi, tol, b)[0]
     return _last_interval(lo, hi, tol, math.nextafter(a, math.inf))[1]
@@ -333,20 +330,36 @@ def _pole(walks: list[tuple[float, float]]) -> float:
     return x3 + t1 * t2 * (g1 - g2) / den if den else math.nan
 
 
-def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
-          tol: float, guess: tuple[float, float] | None = None) -> None:
-    """Walk points next to the one eigenvalue lam in (lo, hi] until
-    `_refine`'s bisection of (lo, hi] meets no midpoint that the known
-    counts leave open.
+def _predict(refined: dict[int, float], c: int,
+             tol: float) -> tuple[float, float] | None:
+    """A guess (p, s) for `_refine` at the c-th eigenvalue from the
+    bottom, from the refined eigenvalues above it, by count index: p
+    extrapolates the next four cubically, and s, its spread, is how far
+    the quadratic extrapolation of the next three lies from p, but at
+    least 4 tol.  None unless all four are refined."""
+    try:
+        l1, l2, l3, l4 = (refined[c + i] for i in range(1, 5))
+    except KeyError:
+        return None
+    cubic = 4.0 * l1 - 6.0 * l2 + 4.0 * l3 - l4
+    quadratic = 3.0 * l1 - 3.0 * l2 + l3
+    return cubic, max(abs(cubic - quadratic), 4.0 * tol)
 
-    An open midpoint is one strictly inside the gap (a, b], the
-    tightest bracket of lam the known counts hold.  The homing ends when
-    `_last_interval` of b, the interval the bisection ends on, reaches
-    down to a.  Each step walks a point strictly inside the gap with
-    `_pivot_walk`, recorded in the known counts, so no x is walked
-    twice.  The steps only choose which points get counted: the
-    bisection that follows takes the branches and midpoints it takes
-    counting each x afresh, whatever the guess.
+
+def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
+            tol: float, guess: tuple[float, float] | None = None) -> float:
+    """Bisect (lo, hi], which holds exactly one eigenvalue lam above the
+    c_lo eigenvalues below lo, down to width tol.
+
+    The gap (a, b] is the tightest bracket of lam the known counts hold.
+    A midpoint outside it is answered by `counts.count`.  At a midpoint
+    strictly inside it, the bisection first takes one homing step: it
+    walks a point strictly inside the gap with `_pivot_walk`, recorded in
+    the known counts, which narrows the gap, and then looks at the same
+    midpoint again.  So no x is walked twice, and the steps only choose
+    which points get counted: the bisection takes the branches it takes
+    counting each midpoint afresh, whatever the guess, and the bits are
+    plain bisection's.
 
     - A guess (p, s) of lam and its spread is walked first; then steps
       of s, 4s, 16s, ... go toward lam until a walk lands on its other
@@ -360,13 +373,15 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
       Nielsen and Sorensen, Numer. Math. 31, 1978).  When the last
       interval around the pole already holds a walk on one side of it,
       the step walks that interval's end on the other side instead,
-      which ends the homing if the pole is right.
+      which leaves no midpoint open if the pole is right.
     - As in Brent's method (Algorithms for Minimization without
       Derivatives, 1973, ch. 4), a pole is taken only if it lies inside
       the gap and nearer the last walk than half the step before.  Else
       the step walks `_inside` the gap next to the last walk when that
       was at a pole or the gap is no wider than tol, and otherwise
       bisects the gap.
+    - A step that still lies outside the gap walks the open midpoint,
+      so each step narrows the gap and the loop ends.
     """
     a, b = counts.gap(lo, hi, c_lo)
     walks: list[tuple[float, float]] = []  # the last three (x, 1/d_N)
@@ -374,7 +389,17 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
     x, reach = guess if guess is not None else (math.nan, 0.0)
     side = None  # whether the guess's walks so far lie above lam
     pole = False  # whether the last walk was at a pole
-    while _last_interval(lo, hi, tol, b)[0] > a:
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # float resolution exhausted
+        if not a < mid < b:
+            if counts.count(mid) > c_lo:
+                hi = mid
+            else:
+                lo = mid
+            continue
+        # an open midpoint: one homing step, then the same midpoint again
         if reach:
             if not a < x < b:
                 x = _inside(lo, hi, tol, a, b, x >= b)
@@ -396,7 +421,7 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
                 x = 0.5 * (a + b)
             pole = at_pole
         if not a < x < b:
-            return  # float resolution exhausted
+            x = mid  # the guard: walk the open midpoint
         c, d = counts.walk(x)
         if walks:
             before, step = step, abs(x - walks[-1][0])
@@ -412,51 +437,13 @@ def _home(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
                 reach, side = 4.0 * reach, above
             else:
                 reach = 0.0
-
-
-def _predict(refined: dict[int, float], c: int,
-             tol: float) -> tuple[float, float] | None:
-    """A guess (p, s) for `_home` at the c-th eigenvalue from the bottom,
-    from the refined eigenvalues above it, by count index: p extrapolates
-    the next four cubically, and s, its spread, is how far the quadratic
-    extrapolation of the next three lies from p, but at least 4 tol.
-    None unless all four are refined."""
-    try:
-        l1, l2, l3, l4 = (refined[c + i] for i in range(1, 5))
-    except KeyError:
-        return None
-    cubic = 4.0 * l1 - 6.0 * l2 + 4.0 * l3 - l4
-    quadratic = 3.0 * l1 - 3.0 * l2 + l3
-    return cubic, max(abs(cubic - quadratic), 4.0 * tol)
-
-
-def _refine(counts: _KnownCounts, lo: float, hi: float, c_lo: int,
-            tol: float, guess: tuple[float, float] | None = None) -> float:
-    """Bisect (lo, hi], which holds exactly one eigenvalue above the
-    c_lo eigenvalues below lo, down to width tol.
-
-    `_home` walks next to the eigenvalue first, steered by the guess when
-    there is one, until the known counts answer every midpoint.  The
-    guess and the walks only choose which points get counted; the bits
-    come from this bisection, which takes the branches it takes counting
-    each midpoint afresh.  `_last_interval` retraces this loop, so an
-    edit to one is made to the other."""
-    _home(counts, lo, hi, c_lo, tol, guess)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float resolution exhausted
-        if counts.count(mid) > c_lo:
-            hi = mid
-        else:
-            lo = mid
     return 0.5 * (lo + hi)
 
 
 def eigen_bisection(op: TridiagonalOperator, bracket: tuple[float, float],
                     tol: float) -> float:
-    """Deterministic bisection for the single eigenvalue inside bracket,
-    homed in on first by `_refine`, with the bits of plain bisection."""
+    """Deterministic bisection for the single eigenvalue inside bracket
+    by `_refine`, with the bits of plain bisection."""
     lo, hi = bracket
     _check_bounds(lo, hi)
     if not (lo < hi):
@@ -479,14 +466,14 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
     Every count goes through one `_KnownCounts`, which records counts
     from three places: the seeds on both sides of the mass points above
     lo, isolation and refinement midpoints that no known counts decide,
-    and the steps of `_home` before each refinement.  Isolation pops the
-    upper half of each split first, so the eigenvalues are refined from
-    the top down, each remembered by its count index c, and `_predict`
-    extrapolates the refined lam_{c+1..c+4} to the guess that steers
-    the homing at c.  The guesses only steer: isolation and refinement
-    skip the counts that known counts already decide and take the same
-    branches, at the same midpoints, as counting each x afresh, so the
-    result is the same to the bit.  That rests on the float count being
+    and `_refine`'s homing steps at the midpoints they leave open.
+    Isolation pops the upper half of each split first, so the
+    eigenvalues are refined from the top down, each remembered by its
+    count index c, and `_predict` extrapolates the refined lam_{c+1..c+4}
+    to the guess that steers the homing at c.  The guesses only steer:
+    isolation and refinement skip the counts that known counts already
+    decide and take the same branches, at the same midpoints, as
+    counting each x afresh, so the result is the same to the bit.  That rests on the float count being
     monotone in x.  It is still pinned, not proven: Kahan's argument,
     made precise by Demmel, Dhillon and Ren (ETNA 3, 1995), covers the
     standard recurrence in monotone rounding, but not `sturm_count`'s

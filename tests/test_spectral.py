@@ -1153,16 +1153,17 @@ def record_homings(monkeypatch):
     """The list each homing appends (its walks, plain bisection's counts
     on the tightest known bracket it starts from) to."""
     walked = record_walks(monkeypatch.setattr).walked
-    home = spectral._home
+    refine = spectral._refine
 
     def recording(counts, lo, hi, c_lo, tol, guess=None):
         a, b = counts.gap(lo, hi, c_lo)
         start = len(walked)
-        home(counts, lo, hi, c_lo, tol, guess)
+        found = refine(counts, lo, hi, c_lo, tol, guess)
         homings.append((len(walked) - start, bisection_steps(a, b, tol)))
+        return found
 
     homings = []
-    monkeypatch.setattr(spectral, "_home", recording)
+    monkeypatch.setattr(spectral, "_refine", recording)
     return homings
 
 
@@ -1171,6 +1172,13 @@ HOMING_SWEEP = [(delta, size, tol)
                               Fraction(1), Fraction(2))
                 for size in (50, 400, 2206, 5000)
                 for tol in (1e-12, 1e-9, 1e-6)]
+
+
+@pytest.fixture(scope="module")
+def homing_sweep_spectra():
+    """The point spectra of `HOMING_SWEEP`, computed once."""
+    return [point_spectrum_above(build_truncated(delta, size), 1.0, tol)
+            for delta, size, tol in HOMING_SWEEP]
 
 
 def test_a_homing_walks_at_most_three_more_than_bisection(monkeypatch):
@@ -1191,13 +1199,12 @@ def test_a_homing_walks_at_most_three_more_than_bisection(monkeypatch):
     lambda p, s, tol: (p - 1e-7, 4.0 * tol),
     lambda p, s, tol: (p + 1e-7, 4.0 * tol)],
     ids=["100-spreads-off", "sure-and-below", "sure-and-above"])
-def test_a_bad_guess_costs_a_few_walks_and_no_bits(monkeypatch, mislead):
+def test_a_bad_guess_costs_a_few_walks_and_no_bits(monkeypatch, mislead,
+                                                   homing_sweep_spectra):
     # The guess only steers which points are walked: a wrong one leaves
     # every bit, and costs at most 6 walks more than plain bisection of
     # the bracket (5 for 100 spreads off, 6 for a spread of 4 tol 1e-7
     # off: steps of 4**i spreads reach 1e-7 in about 7 walks).
-    expected = [point_spectrum_above(build_truncated(delta, size), 1.0, tol)
-                for delta, size, tol in HOMING_SWEEP]
     predict = spectral._predict
 
     def misleading(refined, c, tol):
@@ -1206,7 +1213,7 @@ def test_a_bad_guess_costs_a_few_walks_and_no_bits(monkeypatch, mislead):
 
     monkeypatch.setattr(spectral, "_predict", misleading)
     homings = record_homings(monkeypatch)
-    for (delta, size, tol), want in zip(HOMING_SWEEP, expected):
+    for (delta, size, tol), want in zip(HOMING_SWEEP, homing_sweep_spectra):
         found = point_spectrum_above(build_truncated(delta, size), 1.0, tol)
         assert [x.hex() for x in found] == [x.hex() for x in want]
     assert all(walks <= steps + 6 for walks, steps in homings)
@@ -1248,6 +1255,26 @@ def test_the_solvers_walk_table_is_pinned(delta, size):
     record = spectrum_walks(delta, size)
     assert ((len(record.counted), len(record.walked), record.rows)
             == SOLVERS_WALKS[(delta, size)])
+
+
+def test_a_step_outside_the_gap_walks_the_open_midpoint(monkeypatch):
+    # The guard that keeps the refinement going: with `_inside` made to
+    # return the end of the gap it should step inside of, every such
+    # step walks the open midpoint instead, and the solve still walks no
+    # x twice and keeps every bit.
+    op = build_truncated(Fraction(1, 2), 2206)
+    want = seedless_spectrum_above(op, 1.0, 1e-12)
+    ends = []
+
+    def at_the_end(lo, hi, tol, a, b, upper):
+        ends.append(b if upper else a)
+        return ends[-1]
+
+    monkeypatch.setattr(spectral, "_inside", at_the_end)
+    record = record_walks(monkeypatch.setattr)
+    found = point_spectrum_above(op, 1.0, 1e-12)
+    assert ends and len(record.real) == len(set(record.real))
+    assert [x.hex() for x in found] == [x.hex() for x in want]
 
 
 def test_eigen_bisection_matches_the_seedless_refinement():
