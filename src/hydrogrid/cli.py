@@ -200,14 +200,16 @@ def run(cfg: RunConfig) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    s = text.strip()
-    if ".." in s:
-        lo_s, hi_s = s.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(s)
+    """--n as 'n' or 'lo..hi'; a malformed or empty range names --n."""
+    lo_s, dots, hi_s = text.strip().partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise ValueError(
+            f"--n must be an integer or a range 'lo..hi', got {text!r}"
+        ) from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--n is an empty range {text!r}")
     return lo, hi
 
 

@@ -232,6 +232,9 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     assert 0 < len(calls) <= n_rows * SURD_COLUMNS[argv.split()[0]]
 
 
+NOT_A_RANGE = "--n must be an integer or a range 'lo..hi', got "
+
+
 @pytest.mark.parametrize("argv, message", [
     ("spectrum --delta -1", "delta must be > 0"),
     ("verify --delta=-1/2", "delta must be > 0"),
@@ -252,6 +255,11 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     ("converge --n 0..2", "--n must be >= 1"),
     ("verify --n 0..2", "--n must be >= 1"),
     ("pollaczek --n=-1..0", "--n must be >= 0"),
+    ("spectrum --n 1..", NOT_A_RANGE + "'1..'"),
+    ("spectrum --n 1.5", NOT_A_RANGE + "'1.5'"),
+    ("spectrum --n ..3", NOT_A_RANGE + "'..3'"),
+    ("verify --n 1..2..3", NOT_A_RANGE + "'1..2..3'"),
+    ("spectrum --n 5..2", "--n is an empty range '5..2'"),
     ("verify --kmax 1", "--kmax must be >= 2"),
     ("verify --kmax 0", "--kmax must be >= 2"),
     ("verify --kmax -1", "--kmax must be >= 2"),
