@@ -142,10 +142,10 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
 
 
 def _pivots(diag: tuple[float, ...], x: float) -> tuple[int, float]:
-    """The number of positive LDL^T pivots of the leading rows diag - x
-    of an operator minus x, walked with no stop test, and the last pivot
-    (inf for no rows).  A zero pivot is replaced by -eps (|diag - x| + 1)
-    and counted negative."""
+    """The number of positive LDL^T pivots of T - x over the leading
+    rows of T, whose diagonal is diag, walked with no stop test, and the
+    last pivot (inf for no rows).  A zero pivot is replaced by
+    -eps (|diag - x| + 1) and counted negative."""
     positive = 0
     d = math.inf  # 0.25/inf = 0.0, so the first pivot is diag[0] - x
     for v in diag:
@@ -225,13 +225,14 @@ class _KnownCounts:
 
     Each pair comes from a real count: `seed` and `count` take it with
     the module-level `sturm_count`, and `walk`, for `_refine`'s homing
-    steps, with `_pivot_walk`, which returns the same integer.  `count` answers an x counted before with
-    its count, and an x strictly between two counted points of equal
-    count with that count, which the float count's monotonicity in x
-    implies; any other x it counts and records.  So it returns only
-    counts that a real count gives, and every caller takes the branch it
-    would take counting each x afresh.  The monotonicity is pinned by a
-    property test, not proven (see `eigenvalues_between`).
+    steps, with `_pivot_walk`, which returns the same integer.  `count`
+    answers an x counted before with its count, and an x strictly
+    between two counted points of equal count with that count, which the
+    float count's monotonicity in x implies; any other x it counts and
+    records.  So it returns only counts that a real count gives, and
+    every caller takes the branch it would take counting each x afresh.
+    The monotonicity is pinned by a property test, not proven (see
+    `eigenvalues_between`).
     """
     __slots__ = ("op", "xs", "counts")
 
@@ -469,17 +470,18 @@ def eigenvalues_between(op: TridiagonalOperator, lo: float, hi: float,
     and `_refine`'s homing steps at the midpoints they leave open.
     Isolation pops the upper half of each split first, so the
     eigenvalues are refined from the top down, each remembered by its
-    count index c, and `_predict` extrapolates the refined lam_{c+1..c+4}
-    to the guess that steers the homing at c.  The guesses only steer:
-    isolation and refinement skip the counts that known counts already
-    decide and take the same branches, at the same midpoints, as
-    counting each x afresh, so the result is the same to the bit.  That rests on the float count being
-    monotone in x.  It is still pinned, not proven: Kahan's argument,
-    made precise by Demmel, Dhillon and Ren (ETNA 3, 1995), covers the
-    standard recurrence in monotone rounding, but not `sturm_count`'s
-    replacement of a zero pivot, and tests/test_spectral.py checks
-    monotonicity by a property over consecutive floats at eigenvalues,
-    zero-pivot points and random pairs.
+    count index c, and `_predict` extrapolates the refined
+    lam_{c+1..c+4} to the guess that steers the homing at c.  The
+    guesses only steer: isolation and refinement skip the counts that
+    known counts already decide and take the same branches, at the same
+    midpoints, as counting each x afresh, so the result is the same to
+    the bit.  That rests on the float count being monotone in x.  It is
+    still pinned, not proven: Kahan's argument, made precise by Demmel,
+    Dhillon and Ren (ETNA 3, 1995), covers the standard recurrence in
+    monotone rounding, but not `sturm_count`'s replacement of a zero
+    pivot, and tests/test_spectral.py checks monotonicity by a property
+    over consecutive floats at eigenvalues, zero-pivot points and random
+    pairs.
     """
     _check_bounds(lo, hi)
     if lo > hi:

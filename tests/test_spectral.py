@@ -1150,8 +1150,9 @@ def bisection_steps(a, b, tol):
 
 
 def record_homings(monkeypatch):
-    """The list each homing appends (its walks, plain bisection's counts
-    on the tightest known bracket it starts from) to."""
+    """The list each refinement appends (its homing walks, plain
+    bisection's counts on the tightest known bracket it starts from)
+    to."""
     walked = record_walks(monkeypatch.setattr).walked
     refine = spectral._refine
 
@@ -1224,22 +1225,23 @@ def test_the_solvers_spectra_walk_a_fifth_fewer_rows(monkeypatch):
     # last pivot walked 4,619,864 rows for these four spectra (406 counts
     # and 601 pivot walks); the guesses from refined neighbours and the
     # walks that end inside the bisection's last interval save a fifth,
-    # and leave the bisection after each homing no real count to take.
+    # and leave no refinement a real count to take: each midpoint the
+    # known counts leave open gets homing walks until they decide it.
     record = record_walks(monkeypatch.setattr)
     refine = spectral._refine
-    replayed = []
+    counted = []
 
     def refining(counts, *args):
-        start = len(record.counted)  # the homing only walks
+        start = len(record.counted)  # homing steps walk, they never count
         found = refine(counts, *args)
-        replayed.append(len(record.counted) - start)
+        counted.append(len(record.counted) - start)
         return found
 
     monkeypatch.setattr(spectral, "_refine", refining)
     for delta, size in SOLVERS_SPECTRA:
         point_spectrum_above(build_truncated(delta, size))
     assert record.rows <= 0.8 * 4_619_864
-    assert len(replayed) == 198 and not any(replayed)
+    assert len(counted) == 198 and not any(counted)
 
 
 # tests/spectral_walks.py's table: `sturm_count` calls, pivot walks and
@@ -1279,7 +1281,7 @@ def test_a_step_outside_the_gap_walks_the_open_midpoint(monkeypatch):
 
 def test_eigen_bisection_matches_the_seedless_refinement():
     # The same bisection path as fresh counts at every midpoint, so the
-    # same bits, with the homing in front.
+    # same bits, with the homing steps in between.
     cases = [(build_truncated(1, 2), (1.2, 1.4), 1e-12),
              (build_truncated(1, 400), (1.40, 1.43), 1e-12),
              (build_truncated(1, 400), (1.10, 1.13), 1e-12)]
