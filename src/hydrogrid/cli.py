@@ -213,7 +213,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                               dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="hydrogrid",
         description="Exact spectra, eigenfunctions and Pollaczek polynomial "
@@ -261,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", default="1/5,1/10,1/20",
                    help="comma-separated list of lattice steps")
 
-    return parser
+    return parser, sub.choices
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -296,12 +298,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
     except ValueError as exc:
-        parser.print_usage(sys.stderr)
+        # the subcommand's usage, as argparse prints for its own errors
+        commands[args.command].print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

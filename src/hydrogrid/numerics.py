@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import total_ordering
 from typing import Iterator, Union
 
 RationalLike = Union[int, Fraction]
@@ -188,9 +188,6 @@ class _StateField:
         """(a + b sqrt(p)) (c + e sqrt(p)) as an integer pair."""
         return x[0] * y[0] + x[1] * y[1] * self.p, x[0] * y[1] + x[1] * y[0]
 
-    def pow(self, x: tuple[int, int], e: int) -> tuple[int, int]:
-        return reduce(self.mul, [x] * e, (1, 0))
-
     def surd(self, a: int, b: int, den: int) -> "QuadraticSurd":
         return _make(a, b, den, self.p, self.td)
 
@@ -208,11 +205,11 @@ class _StateField:
     def to_float(self, a: int, b: int, den: int) -> float:
         return _int_surd_to_float(a, b, den, self.p)
 
-    def q_powers(self, num: tuple[int, int] = (1, 0), den: int = 1
-                 ) -> Iterator[tuple[tuple[int, int], int]]:
-        """num q^k for k = 0, 1, ... as (pair, denominator): the running
-        product num (sqrt(p) - tn)^k over den td^k."""
+    def q_powers(self, den: int = 1) -> Iterator[tuple[tuple[int, int], int]]:
+        """q^k for k = 0, 1, ... as (pair, denominator): the running
+        product (sqrt(p) - tn)^k over den td^k."""
         step = (self.root[0] - self.tn, self.root[1])
+        num = (1, 0)
         while True:
             yield num, den
             num, den = self.mul(num, step), den * self.td

@@ -7,7 +7,11 @@ Three independent evaluation routes are provided:
   with P_{-1} = 0, P_0 = 1, specialized to lam=1, a=0, b=-delta.  Under
   this convention P_1 = 2x - 2*delta.
 * `pollaczek_mass_closed` evaluates the explicit closed form at the mass
-  points x_m = sqrt(1 + delta**2/(m+1)**2), exactly in Q(sqrt(D)).
+  points x_m = sqrt(1 + delta**2/(m+1)**2), exactly in Q(sqrt(D)): the
+  coefficient of z^j in the generating function, which is rational there,
+  (1 - zq)^{-(m+2)} (1 - z/q)^m.  The paper's two closed forms, its
+  degree-j sum and its factorized high-degree form, are kept as the
+  references it is checked against.
 * `pollaczek_explicit_trig` evaluates the general trigonometric sum in
   complex floats, literally as given (its relation to the recursion values
   is an open question; see `pollaczek_trig_conjugate` for the variant with
@@ -89,71 +93,61 @@ def _closed_branch_low(j: int, mp: EigenData) -> QuadraticSurd:
 
 
 class ClosedFormSequence:
-    """P_0(x_m), P_1(x_m), ... by the closed form, on integer numerators.
+    """P_0(x_m), P_1(x_m), ... from the generating function, on integers.
 
-    Every degree j >= 0 uses the one factorized form
-    f(j) = (j+1) q^{j-m} Q_m(j) with Q_m(j) = sum_l w_l beta_{j,l} and
-    weights w_l = C(m,l) x^{m-l} (-s)^l.  The sequence extends in order
-    on demand and keeps each degree once, as integers; `value(j)` builds
-    a surd from them, and `float_value(j)` rounds straight from them.
+    With s = delta/(m+1), q = x_m - s and 1/q = x_m + s,
+        P_j(x_m) = sum_{l<=min(j,m)} (-1)^l C(m,l) C(j-l+m+1, m+1) q^{j-2l},
+    the coefficient of z^j in G(z) = (1 - zq)^{-(m+2)} (1 - z/q)^m.  The
+    sequence extends in order on demand and keeps each degree once, as
+    integers; `value(j)` builds a surd from them, and `float_value(j)`
+    rounds straight from them.
 
-    Why one form serves every degree: beta_{j,l} is a polynomial in j,
-    so Q_m(j) is one too.  f(-1) = 0 by the factor j+1, and beta_{0,l} = 1
-    gives f(0) = q^{-m} (x - s)^m = 1.  The residual of f in the
-    three-term recursion at j is q^{j-m-1} times a polynomial in j; f is
-    P_j(x_m) for j > m (the paper's high-degree form), so that polynomial
-    vanishes at every j > m + 1 and is zero.  So f satisfies the
-    recursion at every j >= 0 from P_{-1} = 0, P_0 = 1: f(j) = P_j(x_m).
+    Why G generates P_j(x_m):
+        (1 - zq)(1 - z/q) = 1 - 2xz + z**2;
+        (m+2)q - m/q = 2x - 2 delta;
+    so (1 - 2xz + z**2) G' = (2x - 2 delta - 2z) G with G(0) = 1, and its
+    coefficient of z^j is the three-term recursion at j from P_{-1} = 0.
 
     The integer form is the mass point's `field`: s = tn/td, pairs
-    (a, b) for a + b sqrt(p), x = sqrt(p)/td and q^{-1} = x + s
-    = (sqrt(p) + tn)/td.  With L = lcm(1..m+1) clearing the denominators
-    of beta and the sum over l taken first,
-    Q_m(j) = sum_{i<=m} C(j,i) v_i / (td^m L) with the pairs
-        v_i = sum_{l>=i} C(m,l) (-tn)^l sqrt(p)^{m-l} L 2^i/(i+1) C(l,i),
-    and q^{j-m} = N_j / td^{m+j} with N_j = (sqrt(p) + tn)^m
-    (sqrt(p) - tn)^j, so
-        P_j(x_m) = (j+1) N_j sum_i C(j,i) v_i / (td^{2m+j} L).
-    Each degree costs m + 1 integer multiply-adds, and N_j over
-    td^{2m+j} L is the field's running q-power from N_0 over td^{2m} L.
+    (a, b) for a + b sqrt(p), q = (sqrt(p) - tn)/td and
+    1/q = (sqrt(p) + tn)/td.  With the pairs
+        w_l = (-1)^l C(m,l) (sqrt(p) + tn)^{2l} td^{2(m-l)},
+        P_j(x_m) = (sqrt(p) - tn)^j S_j / td^{j+2m},
+        S_j = sum_l C(j-l+m+1, m+1) w_l,
+    and (sqrt(p) - tn)^j over td^{j+2m} is the field's running q-power
+    from 1 over td^{2m}.  Each degree costs m + 1 integer multiply-adds,
+    the binomial stepped in place: C(j-l+m, m+1) = C(j-l+m+1, m+1)
+    (j-l)/(j-l+m+1), which is 0 from l = j + 1 on.
     """
 
     def __init__(self, mp: EigenData) -> None:
         self.mp = mp
         field = mp.field
-        m, tn, root = mp.m, field.tn, field.root
-        lcm = math.lcm(*range(1, m + 2))
-        self._den0 = field.td ** (2 * m) * lcm  # the denominator at j = 0
-        powers = [field.pow(root, e) for e in range(m + 1)]
-        self._v: list[tuple[int, int]] = []  # v_0, ..., v_m
-        for i in range(m + 1):
-            a = b = 0
-            for l in range(i, m + 1):
-                c = (math.comb(m, l) * (-tn) ** l * math.comb(l, i)
-                     * (lcm // (i + 1)) * 2 ** i)
-                a += c * powers[m - l][0]
-                b += c * powers[m - l][1]
-            self._v.append((a, b))
-        self._qpowers = field.q_powers(
-            field.pow((root[0] + tn, root[1]), m), self._den0)
+        m, td = mp.m, field.td
+        inverse = (field.root[0] + field.tn, field.root[1])  # td/q
+        step = field.mul(inverse, inverse)
+        power = (1, 0)
+        self._w: list[tuple[int, int]] = []  # w_0, ..., w_m
+        for l in range(m + 1):
+            c = (-1) ** l * math.comb(m, l) * td ** (2 * (m - l))
+            self._w.append((c * power[0], c * power[1]))
+            power = field.mul(power, step)
+        self._qpowers = field.q_powers(den=td ** (2 * m))
         self._terms: list[tuple[int, int, int]] = []
         self._floats: list[float] = []
 
-    def factorized(self, j: int, qnum: tuple[int, int]) -> tuple[int, int]:
-        """The numerator pair (j+1) N_j sum_i C(j,i) v_i, given qnum = N_j."""
-        a = b = 0
-        binom = 1  # C(j, i)
-        for i, (va, vb) in enumerate(self._v):
-            a += binom * va
-            b += binom * vb
-            binom = binom * (j - i) // (i + 1)
-        return self.mp.field.mul(qnum, ((j + 1) * a, (j + 1) * b))
-
     def _term(self, j: int) -> tuple[int, int, int]:
-        terms = self._terms
+        terms, m = self._terms, self.mp.m
         while len(terms) <= j:
+            k = len(terms)
             qnum, den = next(self._qpowers)
-            terms.append((*self.factorized(len(terms), qnum), den))
+            a = b = 0
+            binom = math.comb(k + m + 1, m + 1)  # C(k-l+m+1, m+1) at l = 0
+            for l, (wa, wb) in enumerate(self._w):
+                a += binom * wa
+                b += binom * wb
+                binom = binom * (k - l) // (k - l + m + 1)
+            terms.append((*self.mp.field.mul(qnum, (a, b)), den))
         return terms[j]
 
     # Both readers check the degree before the sequence is extended:
@@ -171,21 +165,24 @@ class ClosedFormSequence:
 
 
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:
-    # The factorized form, with N_j = td^{2 min(j,m)} (sqrt(p) -/+ tn)^{|j-m|}
-    # by a fresh power instead of the sequence's running product.
-    seq, field, m = mp.sequence, mp.field, mp.m
-    tn = field.tn if j < m else -field.tn
-    a, b = field.pow((field.root[0] + tn, field.root[1]), abs(j - m))
-    scale = field.td ** (2 * min(j, m))
-    return field.surd(*seq.factorized(j, (a * scale, b * scale)),
-                      seq._den0 * field.td ** j)
+    # The paper's factorized form, kept as the reference for the sequence:
+    # (j+1) q^{j-m} sum_{l=0}^{m} C(m,l) x^{m-l} (-s)^l beta_{j,l},
+    # with q^{j-m} = (x + s)^{m-j} for j < m
+    m = mp.m
+    acc = as_surd(0)
+    for l in range(m + 1):
+        term = surd_pow(mp.mu, m - l) * (math.comb(m, l) * (-mp.t) ** l
+                                         * beta_coeff(j, l))
+        acc = acc + term
+    qpow = surd_pow(mp.q, j - m) if j >= m else surd_pow(mp.mu + mp.t, m - j)
+    return (j + 1) * acc * qpow
 
 
 def pollaczek_mass_closed(j: int, mp: EigenData) -> QuadraticSurd:
     """P_j(x_m) by the explicit closed form, exact in Q(sqrt(D)).
 
-    Read from the mass point's `sequence`, which evaluates the factorized
-    form (j+1) q^{j-m} Q_m(j) at every degree.
+    Read from the mass point's `sequence`, which takes it from the
+    generating function at every degree.
     """
     return mp.sequence.value(j)
 

@@ -73,6 +73,8 @@ def _check_beta_symmetry(limit: int = 12) -> bool:
 
 
 def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
+    """The closed-form sequence, from the generating function, against the
+    three-term recursion at each mass point."""
     for m in range(m_max + 1):
         mp = pollaczek.mass_point(m, delta)
         seq = pollaczek.pollaczek_seq(delta, mp.mu, j_max)
@@ -83,6 +85,8 @@ def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
 
 
 def _check_branch_agreement(delta: Fraction, m_max: int) -> bool:
+    """The paper's two closed forms against each other at j = m: its
+    degree-j sum and its factorized high-degree form, both on surds."""
     for m in range(m_max + 1):
         mp = pollaczek.mass_point(m, delta)
         if pollaczek._closed_branch_low(m, mp) \

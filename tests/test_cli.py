@@ -270,6 +270,7 @@ def test_out_of_domain_input_rejected(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage" in captured.err
+    assert f"usage: hydrogrid {argv.split()[0]} " in captured.err
     assert f"error: {message}" in captured.err
 
 

@@ -244,13 +244,19 @@ def test_closed_j2_m1_both_routes():
     assert value == pollaczek_seq(1, mp.mu, 2)[2]
 
 
-@pytest.mark.parametrize("delta", DELTAS)
+# delta = 0 puts every mass point at x = 1, where P_j(1) = j + 1; at
+# delta = 12 the radicand is a square at m = 4 and m = 8 (s = 12/5, 4/3)
+@pytest.mark.parametrize("delta", DELTAS + [Fraction(0), Fraction(12)])
 def test_closed_form_equals_recursion(delta):
-    for m in range(5):
+    for m in range(13):
         mp = mass_point(m, delta)
-        seq = pollaczek_seq(delta, mp.mu, 20)
-        for j in range(21):
+        seq = pollaczek_seq(delta, mp.mu, 60)
+        for j in range(61):
             assert pollaczek_mass_closed(j, mp) == seq[j]
+            if not delta:
+                assert seq[j] == j + 1
+        if delta == 12 and m in (4, 8):
+            assert mp.mu.is_rational()
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
@@ -317,12 +323,15 @@ def test_branches_identical_at_j_equals_m(delta):
 @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
                                    Fraction(3, 4), Fraction(1), Fraction(7, 3)])
 def test_factorized_form_equals_degree_j_sum_below_m(delta):
-    # the one formula of the sequence, with q^{j-m} = (x + s)^{m-j} for
-    # j < m, against the paper's degree-j sum
+    # the paper's factorized form, with q^{j-m} = (x + s)^{m-j} for j < m,
+    # against its degree-j sum, and past j = m against the sequence
     for m in range(12):
         mp = mass_point(m, delta)
         for j in range(m + 1):
             assert _closed_branch_high(j, mp) == _closed_branch_low(j, mp)
+        if m <= 8:
+            for j in range(m + 1, m + 21):
+                assert _closed_branch_high(j, mp) == mp.sequence.value(j)
 
 
 def test_closed_form_at_x0_is_q_power_times_degree_plus_one():
