@@ -24,7 +24,6 @@ from .coordinate import (_continuum_gap, _gap_step, alpha_inner,
                          wavefunction_values)
 from .numerics import (QuadraticSurd, _index, _step, parse_rational,
                        surd_to_float, surd_to_json)
-from .pollaczek import mass_point, pollaczek_mass_closed
 
 OUT_DIR_ENV = "HYDROGRID_OUT_DIR"
 
@@ -73,6 +72,7 @@ def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
 
 
 def _rows_pollaczek(cfg: RunConfig) -> Iterator[list[Cell]]:
+    from .pollaczek import mass_point, pollaczek_mass_closed  # only here
     for m in range(cfg.n_lo, cfg.n_hi + 1):
         mp = mass_point(m, cfg.delta)
         floats = mp.sequence.float_value
@@ -299,7 +299,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # the subcommand's usage, as for a value it rejects
+        commands[args.command].error(
+            f"unrecognized arguments: {' '.join(extras)}")
     try:
         cfg = _config_from_args(args)
     except ValueError as exc:

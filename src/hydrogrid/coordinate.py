@@ -24,9 +24,11 @@ difference equation row by row in exact arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
 from .numerics import (QuadraticSurd, RationalLike, _index, _real,
@@ -158,11 +160,11 @@ class AlphaTable(NamedTuple):
         _index(m, "m")
         if not 1 <= m <= k // 2:
             raise ValueError(f"order normalization needs 1 <= m <= {k // 2}")
-        n = self.n
-        return (self.inner_coeff(k, m) * n ** (2 * m)
-                * Fraction(math.factorial(n - k + 2 * m - 1),
-                           math.factorial(n - k))
-                / math.comb(k // 2, m))
+        inner = self.inner_coeff(k, m)
+        # (n-k+2m-1)!/(n-k)! = perm(n-k+2m-1, 2m-1)
+        return Fraction(inner.numerator * self.n ** (2 * m)
+                        * math.perm(self.n - k + 2 * m - 1, 2 * m - 1),
+                        inner.denominator * math.comb(k // 2, m))
 
     def assembled(self, k: int, delta: RationalLike) -> QuadraticSurd:
         """alpha^(n,delta)_{n-k}: even k are rational, odd k carry one
@@ -237,18 +239,29 @@ def laguerre_ref(n: int) -> LaguerreRef:
     return LaguerreRef(n=n, coefficients=coeffs)
 
 
+def _c_factors(n: int, kmax: int) -> tuple[list[int], list[int]]:
+    """j! for j <= n and prod_{m=1..k}(n-m) for k <= kmax, the factors of
+    `_c_numerator`."""
+    return (list(accumulate(range(1, n + 1), operator.mul, initial=1)),
+            list(accumulate(range(n - 1, n - kmax - 1, -1), operator.mul,
+                            initial=1)))
+
+
+def _c_numerator(n: int, k: int, l: int, fact: list[int],
+                 falling: list[int]) -> int:
+    """2^k C_{n,k,l} = (-n)^k prod_{m=1..k}(n-m) n!/(k! l! (n-k-l)!), an
+    integer, from the lists of `_c_factors`."""
+    return ((-n) ** k * falling[k]
+            * (fact[n] // (fact[k] * fact[l] * fact[n - k - l])))
+
+
 def c_coeff(n: int, k: int, l: int) -> Fraction:
     """C_{n,k,l} = (-n/2)^k n!/(k! l! (n-k-l)!) prod_{m=1..k}(n-m), exact."""
     for index in (n, k, l):
         _index(index, "C coefficient index", 0)
     if n - k - l < 0:
         raise ValueError(f"n-k-l = {n - k - l} < 0")
-    prod = 1
-    for m in range(1, k + 1):
-        prod *= n - m
-    return Fraction((-n) ** k * prod * math.factorial(n),
-                    2 ** k * math.factorial(k) * math.factorial(l)
-                    * math.factorial(n - k - l))
+    return Fraction(_c_numerator(n, k, l, *_c_factors(n, k)), 2 ** k)
 
 
 def alpha_inner(n: int, kmax: int) -> AlphaTable:
@@ -263,34 +276,56 @@ def alpha_inner(n: int, kmax: int) -> AlphaTable:
     * k - i odd: C alpha_{n-i, m-(k-i-1)/2}, plus, when k is even,
       C alpha_{n-i, m-(k-i+1)/2} / n**2.
 
-    Levels below k - 2m - 1 add only entries with a negative m, so the
-    sum starts there (or at level 0).  It is divided by
-    C(n,k,1)/n - C(n,k,0) = -(k/n) C(n,k,0), since
+    Levels below k - 2m - 1 add only entries with a negative m, so each
+    level i adds to the entries m its row reaches.  The sum is divided
+    by C(n,k,1)/n - C(n,k,0) = -(k/n) C(n,k,0), since
     C(n,k,1)/C(n,k,0) = (n-k)!/(n-k-1)! = n - k.  That divisor is never
     zero: k >= 1, and for k <= n - 1 the factor prod_{m<=k}(n - m) of
-    C(n,k,0) has no zero factor.  Each level computes its C(n, i, k+1-i)
-    once, for every m to read.
+    C(n,k,0) has no zero factor.
+
+    The recursion runs on integers.  2^i C(n,i,l) is the integer
+    `_c_numerator`, from factorials and a falling product built once.
+    Each finished level i is kept as integer numerators A_{i,m} over one
+    level denominator D_i, the lcm of its entries' denominators
+    (D_0 = D_1 = 1).  Level k scales its sum by
+    Q_k = n^2 2^(k-1) L, L = lcm(D_0..D_(k-1)), so each term is one
+    integer multiply-add, with weight 2^(k-1-i) (L/D_i) 2^i C times n^2,
+    -n or 1 for the three rules.  The scaled sum T gives the entry
+    (T/Q_k) / (-(k/n) C(n,k,0)) = 2T / (-n k L 2^k C(n,k,0)), one
+    `Fraction`, so one gcd per entry.
     """
     _index(n, "state index", 1)
     _index(kmax, "kmax", 0)
     if kmax > n - 1:
         raise ValueError(f"kmax={kmax} exceeds n-1={n - 1}")
+    fact, falling = _c_factors(n, kmax)
     inner = {(k, 0): Fraction(1) for k in range(kmax + 1)}
-    get = inner.get  # an impossible m is absent and reads 0
+    rows: list[list[int]] = [[1], [1]]  # A_{i,m}, m = 0..i//2; A_{i,0} = D_i
+    lcm = 1  # lcm(D_0..D_(k-1))
     for k in range(2, kmax + 1):
-        denom = -Fraction(k, n) * c_coeff(n, k, 0)
-        cs = [c_coeff(n, i, k + 1 - i) for i in range(k)]
-        for m in range(1, k // 2 + 1):
-            total = Fraction(0)
-            for i in range(max(k - 2 * m - 1, 0), k):
-                c, d = cs[i], k - i
-                if d % 2 == 0:
-                    total -= c * get((i, m - d // 2), 0) / n
-                else:
-                    total += c * get((i, m - (d - 1) // 2), 0)
-                    if k % 2 == 0:
-                        total += c * get((i, m - (d + 1) // 2), 0) / (n * n)
-            inner[(k, m)] = total / denom
+        lcm = math.lcm(lcm, rows[k - 1][0])
+        total = [0] * (k // 2 + 1)  # T_m; T_0 is summed but not read
+        for i, row in enumerate(rows):
+            d = k - i
+            weight = (_c_numerator(n, i, d + 1, fact, falling)
+                      * (lcm // row[0]) << (d - 1))
+            if d % 2 == 0:  # -C a_{i, m-d/2} / n
+                weight *= -n
+                for m, a in enumerate(row, start=d // 2):
+                    total[m] += weight * a
+                continue
+            if k % 2 == 0:  # C a_{i, m-(d+1)/2} / n^2
+                for m, a in enumerate(row, start=(d + 1) // 2):
+                    total[m] += weight * a
+            weight *= n * n  # C a_{i, m-(d-1)/2}
+            for m, a in enumerate(row, start=(d - 1) // 2):
+                total[m] += weight * a
+        divisor = -n * k * lcm * _c_numerator(n, k, 0, fact, falling)
+        level = [Fraction(2 * t, divisor) for t in total[1:]]
+        den = math.lcm(*(f.denominator for f in level))
+        rows.append([den, *(f.numerator * (den // f.denominator)
+                            for f in level)])
+        inner.update(((k, m), f) for m, f in enumerate(level, start=1))
     return AlphaTable(n=n, kmax=kmax, inner=inner)
 
 

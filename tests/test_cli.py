@@ -149,6 +149,17 @@ def test_invalid_flags_exit_nonzero():
         main(["no-such-command"])
 
 
+def test_an_option_of_another_command_prints_the_commands_usage(capsys):
+    # --kmax belongs to other subcommands; the root usage used to answer
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--kmax", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: hydrogrid spectrum " in captured.err
+    assert "unrecognized arguments: --kmax x" in captured.err
+
+
 def test_bad_range_rejected(capsys):
     assert main(["spectrum", "--n", "5..2"]) == 2
 

@@ -324,8 +324,20 @@ def two_branch_alpha_inner(n, kmax):
 
 
 def test_alpha_inner_equals_two_branch_reference():
-    for n in range(1, 41):
+    for n in (*range(1, 41), 48, 60):
         assert alpha_inner(n, n - 1).inner == two_branch_alpha_inner(n, n - 1)
+
+
+def test_order_normalized_equals_its_fraction_product():
+    for n in range(1, 31):
+        table = alpha_inner(n, n - 1)
+        for k in range(n):
+            for m in range(1, k // 2 + 1):
+                assert table.order_normalized(k, m) == (
+                    table.inner_coeff(k, m) * n ** (2 * m)
+                    * Fraction(math.factorial(n - k + 2 * m - 1),
+                               math.factorial(n - k))
+                    / math.comb(k // 2, m))
 
 
 def test_level_divisor_is_nonzero():

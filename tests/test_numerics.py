@@ -348,6 +348,10 @@ def test_each_process_loads_only_what_its_command_runs():
     assert {"hydrogrid.coordinate", "hydrogrid.pollaczek"} <= added
     assert not added & {"hydrogrid.verify", "hydrogrid.spectral",
                         "dataclasses", "inspect", "json"}
+    for command in ("coeffs", "wavefunction"):  # pollaczek loads cmath
+        added = _modules_added(_CLI, command, "--n", "2..3", "--mode", "float")
+        assert "hydrogrid.coordinate" in added
+        assert not added & {"hydrogrid.pollaczek", "cmath"}
     added = _modules_added(_CLI, "verify", "--n", "1..2", "--kmax", "4",
                            "--output", "json")
     assert {"hydrogrid.verify", "hydrogrid.spectral", "json"} <= added
