@@ -310,7 +310,18 @@ def main(argv: list[str] | None = None) -> int:
         commands[args.command].print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    # An exact cell's integers grow without bound, past the 4300 digits
+    # CPython converts to str by default; the limit is lifted for this run
+    # only, so an in-process caller keeps its own.  Python before 3.10.7
+    # has no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return run(cfg)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return run(cfg)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

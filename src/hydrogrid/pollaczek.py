@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Union
 
 from .coordinate import EigenData, _state
-from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _real,
-                       _step, as_surd, surd_pow)
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _make,
+                       _operands, _real, _step, as_surd, surd_pow)
 
 Scalar = Union[float, Fraction, QuadraticSurd]
 
@@ -49,25 +49,51 @@ def pollaczek_seq(delta: RationalLike, x: Scalar,
     """(P_0(x), ..., P_jmax(x)) by the three-term recursion, exact or float
     by x's type.
 
-    Exact mode (x a QuadraticSurd, Fraction or int) keeps delta rational;
-    float x runs the whole recursion in doubles.  delta may take any
-    sign; x and delta are checked by `numerics._delta`.
+    Exact mode (x a QuadraticSurd, Fraction or int) keeps delta rational
+    and runs on integers: with x = (xa + xb sqrt(r))/xc and
+    delta = dn/dd, P_{j+1} = c_j P_j - P_{j-1} with
+    c_j = 2(x - delta/(j+1)) = (ca + cb sqrt(r))/cd, cd = (j+1) dd xc.
+    P_{j-1} and P_j are integer pairs (a + b sqrt(r)) over one running
+    denominator den.  The next numerator, c_j's pair times P_j's minus cd
+    times P_{j-1}'s, stands over cd den; its gcd g with the small cd is
+    divided out, so den grows by cd/g and P_j's pair is scaled by cd/g.
+    One surd (a Fraction for a rational x that is not a surd) is built
+    per returned value.  Float x runs the whole recursion in doubles.
+    delta may take any sign; x and delta are checked by
+    `numerics._delta`.
     """
     _index(jmax, "jmax", 0)
-    d: Scalar = _delta(delta, "delta")
+    d = _delta(delta, "delta")
     if isinstance(x, float):
         _delta(x, "x")  # finite
-        d = float(d)
-    elif not isinstance(x, QuadraticSurd):
+        fd = float(d)
+        cur, prev = 1.0, 0.0
+        values = [cur]
+        for j in range(jmax):
+            nxt = (2 * ((j + 1) * x - fd) * cur - (j + 1) * prev) / (j + 1)
+            values.append(nxt)
+            prev, cur = cur, nxt
+        return tuple(values)
+    if not isinstance(x, QuadraticSurd):
         x = _delta(x, "x")
-    cur: Scalar = type(x)(1)
-    prev: Scalar = cur - cur
-    values = [cur]
-    for j in range(jmax):
-        nxt = (2 * ((j + 1) * x - d) * cur - (j + 1) * prev) / (j + 1)
-        values.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(values)
+    xa, xb, xc, r, s = _operands(0, 1, x)
+    dn, dd = d.numerator, d.denominator
+    pa = pb = b = 0  # P_{-1} = 0 and P_0 = 1 over den = 1
+    a = den = 1
+    terms = [(a, b, den)]
+    for j in range(1, jmax + 1):
+        cd = j * dd * xc
+        ca = 2 * (j * dd * xa - dn * xc)
+        cb = 2 * j * dd * xb
+        na = ca * a + cb * r * b - cd * pa
+        nb = ca * b + cb * a - cd * pb
+        g = math.gcd(cd, na, nb)
+        cd //= g
+        pa, pb, a, b, den = cd * a, cd * b, na // g, nb // g, cd * den
+        terms.append((a, b, den))
+    if isinstance(x, QuadraticSurd):
+        return tuple(_make(a, b, den, r, s) for a, b, den in terms)
+    return tuple(Fraction(a, den) for a, _, den in terms)
 
 
 def beta_coeff(j: int, m: int) -> Fraction:

@@ -19,9 +19,9 @@ from functools import cached_property
 from itertools import islice
 from fractions import Fraction
 
-from .coordinate import eigen_data, residual_row, wavefunction_values
-from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _real,
-                       _step, as_surd, surd_pow)
+from .coordinate import eigen_data, wavefunction_values
+from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _make,
+                       _operands, _real, _step, as_surd, surd_pow)
 from .pollaczek import mass_point
 
 
@@ -536,21 +536,51 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     |u_{k-1}/2 + (delta/k) u_k + u_{k+1}/2 - mu u_k|, u_0 = 0, exactly.
 
     Exact entries u_1..u_K, from any iterable (`wavefunction_values`
-    too), are read in one pass; a mu over another radicand raises
-    MixedRadicandError.  delta may take any sign.
+    too), are read in one pass, each as integers (A + B sqrt(r))/C over
+    one radicand by `numerics._operands`, and mu with them: an entry or
+    mu over another field raises MixedRadicandError.  With
+    mu = (ma + mb sqrt(r))/mc and delta = dn/dd, row k times
+    2 fd C_{k-1} C_k C_{k+1}, fd = k dd mc, is the integer pair
+        fd C_k (u_{k-1} C_{k+1} + u_{k+1} C_{k-1})
+        + 2 C_{k-1} C_{k+1} (dn mc - k dd ma - k dd mb sqrt(r)) u_k
+    over the entries' numerator pairs; a surd is built only for a
+    nonzero row, to take its absolute value and the max.  delta may take
+    any sign.  `coordinate.residual_row` is the same row on surds.
     """
     delta = _delta(delta, "delta")
-    best = u_prev = u_here = as_surd(0)
+    dn, dd = delta.numerator, delta.denominator
+    best = as_surd(0)
+    r, s = 0, 1
+    pa = pb = ha = hb = 0  # u_0 = 0
+    pc = hc = 1
     k = 0
-    for k, u_next in enumerate(entries):
+    for k, entry in enumerate(entries):
+        a, b, c, r, s = _exact(r, s, entry, "entry")
         if k >= 1:
-            row = abs(residual_row(u_prev, u_here, u_next, k, delta, mu))
-            if best < row:
-                best = row
-        u_prev, u_here = u_here, u_next
+            if k == 1:  # with the first row: one entry is a ValueError
+                ma, mb, mc, r, s = _exact(r, s, mu, "mu")
+            kd = k * dd
+            outer = kd * mc * hc  # fd C_k
+            inner = 2 * pc * c
+            fa, fb = inner * (dn * mc - kd * ma), -inner * kd * mb
+            ra = outer * (pa * c + a * pc) + fa * ha + fb * hb * r
+            rb = outer * (pb * c + b * pc) + fa * hb + fb * ha
+            if ra or rb:
+                best = max(best, abs(_make(ra, rb, outer * inner, r, s)))
+        pa, pb, pc, ha, hb, hc = ha, hb, hc, a, b, c
     if k < 1:
         raise ValueError("need at least two entries for one interior row")
     return best
+
+
+def _exact(r: int, s: int, value: object, what: str):
+    """value's integers over sqrt(r) by `numerics._operands`, with the
+    (r, s) they are read over; TypeError unless value is exact."""
+    ops = _operands(r, s, value)
+    if ops is None:
+        raise TypeError(f"{what} must be int, Fraction or QuadraticSurd, "
+                        f"got {value!r}")
+    return ops
 
 
 def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:

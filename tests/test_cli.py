@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,25 @@ def test_domain_error_exit_code(capsys):
     assert main(["spectrum", "--delta", "0", "--n", "1..1"]) == 2
     assert "error" in capsys.readouterr().err
 
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+def test_an_exact_cell_past_the_int_str_digit_limit_is_printed(capsys):
+    # delta = 1/10**2150 gives D = (10**4300 + 1)/10**4300, whose numerator
+    # is one digit past CPython's default 4300; the run computed, then
+    # exited 2 with an empty stdout.  The limit is lifted for the run only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["spectrum", "--delta", "1/1" + "0" * 2150,
+                     "--n", "1..1"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    mu = out.splitlines()[1].split(",")[1]
+    assert mu == "0+1√(1" + "0" * 4299 + "1/1" + "0" * 4300 + ")"
 
 def test_verify_report_small(tmp_path, capsys):
     out = tmp_path / "verify.json"

@@ -160,6 +160,61 @@ def test_seq_rejects_negative_jmax():
         pollaczek_seq(1, 1.0, -1)
 
 
+def surd_recursion(delta, x, jmax):
+    """The oracle for the integer recursion: the same three-term recursion
+    on field objects, (j+1) P_{j+1} = 2((j+1)x - delta) P_j - (j+1) P_{j-1},
+    in x's exact type (an int x runs as a Fraction)."""
+    d = Fraction(delta)
+    x = x if isinstance(x, QuadraticSurd) else Fraction(x)
+    cur, prev = type(x)(1), type(x)(0)
+    values = [cur]
+    for j in range(jmax):
+        nxt = (2 * ((j + 1) * x - d) * cur - (j + 1) * prev) / (j + 1)
+        values.append(nxt)
+        prev, cur = cur, nxt
+    return values
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-7, 3), 0, 3,
+                                   0.375, -1.25])
+@pytest.mark.parametrize("x", [
+    QuadraticSurd(0, 1, Fraction(5, 4)),
+    QuadraticSurd(Fraction(2, 5), Fraction(-1, 3), 7),
+    QuadraticSurd(Fraction(-3, 4), Fraction(5, 2), Fraction(8, 9)),
+    QuadraticSurd(Fraction(7, 5)),  # a rational surd
+    Fraction(1, 3), Fraction(-9, 4), 2, 0,
+], ids=["mu", "surd", "surd-D-8/9", "rational-surd", "1/3", "-9/4", "int-2",
+        "int-0"])
+@pytest.mark.parametrize("jmax", [0, 1, 2, 17])
+def test_integer_recursion_equals_the_surd_recursion(delta, x, jmax):
+    values = pollaczek_seq(delta, x, jmax)
+    oracle = surd_recursion(delta, x, jmax)
+    assert isinstance(values, tuple) and len(values) == jmax + 1
+    assert list(values) == oracle
+    # a surd x gives surds over x's radicand, a Fraction or int x Fractions
+    kind = QuadraticSurd if isinstance(x, QuadraticSurd) else Fraction
+    assert all(type(v) is kind for v in values)
+    assert [str(v) for v in values] == [str(v) for v in oracle]
+
+
+@pytest.mark.parametrize("delta, m", [(Fraction(1, 2), 3), (Fraction(3, 4), 10),
+                                      (Fraction(12), 4)])
+def test_integer_recursion_at_a_high_degree(delta, m):
+    # far from the start, against the generating function's closed form;
+    # at delta = 12, m = 4 the radicand is a square and mu is rational
+    mp = mass_point(m, delta)
+    values = pollaczek_seq(delta, mp.mu, 300)
+    assert values[300] == pollaczek_mass_closed(300, mp)
+    assert values[:40] == tuple(surd_recursion(delta, mp.mu, 39))
+
+
+def test_seq_float_x_runs_in_doubles():
+    values = pollaczek_seq(Fraction(1, 2), 0.25, 5)
+    assert all(type(v) is float for v in values)
+    exact = surd_recursion(Fraction(1, 2), Fraction(1, 4), 5)
+    assert all(floats_close(v, float(e)) for v, e in zip(values, exact))
+
+
 def test_beta_trivial_row():
     for m in range(8):
         assert beta_coeff(0, m) == 1

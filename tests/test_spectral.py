@@ -515,6 +515,111 @@ def test_eigen_residual_needs_one_interior_row(length):
         eigen_residual(entries, 1, eigen_data(1, 1).mu)
 
 
+def max_residual_row(entries, delta, mu):
+    """The oracle for the integer rows: max |residual_row| over the
+    interior rows, each row on surds, with u_0 = 0."""
+    u = [numerics.as_surd(0)] + [numerics.as_surd(v) for v in entries]
+    return max((abs(coordinate.residual_row(u[k - 1], u[k], u[k + 1], k,
+                                            Fraction(delta), mu))
+                for k in range(1, len(u) - 1)))
+
+
+def perturbed(vector, k, by):
+    return vector[:k] + (vector[k] + by,) + vector[k + 1:]
+
+
+def over_sqrt_20(x):
+    """x over D = 5/4 written over D = 20, since sqrt(5/4) = sqrt(20)/4."""
+    assert x.D in (0, Fraction(5, 4))
+    return QuadraticSurd(x.a, x.b / 4, 20) if x.b else x
+
+
+# (n, delta) = (2, 1) has p = 5 and D = 5/4; (1, 3/4) has p = 25, a
+# perfect square, so mu = 5/4 and every entry is rational
+RESIDUAL_CASES = {
+    "exact": (2, Fraction(1), lambda v: v, None),
+    "perturbed-rational": (2, Fraction(1),
+                           lambda v: perturbed(v, 3, Fraction(1, 7)), None),
+    "perturbed-surd": (3, Fraction(1, 2),  # p = 37
+                       lambda v: perturbed(v, 0, QuadraticSurd(0, 1, 37)),
+                       None),
+    "perturbed-last": (1, Fraction(3, 4), lambda v: perturbed(v, -1, 1),
+                       None),
+    "wrong-mu": (2, Fraction(1), lambda v: v,
+                 QuadraticSurd(Fraction(1, 3), Fraction(1, 2), 5)),
+    "rational-mu-of-a-surd-vector": (2, Fraction(1), lambda v: v,
+                                     Fraction(9, 8)),
+    "square-field": (1, Fraction(3, 4), lambda v: v, None),
+    "square-field-wrong-mu": (1, Fraction(3, 4), lambda v: v, Fraction(4, 3)),
+    "fraction-and-int-entries": (
+        1, Fraction(3, 4),
+        lambda v: tuple(Fraction(x.a) if i % 2 else int(x.a * 4 ** i)
+                        for i, x in enumerate(v)), None),
+    "entries-over-sqrt-20": (2, Fraction(1),
+                             lambda v: tuple(map(over_sqrt_20, v)), None),
+    "perturbed-over-sqrt-20": (
+        2, Fraction(1),
+        lambda v: perturbed(tuple(map(over_sqrt_20, v)), 4,
+                            QuadraticSurd(0, Fraction(1, 9), 20)), None),
+    "mu-over-sqrt-20": (2, Fraction(1), lambda v: v,
+                        QuadraticSurd(0, Fraction(1, 4), 20)),
+    "negative-delta": (2, Fraction(-1), lambda v: v, None),
+}
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+def test_eigen_residual_equals_the_largest_surd_row(case):
+    n, delta, change, mu = RESIDUAL_CASES[case]
+    entries = change(closed_form_vector(n, abs(delta), 14))
+    if mu is None:
+        mu = eigen_data(n, abs(delta)).mu
+    residual = eigen_residual(iter(entries), delta, mu)
+    assert type(residual) is QuadraticSurd
+    assert residual == max_residual_row(entries, delta, mu)
+    assert residual.is_zero() == (case in ("exact", "square-field",
+                                           "entries-over-sqrt-20",
+                                           "mu-over-sqrt-20"))
+
+
+def test_eigen_residual_of_rational_rows_is_a_surd():
+    # every entry and mu rational: the rows used to come out as
+    # Fractions, and the max with them, though callers read .is_zero();
+    # row 1 = 3/2 + 1/6 - 1 = 2/3, row 2 = 1/4 - 1/8 + 1/2 - 6 = -43/8
+    residual = eigen_residual([Fraction(1, 2), 3, Fraction(-1, 4)],
+                              Fraction(1, 3), Fraction(2))
+    assert type(residual) is QuadraticSurd
+    assert residual == Fraction(43, 8)
+
+
+def test_eigen_residual_sees_a_row_with_no_rational_part():
+    # row 1 = u_2/2 = sqrt(2)/2; row 2 = (1 - sqrt(2)) u_2 = sqrt(2) - 2
+    entries = [0, QuadraticSurd(0, 1, 2), 0]
+    mu = QuadraticSurd(0, 1, 2)
+    assert eigen_residual(entries, 2, mu) == QuadraticSurd(0, Fraction(1, 2), 2)
+    assert eigen_residual(entries, 2, mu) == max_residual_row(entries, 2, mu)
+
+
+@pytest.mark.parametrize("entries, mu", [
+    ((QuadraticSurd(0, 1, 2), QuadraticSurd(1, 1, 3)), Fraction(1)),
+    ((Fraction(1), QuadraticSurd(1, 1, 3)), QuadraticSurd(0, 1, 2)),
+    ((QuadraticSurd(0, 1, 2), Fraction(1)), QuadraticSurd(0, 1, 3)),
+])
+def test_eigen_residual_rejects_entries_over_another_radicand(entries, mu):
+    with pytest.raises(MixedRadicandError):
+        eigen_residual(entries, 1, mu)
+
+
+@pytest.mark.parametrize("entries, mu", [
+    ((Fraction(1), 0.5), Fraction(1)),
+    ((Fraction(1), Fraction(1)), 1.25),
+    ((Fraction(1), "1"), Fraction(1)),
+])
+def test_eigen_residual_takes_exact_entries_only(entries, mu):
+    with pytest.raises(TypeError, match="must be int, Fraction or "
+                                        "QuadraticSurd"):
+        eigen_residual(entries, 1, mu)
+
+
 def test_exp_part_values():
     assert exp_part(0, 3, Fraction(5, 7)) == 1
     assert exp_part(2, 1, 1) == QuadraticSurd(3, -2, 2)
