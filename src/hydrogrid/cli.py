@@ -19,8 +19,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coordinate import (_continuum_gap, _gap_step, alpha_inner,
-                         eigen_data, laguerre_ref, wavefunction_floats,
+from .coordinate import (_continuum_gap, alpha_inner, eigen_data,
+                         laguerre_ref, wavefunction_floats,
                          wavefunction_values)
 from .numerics import (QuadraticSurd, _index, _step, parse_rational,
                        surd_to_float, surd_to_json)
@@ -275,9 +275,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         deltas = tuple(_step(parse_rational(part, allow_exponent=allow_exp))
                        for part in args.deltas.split(","))
     _index(n_lo, "--n", 0 if args.command == "pollaczek" else 1)
-    if args.command == "converge":
-        for d in deltas or (delta,):
-            _gap_step(d, "--deltas" if deltas else "--delta")
     kmax_min = {"wavefunction": 1, "coeffs": 0, "verify": 2}.get(args.command)
     if kmax_min is not None:
         _index(args.kmax, "--kmax", kmax_min)

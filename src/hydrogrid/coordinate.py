@@ -198,24 +198,15 @@ def continuum_energy(n: int) -> Fraction:
     return Fraction(-1, 2 * n * n)
 
 
-def _gap_step(delta: RationalLike, name: str = "delta") -> Fraction:
-    """A step checked by `_step` and at least 2**-537: below about
-    2**-537.5, float(delta)**2, the divisor of the gap ratio, is 0.0."""
-    delta = _step(delta)
-    if delta < Fraction(1, 2 ** 537):
-        raise ValueError(f"{name} must be at least 2**-537 (about 3.0e-162),"
-                         f" so that its float square is positive")
-    return delta
-
-
 def _continuum_gap(n: int, delta: RationalLike) -> tuple[float, float, float]:
-    """E of state n at step delta >= 2**-537, its gap E + 1/(2 n**2) to
-    the continuum and that gap over delta**2, each in doubles: the sweep
-    that `converge` prints and verify checks against 1/(8 n**4)."""
-    delta = _gap_step(delta)
-    energy = float(eigen_data(n, delta).E)
-    gap = energy - float(continuum_energy(n))
-    return energy, gap, gap / float(delta) ** 2
+    """E of state n at step delta > 0, its gap E + 1/(2 n**2) to the
+    continuum and that gap over delta**2, each exact in Q(sqrt(D)) and
+    rounded once: the sweep that `converge` prints and verify checks
+    against 1/(8 n**4)."""
+    ed = eigen_data(n, delta)
+    energy = ed.E
+    gap = energy - continuum_energy(n)
+    return float(energy), float(gap), float(gap / (ed.delta * ed.delta))
 
 
 # The bundle of state n >= 1 at a checked step delta >= 0, built once.
@@ -487,13 +478,10 @@ def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
     ed = eigen_data(n, delta)
     pairs, den = ed.polynomial
     kn, kd = (Fraction(r) / ed.delta).as_integer_ratio()
-    a = b = 0
-    scale = 1
-    for ca, cb in pairs:  # sum_j (a_j + b_j sqrt(p)) kn^(j-1) kd^(n-j)
-        a = a * kn + ca * scale
-        b = b * kn + cb * scale
-        scale *= kd
-    a, b, c = a * kn, b * kn, den * scale
+    # sum_j (a_j + b_j sqrt(p)) kn^j kd^(n-j) over den kd^n
+    a, b = _horner(tuple((ca * kd ** i, cb * kd ** i)
+                         for i, (ca, cb) in enumerate(pairs)), kn)
+    c = den * kd ** ed.n
     e2 = max(a.bit_length(), b.bit_length() + ed.field.p.bit_length() // 2
              ) - c.bit_length()
     f = ed.field.to_float(a << max(-e2, 0), b << max(-e2, 0), c << max(e2, 0))

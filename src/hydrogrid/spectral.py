@@ -280,12 +280,15 @@ class _KnownCounts:
         """Count both sides of the float mass points above lo,
         x~_m (1 -+ 2**-48) with x~_m = sqrt(1 + (delta/(m+1))**2) in
         floats, for m = 0, 1, ... while the two counts differ by exactly
-        one.  A seed that brackets no eigenvalue costs its two counts and
-        stops the seeding.  delta = 0 has no mass points and no seeds."""
+        one.  From y = delta/(m+1) >= 2**27 on, the formula rounds to y,
+        so x~_m is y itself, which cannot overflow.  A seed that brackets
+        no eigenvalue costs its two counts and stops the seeding.
+        delta = 0 has no mass points and no seeds."""
         delta = float(self.op.delta)
         above, k = math.inf, 1
         while delta:
-            x = math.sqrt(1.0 + (delta / k) ** 2)
+            y = delta / k
+            x = y if y >= 2.0 ** 27 else math.sqrt(1.0 + y ** 2)
             if not lo < x < above:
                 return  # float x~_m stopped falling, or reached lo
             if self.add(x * (1.0 + 2.0 ** -48)) - self.add(

@@ -67,16 +67,20 @@ GOLDEN_STDOUT = [
     ("pollaczek --delta 3/2 --n 0..2 --jmax 12 --mode float",
      "cdd6ca7e724e134aee7950d2106b00550344f6c37a6e5a0b6e84cc0cc1b88385"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output csv --mode exact",
-     "bdc00adafe5ce20396096f1c9b4e6a819a2a19a7ee82d11c6071c6a2483c17fe"),
+     "f5d34a6b9b459762a50319670711c5f9fd2ccb78ef0e404af28f613d69f61e93"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output csv --mode float",
-     "bdc00adafe5ce20396096f1c9b4e6a819a2a19a7ee82d11c6071c6a2483c17fe"),
+     "f5d34a6b9b459762a50319670711c5f9fd2ccb78ef0e404af28f613d69f61e93"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output json --mode exact",
-     "03f9339896b5b1aa79014db26d22c9c50f3bc91c4ef004e8d72ec43e5ddbe9e6"),
+     "58d3377ee1421263aeb8f6295d0fea278637d92bcd4ffd0291c0dd04a14c589b"),
     ("converge --n 1..2 --deltas 1/5,1/10 --output json --mode float",
-     "505f5814003c2856f9f6bc56363cb349110b9db688d24facb1c8e53fe3e6264d"),
+     "4649722be549da5d5361b0058af98ead6cc4b55519b6fa63097bcc80641975a6"),
     # the README's continuum-limit sweep
     ("converge --n 1..3 --deltas 1/5,1/10,1/20 --mode float",
-     "16690d021c13b242a8f31c64cd108d8897a994df9d730e9ac73c72810bd62f56"),
+     "73f2b67be3c0cb7fc6563ef5ef903f11623347f934a8f8b4cc22c23cee535b52"),
+    # steps whose float square underflows or overflows: the gap and its
+    # ratio are exact values rounded once
+    ("converge --n 1..2 --deltas 1e-170,1e300 --mode float",
+     "26c7378a82b931f0125556613dabcb1b74b07a1fb037d8042ddea13661d1add3"),
     ("pollaczek --delta 1/2 --n 0..1 --jmax 5 --mode float --precision-bits 64",
      "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
     # --precision-bits has no effect: every conversion is correctly rounded

@@ -91,15 +91,30 @@ def test_converge_sweep(tmp_path):
     assert float(first[4]) == pytest.approx(0.125, rel=6e-3)
 
 
-def test_converge_takes_steps_down_to_the_float_square_bound(capsys):
-    # 2**-537 squares to the least subnormal double; a smaller step is
-    # rejected instead of dividing a gap by 0.0.
-    assert main(["converge", "--n", "1..1", "--deltas", "1e-161",
-                 "--mode", "float"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].endswith(",-0.5,0,0")
-    assert coordinate._continuum_gap(1, Fraction(1, 2 ** 537))[2] == 0.0
-    with pytest.raises(ValueError, match=r"^delta must be at least 2\*\*-537"):
-        coordinate._continuum_gap(1, Fraction(1, 2 ** 538))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("delta", [
+    Fraction(1, 2 ** 600), Fraction(1, 10 ** 170), Fraction(1, 10 ** 9),
+    Fraction(1, 10), Fraction(3, 4), Fraction(7, 3), Fraction(10 ** 300)])
+def test_converge_gap_equals_the_cancellation_free_form(n, delta):
+    # With delta**2 = n**2 (mu - 1)(mu + 1), E + 1/(2n**2) is
+    # (mu - 1)/(2n**2 (mu + 1)) and its ratio to delta**2 is
+    # 1/(2n**4 (1 + mu)**2): the same exact values, each rounded once.
+    mu = coordinate.eigen_data(n, delta).mu
+    _, gap, ratio = coordinate._continuum_gap(n, delta)
+    assert gap == float((mu - 1) / (2 * n * n * (mu + 1)))
+    assert ratio == float(1 / (2 * n ** 4 * (1 + mu) ** 2))
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("converge --n 1..1 --deltas 1e-170 --mode float", 1),
+    ("converge --n 1..1 --deltas 1/5,1e-162 --mode float", 2),
+    ("converge --deltas= --delta 1e-170 --mode float", 1),
+])
+def test_converge_takes_steps_whose_float_square_is_zero(argv, line, capsys):
+    # The gap E + 1/2 ~ delta**2/8 underflows, its ratio does not.
+    assert main(argv.split()) == 0
+    row = capsys.readouterr().out.splitlines()[line]
+    assert row.startswith("1,") and row.endswith(",-0.5,0,0.125")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -222,9 +237,10 @@ def test_stdout_golden_hash(argv, digest):
     assert stdout_digest(argv) == (0, digest)
 
 
-# Surd columns per table; converge converts only E and derives the rest.
+# Surd columns per table; converge's E, gap and ratio are each one exact
+# value rounded once.
 SURD_COLUMNS = {"spectrum": 3, "wavefunction": 1, "pollaczek": 1,
-                "coeffs": 1, "converge": 1}
+                "coeffs": 1, "converge": 3}
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])
@@ -271,12 +287,6 @@ NOT_A_RANGE = "--n must be an integer or a range 'lo..hi', got "
     ("verify --delta=-1/2", "delta must be > 0"),
     ("converge --deltas 1/5,0", "delta must be > 0"),
     ("converge --deltas 1/5,-1/10", "delta must be > 0"),
-    ("converge --n 1..1 --deltas 1e-170 --mode float",
-     "--deltas must be at least 2**-537"),
-    ("converge --n 1..1 --deltas 1/5,1e-162 --mode float",
-     "--deltas must be at least 2**-537"),
-    ("converge --deltas= --delta 1e-170 --mode float",
-     "--delta must be at least 2**-537"),
     ("wavefunction --kmax -5", "--kmax must be >= 1"),
     ("wavefunction --kmax 0", "--kmax must be >= 1"),
     ("pollaczek --jmax -1", "--jmax must be >= 0"),

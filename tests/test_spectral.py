@@ -1456,6 +1456,16 @@ def test_point_spectrum_matches_the_seedless_reference(delta, size, threshold,
     assert [x.hex() for x in found] == [x.hex() for x in reference]
 
 
+def test_point_spectrum_at_a_step_whose_float_square_overflows(monkeypatch):
+    # (delta/k)**2 leaves the double range above delta/k ~ 1.3e154; from
+    # 2**27 on, the seeds take delta/k itself, which the formula rounds to.
+    found = point_spectrum_above(build_truncated(10 ** 200, 50))
+    monkeypatch.setattr(spectral._KnownCounts, "seed", lambda self, lo: None)
+    unseeded = point_spectrum_above(build_truncated(10 ** 200, 50))
+    assert len(found) == 50
+    assert [x.hex() for x in found] == [x.hex() for x in unseeded]
+
+
 # float.hex() of point spectra, recorded with the full-walk Sturm count:
 # the two smaller solvers-benchmark sizes and verify's settings.
 GOLDEN_POINT_SPECTRA = {
