@@ -15,7 +15,7 @@ import csv
 import io
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -99,14 +99,40 @@ def _rows_converge(cfg: RunConfig) -> Iterator[list[Cell]]:
             yield [n, delta, *_continuum_gap(n, delta)]
 
 
-TABLES = {
-    "spectrum": (("n", "mu", "E", "q"), _rows_spectrum),
-    "wavefunction": (("n", "k", "u"), _rows_wavefunction),
-    "pollaczek": (("m", "j", "P"), _rows_pollaczek),
-    "coeffs": (("n", "k", "m", "ell_n_minus_k", "inner", "assembled",
-                "order_normalized"), _rows_coeffs),
-    "converge": (("n", "delta", "E", "E_plus_continuum", "ratio_to_delta_sq"),
-                 _rows_converge),
+class Command(NamedTuple):
+    """One subcommand: its help, the default and lowest start of --n, its
+    own option as (flag, default, help, lowest value), an int when it has
+    a lowest value, and its table's header and rows (verify writes its
+    report instead)."""
+    help: str
+    n: str
+    n_min: int
+    option: tuple[str, object, str, int | None] | None
+    header: tuple[str, ...] = ()
+    rows: Callable[[RunConfig], Iterator[list[Cell]]] | None = None
+
+
+COMMANDS = {
+    "spectrum": Command("eigenvalue table (mu, E, q)", "1..4", 1, None,
+                        ("n", "mu", "E", "q"), _rows_spectrum),
+    "wavefunction": Command("lattice eigenfunction table", "1..4", 1,
+                            ("--kmax", 20, "last grid index", 1),
+                            ("n", "k", "u"), _rows_wavefunction),
+    "pollaczek": Command(
+        "P_j at the mass points x_m (--n gives the m range)", "0..3", 0,
+        ("--jmax", 20, "highest degree", 0), ("m", "j", "P"), _rows_pollaczek),
+    "coeffs": Command(
+        "inner/assembled coefficient tables", "1..4", 1,
+        ("--kmax", 8, "deepest level k (capped at n-1 per state)", 0),
+        ("n", "k", "m", "ell_n_minus_k", "inner", "assembled",
+         "order_normalized"), _rows_coeffs),
+    "verify": Command("run the cross-module invariant suite", "1..8", 1,
+                      ("--kmax", 40, "rows per eigenvector identity check", 2)),
+    "converge": Command(
+        "continuum-limit energy sweep", "1..3", 1,
+        ("--deltas", "1/5,1/10,1/20", "comma-separated list of lattice steps",
+         None), ("n", "delta", "E", "E_plus_continuum", "ratio_to_delta_sq"),
+        _rows_converge),
 }
 
 
@@ -177,17 +203,17 @@ def run(cfg: RunConfig) -> int:
                 print(line, file=sys.stderr)
             return 0 if report["all_passed"] else 1
 
-        header, build = TABLES[cfg.command]
+        cmd = COMMANDS[cfg.command]
         if cfg.output == "csv":
-            text = _csv_text(header, ([_csv_cell(v) for v in row]
-                                      for row in build(cfg)))
+            text = _csv_text(cmd.header, ([_csv_cell(v) for v in row]
+                                          for row in cmd.rows(cfg)))
         else:
             payload = {
                 "command": cfg.command,
                 "delta": str(cfg.delta),
                 "mode": cfg.mode,
-                "rows": [dict(zip(header, map(_json_value, row)))
-                         for row in build(cfg)],
+                "rows": [dict(zip(cmd.header, map(_json_value, row)))
+                         for row in cmd.rows(cfg)],
             }
             if cfg.command == "converge":
                 payload["deltas"] = [str(d) for d in (cfg.deltas or (cfg.delta,))]
@@ -221,8 +247,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         description="Exact spectra, eigenfunctions and Pollaczek polynomial "
                     "tables for the lattice hydrogen radial problem.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_n="1..4") -> None:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--delta", default="1",
                        help="lattice step, as 'p/q' or a decimal string")
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
@@ -233,35 +259,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         p.add_argument("--out", default=None, metavar="PATH",
                        help=f"output file (default stdout; relative paths "
                             f"resolve against ${OUT_DIR_ENV})")
-        p.add_argument("--n", default=default_n, metavar="LO..HI",
+        p.add_argument("--n", default=cmd.n, metavar="LO..HI",
                        help="state index range")
-
-    p = sub.add_parser("spectrum", help="eigenvalue table (mu, E, q)")
-    common(p)
-
-    p = sub.add_parser("wavefunction", help="lattice eigenfunction table")
-    common(p)
-    p.add_argument("--kmax", type=int, default=20, help="last grid index")
-
-    p = sub.add_parser("pollaczek",
-                       help="P_j at the mass points x_m (--n gives the m range)")
-    common(p, default_n="0..3")
-    p.add_argument("--jmax", type=int, default=20, help="highest degree")
-
-    p = sub.add_parser("coeffs", help="inner/assembled coefficient tables")
-    common(p)
-    p.add_argument("--kmax", type=int, default=8,
-                   help="deepest level k (capped at n-1 per state)")
-
-    p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    common(p, default_n="1..8")
-    p.add_argument("--kmax", type=int, default=40,
-                   help="rows per eigenvector identity check")
-
-    p = sub.add_parser("converge", help="continuum-limit energy sweep")
-    common(p, default_n="1..3")
-    p.add_argument("--deltas", default="1/5,1/10,1/20",
-                   help="comma-separated list of lattice steps")
+        if cmd.option:
+            flag, default, text, lo = cmd.option
+            p.add_argument(flag, type=None if lo is None else int,
+                           default=default, help=text)
 
     return parser, sub.choices
 
@@ -274,12 +277,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "deltas", None):
         deltas = tuple(_step(parse_rational(part, allow_exponent=allow_exp))
                        for part in args.deltas.split(","))
-    _index(n_lo, "--n", 0 if args.command == "pollaczek" else 1)
-    kmax_min = {"wavefunction": 1, "coeffs": 0, "verify": 2}.get(args.command)
-    if kmax_min is not None:
-        _index(args.kmax, "--kmax", kmax_min)
-    if args.command == "pollaczek":
-        _index(args.jmax, "--jmax", 0)
+    cmd = COMMANDS[args.command]
+    _index(n_lo, "--n", cmd.n_min)
+    if cmd.option and cmd.option[3] is not None:
+        flag, _, _, lo = cmd.option
+        _index(getattr(args, flag[2:]), flag, lo)
     return RunConfig(
         command=args.command,
         delta=delta,

@@ -31,14 +31,14 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
-from .numerics import (QuadraticSurd, RationalLike, _index, _real,
+from .numerics import (QuadraticSurd, RationalLike, _index, _ReadOnly, _real,
                        _StateField, _step, as_surd, surd_pow)
 
 if TYPE_CHECKING:
     from .pollaczek import ClosedFormSequence
 
 
-class EigenData:
+class EigenData(_ReadOnly):
     """The one exact bundle of state n at step delta, built from (n, delta)
     alone.
 
@@ -73,12 +73,6 @@ class EigenData:
         self.__dict__.update(n=n, delta=delta, t=t, field=field,
                              mu=field.surd(s, b, td),
                              q=field.surd(s - field.tn, b, td))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"EigenData(n={self.n!r}, delta={self.delta!r})"

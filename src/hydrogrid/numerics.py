@@ -142,6 +142,19 @@ def _step(value: object, zero_ok: bool = False) -> Fraction:
     return delta
 
 
+class _ReadOnly:
+    """A value whose fields `__init__` writes once into the instance
+    dictionary and nothing may assign or delete afterwards;
+    `cached_property` still caches there, since it writes the dictionary
+    directly."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _new = object.__new__
 
 

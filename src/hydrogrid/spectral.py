@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coordinate import eigen_data, wavefunction_values
 from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _make,
-                       _operands, _real, _step, as_surd, surd_pow)
+                       _operands, _ReadOnly, _real, _step, as_surd, surd_pow)
 from .pollaczek import mass_point
 
 
@@ -29,26 +29,20 @@ class BracketError(ValueError):
     """Bisection bracket does not isolate exactly one eigenvalue."""
 
 
-class TridiagonalOperator:
+class TridiagonalOperator(_ReadOnly):
     """Truncation to size N of the infinite lattice operator.
 
+    delta is checked by `numerics._step` and held as its exact Fraction;
     delta >= 0 keeps the diagonal non-increasing, which `sturm_count`
     relies on.  Read-only, and equal and hashed by (delta, size).
     """
     delta: Fraction
     size: int
 
-    def __init__(self, delta: Fraction, size: int) -> None:
+    def __init__(self, delta: RationalLike, size: int) -> None:
+        delta = _step(delta, zero_ok=True)
         _index(size, "truncation size", 1)
-        if not isinstance(delta, (int, Fraction)) or isinstance(delta, bool):
-            raise TypeError(f"delta must be int or Fraction, got {delta!r}")
-        self.__dict__.update(delta=_step(delta, zero_ok=True), size=size)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        self.__dict__.update(delta=delta, size=size)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -79,7 +73,7 @@ class TridiagonalOperator:
 
 
 def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
-    return TridiagonalOperator(delta=_step(delta, zero_ok=True), size=size)
+    return TridiagonalOperator(delta=delta, size=size)
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:

@@ -85,14 +85,13 @@ def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
 
 
 def _check_branch_agreement(delta: Fraction, m_max: int) -> bool:
-    """The paper's two closed forms against each other at j = m: its
-    degree-j sum and its factorized high-degree form, both on surds."""
-    for m in range(m_max + 1):
-        mp = pollaczek.mass_point(m, delta)
-        if pollaczek._closed_branch_low(m, mp) \
-                != pollaczek._closed_branch_high(m, mp):
-            return False
-    return True
+    """The paper's two closed forms at j = m, its degree-j sum and its
+    factorized high-degree form, both on surds, against the
+    generating-function sequence: at j = m the two forms are one sum."""
+    mps = (pollaczek.mass_point(m, delta) for m in range(m_max + 1))
+    return all(pollaczek._closed_branch_low(mp.m, mp)
+               == pollaczek._closed_branch_high(mp.m, mp)
+               == mp.sequence.value(mp.m) for mp in mps)
 
 
 def _check_chebyshev_reduction() -> bool:
@@ -180,10 +179,13 @@ def _check_tridiagonal_identity(delta: Fraction, n_max: int, k_max: int) -> bool
 
 
 def _check_bisection_mass_points(op: spectral.TridiagonalOperator) -> bool:
+    # within 1e-8, or 4 ulps of a mass point past 2**24, where 1e-8 is
+    # below the spacing of the doubles the bisection resolves
     found = spectral.point_spectrum_above(op, 1.0 + 1e-9, tol=1e-11)
     for m in range(4):
         target = surd_to_float(pollaczek.mass_point(m, op.delta).mu)
-        if not any(abs(x - target) < 1e-8 for x in found):
+        bound = max(1e-8, 4 * math.ulp(target))
+        if not any(abs(x - target) < bound for x in found):
             return False
     return True
 

@@ -91,6 +91,10 @@ GOLDEN_STDOUT = [
      "25863de7340563f7dfb4ddb4082a201e9a51d3944b7974566b504daa4bd6e511"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output csv",
      "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
+    # a mass point past 2**24 is matched within 4 ulps, not 1e-8: every
+    # check passes, so the CSV is the delta = 1 entry's
+    ("verify --delta 1e20 --n 1..3 --kmax 8 --mode float",
+     "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output json",
      "3f6641350af5b8acdfa3f775e8f73906958c2fdbdbacd03da8947214cb160fc0"),
     ("verify --delta 3/4 --n 1..8 --kmax 41 --output json",

@@ -176,6 +176,69 @@ def test_an_option_of_another_command_prints_the_commands_usage(capsys):
     assert "unrecognized arguments: --kmax x" in captured.err
 
 
+# Every option of every subcommand, as (option strings, dest, default,
+# type, choices, metavar, help), read from the parser objects rather than
+# from the help text, whose wrapping differs between Python versions.
+HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, None, None,
+        "show this help message and exit")
+COMMON_OPTIONS = [
+    HELP,
+    (("--delta",), "delta", "1", None, None, None,
+     "lattice step, as 'p/q' or a decimal string"),
+    (("--mode",), "mode", "exact", None, ("exact", "float"), None, None),
+    (("--precision-bits",), "precision_bits", 96, int, None, None,
+     "accepted for compatibility; no effect, since every float conversion "
+     "is correctly rounded"),
+    (("--output",), "output", "csv", None, ("csv", "json"), None, None),
+    (("--out",), "out", None, None, None, "PATH",
+     "output file (default stdout; relative paths resolve against "
+     "$HYDROGRID_OUT_DIR)"),
+]
+SUBCOMMANDS = {
+    "spectrum": ("eigenvalue table (mu, E, q)", "1..4", None),
+    "wavefunction": ("lattice eigenfunction table", "1..4",
+                     (("--kmax",), "kmax", 20, int, None, None,
+                      "last grid index")),
+    "pollaczek": ("P_j at the mass points x_m (--n gives the m range)",
+                  "0..3", (("--jmax",), "jmax", 20, int, None, None,
+                           "highest degree")),
+    "coeffs": ("inner/assembled coefficient tables", "1..4",
+               (("--kmax",), "kmax", 8, int, None, None,
+                "deepest level k (capped at n-1 per state)")),
+    "verify": ("run the cross-module invariant suite", "1..8",
+               (("--kmax",), "kmax", 40, int, None, None,
+                "rows per eigenvector identity check")),
+    "converge": ("continuum-limit energy sweep", "1..3",
+                 (("--deltas",), "deltas", "1/5,1/10,1/20", None, None, None,
+                  "comma-separated list of lattice steps")),
+}
+
+
+def _options(parser):
+    return [(tuple(a.option_strings), a.dest, a.default, a.type,
+             None if a.choices is None else tuple(a.choices), a.metavar,
+             a.help) for a in parser._actions]
+
+
+def test_every_option_of_every_subcommand_is_pinned():
+    parser, commands = cli._build_parser()
+    assert (parser.prog, parser.description) == (
+        "hydrogrid", "Exact spectra, eigenfunctions and Pollaczek polynomial "
+                     "tables for the lattice hydrogen radial problem.")
+    sub = parser._actions[1]
+    assert _options(parser) == [
+        HELP, ((), "command", None, None, tuple(SUBCOMMANDS), None, None)]
+    assert sub.required
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, entry[0]) for name, entry in SUBCOMMANDS.items()]
+    assert list(commands) == list(SUBCOMMANDS)
+    for name, (_, n_default, own) in SUBCOMMANDS.items():
+        assert commands[name].prog == f"hydrogrid {name}"
+        assert _options(commands[name]) == COMMON_OPTIONS + [
+            (("--n",), "n", n_default, None, None, "LO..HI",
+             "state index range")] + ([own] if own else [])
+
+
 def test_bad_range_rejected(capsys):
     assert main(["spectrum", "--n", "5..2"]) == 2
 

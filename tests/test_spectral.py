@@ -69,12 +69,18 @@ def test_build_rejects_a_size_that_is_not_an_int(size):
         spectral.TridiagonalOperator(delta=Fraction(1, 2), size=size)
 
 
-@pytest.mark.parametrize("delta", [0.5, "1/2", True, None])
+@pytest.mark.parametrize("delta", ["1/2", True, None])
 def test_operator_rejects_a_delta_that_is_not_exact(delta):
-    # a float delta used to build and count, then fail in
-    # exact_sturm_count with AttributeError
-    with pytest.raises(TypeError, match="delta must be int or Fraction"):
+    with pytest.raises(TypeError, match="delta must be int, Fraction or float"):
         spectral.TridiagonalOperator(delta=delta, size=3)
+
+
+def test_operator_takes_a_float_delta_at_its_exact_value():
+    # a float delta used to build and count, then fail in
+    # exact_sturm_count with AttributeError; it is now held exactly
+    op = spectral.TridiagonalOperator(0.5, 3)
+    assert op == build_truncated(0.5, 3)
+    assert type(op.delta) is Fraction and op.delta == Fraction(1, 2)
 
 
 def test_operator_equality_and_hash_are_by_delta_and_size():
@@ -196,8 +202,6 @@ def test_every_delta_entry_point_checks_one_domain(name, call, zero_ok,
     # True and "1/2" used to be taken (a str built a second bundle for a
     # cached state), inf escaped as OverflowError, and the same rejection
     # was worded five ways
-    if name == "TridiagonalOperator" and isinstance(bad, float):
-        error = TypeError  # exact only; build_truncated takes the floats
     with pytest.raises(error, match="^delta must be"):
         call(bad)
 

@@ -54,6 +54,20 @@ def test_a_wrong_closed_form_value_fails_the_recursion_check(monkeypatch):
     assert _failing_checks() == {"closed_form_equals_recursion"}
 
 
+def test_a_wrong_sequence_value_at_j_eq_m_fails_the_branch_check(
+        monkeypatch):
+    # the two printed forms are one sum at j = m and agreed with each other
+    # whatever the sequence held; both are now held to the sequence
+    value = pollaczek.ClosedFormSequence.value
+
+    def planted(self, j):
+        return value(self, j) + (1 if j == self.mp.m == 2 else 0)
+
+    assert verify._check_branch_agreement(DELTA, 3)
+    monkeypatch.setattr(pollaczek.ClosedFormSequence, "value", planted)
+    assert not verify._check_branch_agreement(DELTA, 3)
+
+
 def test_a_wrong_mu_fails_both_row_checks(monkeypatch):
     residual = spectral.eigen_residual
 
