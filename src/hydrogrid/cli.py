@@ -11,7 +11,6 @@ mode so exactness never silently degrades.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -153,6 +152,7 @@ def _json_value(value: Cell):
 
 
 def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)

@@ -321,28 +321,34 @@ def ansatz_constraint_system(n: int, delta: RationalLike) -> ConstraintSystem:
     Row j, column k (1-based): C(k,j) delta^(k-j) (q + (-1)^(k-j)/q)/2,
     plus delta**2 on k = j+1 and -mu on k = j; all exact in Q(sqrt(D)).
     The symmetric/antisymmetric step factors reduce exactly to mu and
-    -delta/n.
+    -delta/n.  They are formed from q and 1/q = mu + t as surds, then read
+    once, with mu, as the field's integers (`_StateField.parts`); each
+    entry is summed on those integers over one denominator and built as
+    one surd of the field.
     """
     _index(n, "state index", 1)
     delta = _step(delta)
     ed = _state(n, delta)
+    field = ed.field
     q_inv = ed.mu + ed.t  # exact inverse of q
-    half_sum = (ed.q + q_inv) / 2    # equals mu
-    half_diff = (ed.q - q_inv) / 2   # equals -delta/n
-    dsq = delta * delta
+    half_sum = field.parts((ed.q + q_inv) / 2)    # equals mu
+    half_diff = field.parts((ed.q - q_inv) / 2)   # equals -delta/n
+    ma, mb, mc = field.parts(ed.mu)
+    dn, dd = delta.numerator, delta.denominator
+    zero = field.surd(0, 0, 1)
     rows = []
     for j in range(0, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            coef = as_surd(0)
-            if k >= j:
-                w = half_sum if (k - j) % 2 == 0 else half_diff
-                coef = coef + math.comb(k, j) * delta ** (k - j) * w
-            if k == j + 1:
-                coef = coef + dsq
-            if k == j:
-                coef = coef - ed.mu
-            row.append(coef)
+        row = [zero] * max(j - 1, 0)  # C(k,j) = 0 for k < j
+        for k in range(max(j, 1), n + 1):
+            e = k - j
+            wa, wb, wc = half_sum if e % 2 == 0 else half_diff
+            f = math.comb(k, j) * dn ** e
+            a, b, c = f * wa, f * wb, dd ** e * wc
+            if e == 1:  # + delta**2, with c = dd wc
+                a, b, c = a * dd + dn * dn * wc, b * dd, c * dd
+            elif e == 0:  # - mu
+                a, b, c = a * mc - ma * c, b * mc - mb * c, c * mc
+            row.append(field.surd(a, b, c))
         rows.append(tuple(row))
     return ConstraintSystem(n=n, delta=delta, rows=tuple(rows))
 

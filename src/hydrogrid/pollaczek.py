@@ -25,7 +25,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .coordinate import EigenData, _state
 from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _make,
@@ -126,7 +126,7 @@ class ClosedFormSequence:
     the coefficient of z^j in G(z) = (1 - zq)^{-(m+2)} (1 - z/q)^m.  The
     sequence extends in order on demand and keeps each degree once, as
     integers; `value(j)` builds a surd from them, and `float_value(j)`
-    rounds straight from them.
+    and `floats()` round straight from them, each degree once.
 
     Why G generates P_j(x_m):
         (1 - zq)(1 - z/q) = 1 - 2xz + z**2;
@@ -176,18 +176,37 @@ class ClosedFormSequence:
             terms.append((*self.mp.field.mul(qnum, (a, b)), den))
         return terms[j]
 
-    # Both readers check the degree before the sequence is extended:
-    # 5.0 would extend it and then fail.
+    # The indexed readers check the degree before the sequence is
+    # extended: 5.0 would extend it and then fail.
     def value(self, j: int) -> QuadraticSurd:
         _index(j, "degree", 0)
         return self.mp.field.surd(*self._term(j))
 
     def float_value(self, j: int) -> float:
         _index(j, "degree", 0)
+        return self._floats_through(j)[j]
+
+    def floats(self) -> Iterator[float]:
+        """P_0(x_m), P_1(x_m), ... as floats, in order and without end.
+
+        Reads the cached floats that `float_value` reads, extended by the
+        same loop, so each degree is rounded once however the two readers
+        interleave; a caller that sums the sequence makes no index check
+        per term.
+        """
+        floats = self._floats
+        j = 0
+        while True:
+            if j == len(floats):
+                self._floats_through(j)
+            yield floats[j]
+            j += 1
+
+    def _floats_through(self, j: int) -> list[float]:
         floats = self._floats
         while len(floats) <= j:
             floats.append(self.mp.field.to_float(*self._term(len(floats))))
-        return floats[j]
+        return floats
 
 
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:

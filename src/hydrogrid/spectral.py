@@ -62,14 +62,20 @@ class TridiagonalOperator(_ReadOnly):
         return tuple(delta / k for k in range(1, self.size + 1))
 
     def gershgorin_interval(self) -> tuple[float, float]:
+        """(min(d_k - r_k), max(d_k + r_k)) over the rows, with radius r_k
+        1/2 on the two end rows and 1 inside.
+
+        The diagonal is non-increasing and rounding is monotone, so the
+        extremes sit in the end rows or their inner neighbours: four rows,
+        with the float sums of a pass over every row, give its bits.
+        """
         diag = self._diag
         if self.size == 1:
             return diag[0], diag[0]
-        radii = [0.5 if k in (0, self.size - 1) else 1.0
-                 for k in range(self.size)]
-        lo = min(d - r for d, r in zip(diag, radii))
-        hi = max(d + r for d, r in zip(diag, radii))
-        return lo, hi
+        if self.size == 2:
+            return diag[1] - 0.5, diag[0] + 0.5
+        return (min(diag[-2] - 1.0, diag[-1] - 0.5),
+                max(diag[0] + 0.5, diag[1] + 1.0))
 
 
 def build_truncated(delta: RationalLike, size: int) -> TridiagonalOperator:
@@ -599,11 +605,14 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     """Truncated l2 inner product sum_k u_k^n u_k^n2.
 
     Entries come from the exact closed form, each floated once per state
-    (see `EigenData.sequence`), and the truncation point is chosen from
+    and read in order from the two states' cached rows (see
+    `ClosedFormSequence.floats`), and the truncation point is chosen from
     the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
-    few computed terms, so the discarded tail is below tail_tol, which
-    must be positive.
+    three terms, so the discarded tail is below tail_tol, which must be
+    positive.  The envelope is max(w0 rho^2, w1 rho, w2) over the last
+    three |terms| w0, w1, w2, from term max(8, n+n2) on, where they all
+    exist.
     """
     _index(n, "state index", 1)
     _index(n2, "state index", 1)
@@ -611,29 +620,23 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     delta = _step(delta)
     mp1 = mass_point(n - 1, delta)
     mp2 = mass_point(n2 - 1, delta)
-    seq1, seq2 = mp1.sequence, mp2.sequence
     t = float(mp1.q) * float(mp2.q)
     if t >= 1.0:
         raise ValueError("non-convergent tail (decay factor >= 1)")
     power = n + n2
-    total = 0.0
-    window: list[float] = []
-    k = 0
-    while True:
-        k += 1
-        term = seq1.float_value(k - 1) * seq2.float_value(k - 1)
+    start = max(8, power)
+    total = w1 = w2 = 0.0
+    rows = zip(mp1.sequence.floats(), mp2.sequence.floats())
+    for k, (a, b) in enumerate(rows, start=1):
+        term = a * b
         total += term
-        window.append(abs(term))
-        if len(window) > 3:
-            window.pop(0)
-        if k < max(8, power):
+        w0, w1, w2 = w1, w2, abs(term)
+        if k < start:
             continue
         rho = t * ((k + 1) / k) ** power
         if rho >= 1.0:
             continue
-        envelope = max(w * rho ** (len(window) - 1 - i)
-                       for i, w in enumerate(window))
-        if envelope * rho / (1.0 - rho) < tail_tol:
+        if max(w0 * rho ** 2, w1 * rho, w2) * rho / (1.0 - rho) < tail_tol:
             return total
 
 

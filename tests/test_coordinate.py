@@ -6,6 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hydrogrid import coordinate, numerics
 from hydrogrid.coordinate import (
     AlphaTable,
     alpha_inner,
@@ -21,7 +22,7 @@ from hydrogrid.coordinate import (
     wavefunction_floats,
     wavefunction_values,
 )
-from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd,
+from hydrogrid.numerics import (MixedRadicandError, QuadraticSurd, as_surd,
                                 floats_close, surd_pow, surd_to_float)
 from hydrogrid.pollaczek import mass_point
 from hydrogrid.spectral import closed_form_vector
@@ -393,6 +394,63 @@ def test_ansatz_solution_matches_alpha_tables(n, delta):
     table = alpha_inner(n, n - 1)
     expected = tuple(table.assembled(n - j, delta) for j in range(1, n + 1))
     assert solved == expected
+
+
+def reference_constraint_rows(n, delta):
+    """The constraint rows summed entry by entry on surds and Fractions,
+    the form `ansatz_constraint_system` must reproduce."""
+    ed = eigen_data(n, delta)
+    q_inv = ed.mu + ed.t
+    half_sum = (ed.q + q_inv) / 2
+    half_diff = (ed.q - q_inv) / 2
+    rows = []
+    for j in range(0, n + 1):
+        row = []
+        for k in range(1, n + 1):
+            coef = as_surd(0)
+            if k >= j:
+                w = half_sum if (k - j) % 2 == 0 else half_diff
+                coef = coef + math.comb(k, j) * delta ** (k - j) * w
+            if k == j + 1:
+                coef = coef + delta * delta
+            if k == j:
+                coef = coef - ed.mu
+            row.append(coef)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4),
+                                   Fraction(7, 3), Fraction(1, 10),
+                                   Fraction(4, 3)])
+def test_ansatz_system_equals_its_surd_form(delta):
+    # delta = 3/4 at n = 1 is t = 3/4, p = 5**2: the field is Q
+    for n in range(1, 25):
+        rows = ansatz_constraint_system(n, delta).rows
+        want = reference_constraint_rows(n, delta)
+        assert rows == want
+        # entries print in solve_constraint_system's errors
+        assert [list(map(str, row)) for row in rows] == \
+            [list(map(str, row)) for row in want]
+
+
+def test_ansatz_system_builds_one_surd_per_entry(monkeypatch):
+    # Each entry is summed on the field's integers and built once by the
+    # trusted constructor, which the numerics code calls by its global
+    # name; the cold bundle and the derivation from q add a few more.
+    built = []
+    original = numerics._make
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numerics, "_make", counting)
+    for n in (1, 2, 7, 16):
+        coordinate._state.cache_clear()
+        built.clear()
+        ansatz_constraint_system(n, Fraction(3, 4))
+        assert len(built) <= n * (n + 1) + 8
 
 
 def _with_entry(system, j, k, value):

@@ -337,7 +337,8 @@ _CLI = ("import runpy, sys\n"
 
 def test_each_process_loads_only_what_its_command_runs():
     # import hydrogrid loads no submodule; a CSV table loads neither the
-    # verify suite nor json, and nothing in src/ loads dataclasses
+    # verify suite nor json, JSON output loads no csv, and nothing in src/
+    # loads dataclasses
     added = _modules_added("import hydrogrid")
     assert "hydrogrid" in added
     assert not [m for m in added if m.startswith("hydrogrid.")]
@@ -345,7 +346,7 @@ def test_each_process_loads_only_what_its_command_runs():
     assert {"hydrogrid.spectral", "hydrogrid.pollaczek"} <= added
     assert "hydrogrid.verify" not in added
     added = _modules_added(_CLI, "pollaczek", "--mode", "float")
-    assert {"hydrogrid.coordinate", "hydrogrid.pollaczek"} <= added
+    assert {"hydrogrid.coordinate", "hydrogrid.pollaczek", "csv"} <= added
     assert not added & {"hydrogrid.verify", "hydrogrid.spectral",
                         "dataclasses", "inspect", "json"}
     for command in ("coeffs", "wavefunction"):  # pollaczek loads cmath
@@ -355,7 +356,7 @@ def test_each_process_loads_only_what_its_command_runs():
     added = _modules_added(_CLI, "verify", "--n", "1..2", "--kmax", "4",
                            "--output", "json")
     assert {"hydrogrid.verify", "hydrogrid.spectral", "json"} <= added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "csv"}
 
 
 _PUBLIC = {

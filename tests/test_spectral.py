@@ -787,6 +787,74 @@ def test_gram_matrix_builds_no_surd_per_term(monkeypatch):
     assert len(built) <= 4 * len(states)
 
 
+def reference_inner_product(n, n2, delta, tail_tol):
+    """The truncated sum with an indexed read of each entry and a list
+    window of the last three |terms|, the form `inner_product` must
+    reproduce bit for bit."""
+    mp1, mp2 = mass_point(n - 1, delta), mass_point(n2 - 1, delta)
+    seq1, seq2 = mp1.sequence, mp2.sequence
+    t = float(mp1.q) * float(mp2.q)
+    power = n + n2
+    total = 0.0
+    window = []
+    k = 0
+    while True:
+        k += 1
+        term = seq1.float_value(k - 1) * seq2.float_value(k - 1)
+        total += term
+        window.append(abs(term))
+        if len(window) > 3:
+            window.pop(0)
+        if k < max(8, power):
+            continue
+        rho = t * ((k + 1) / k) ** power
+        if rho >= 1.0:
+            continue
+        envelope = max(w * rho ** (len(window) - 1 - i)
+                       for i, w in enumerate(window))
+        if envelope * rho / (1.0 - rho) < tail_tol:
+            return total
+
+
+@pytest.mark.parametrize("delta", [
+    Fraction(1, 2), Fraction(3, 4), Fraction(1, 3), Fraction(7, 3),
+    Fraction(2), Fraction(1, 5), Fraction(5, 7)])
+def test_inner_product_equals_the_list_window_sum(delta):
+    for tail_tol in (1e-12, 1e-13, 1e-8):
+        for n in range(1, 9):
+            for n2 in range(n, 9):
+                got = inner_product(n, n2, delta, tail_tol)
+                want = reference_inner_product(n, n2, delta, tail_tol)
+                assert got.hex() == want.hex(), (n, n2, tail_tol)
+
+
+def test_sequence_floats_share_float_value_cache():
+    seq = mass_point(3, Fraction(2, 7)).sequence
+    head = seq.float_value(5)
+    rows = seq.floats()
+    values = [next(rows) for _ in range(12)]
+    assert values[5] == head
+    assert values == [seq.float_value(j) for j in range(12)]
+    assert len(seq._floats) == 12
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 17, 400, 3668, 6978])
+def test_gershgorin_interval_equals_the_full_pass(size):
+    deltas = [0, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+              Fraction(7, 3), 2, 5, 10 ** 200, Fraction(1, 10 ** 300), 0.1]
+    for delta in deltas:
+        op = build_truncated(delta, size)
+        diag = op._diag
+        if size == 1:
+            want = diag[0], diag[0]
+        else:
+            radii = [0.5 if k in (0, size - 1) else 1.0 for k in range(size)]
+            want = (min(d - r for d, r in zip(diag, radii)),
+                    max(d + r for d, r in zip(diag, radii)))
+        got = op.gershgorin_interval()
+        assert [x.hex() for x in got] == [x.hex() for x in want], delta
+
+
 def reference_sturm_count(op, x):
     """The full-walk Sturm count the early-stopping one must reproduce:
     every row evaluated, diagonal recomputed per row."""
