@@ -11,7 +11,6 @@ mode so exactness never silently degrades.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -152,12 +151,20 @@ def _json_value(value: Cell):
 
 
 def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    r"""The header and rows as CSV, one comma-joined line each.
+
+    These are the bytes of `csv.writer` with QUOTE_MINIMAL and "\n" line
+    ends, which quotes a field only when it holds ',', '"', '\r' or '\n',
+    or when it is the empty only field of its row.  No rendered cell holds
+    one of those characters: an int or Fraction is digits, '-' and '/'; a
+    surd adds '+', '√' and parentheses; a '.17g' float is digits, a sign,
+    '.', 'e', 'inf' or 'nan'; a verify row is a check name and 'true' or
+    'false'; an empty cell is "".  Every row has at least two fields.
+    """
+    lines = [",".join(header)]
+    lines += map(",".join, rows)
+    lines.append("")  # the last line's end
+    return "\n".join(lines)
 
 
 def _json_text(obj) -> str:

@@ -460,10 +460,12 @@ def wavefunction_floats(n: int, delta: RationalLike,
     return _wavefunction_stream(n, delta, kmax, _StateField.to_float)
 
 
-def wavefunction_float(n: int, delta: RationalLike, r: float) -> float:
+def wavefunction_float(n: int, delta: RationalLike,
+                       r: RationalLike | float) -> float:
     """Float evaluation of u_n^(delta)(r) at arbitrary real r >= 0.
 
-    r is exact (a float is a dyadic rational), so the bundle's
+    r is exact (an int, a Fraction, or a float, which is a dyadic
+    rational), so the bundle's
     `polynomial` is evaluated at k = r/delta = kn/kd by integer Horner as
     (A + B sqrt(p))/C, with no cancellation in doubles.  That value times
     2**-e2, e2 its binary exponent, is rounded once by the field's

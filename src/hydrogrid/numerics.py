@@ -158,6 +158,16 @@ class _ReadOnly:
 _new = object.__new__
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from one gcd and no Fraction: the
+    text of every printed a, b and D."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _make(a: int, b: int, c: int, r: int, s: int) -> "QuadraticSurd":
     """The trusted constructor: (a + b sqrt(r))/c for c > 0, printed over
     D = r/s**2, reduced by one gcd.  r and s are ignored when b is 0."""
@@ -312,12 +322,15 @@ class QuadraticSurd:
         return f"QuadraticSurd({self.a}, {self.b}, {self.D})"
 
     def __str__(self) -> str:
-        if not self._B:
-            return str(self.a)
-        d = self.D
-        rad = str(d) if d.denominator == 1 else f"({d})"
-        sign = "+" if self._B > 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}√{rad}"
+        a = _ratio_text(self._A, self._C)
+        b = self._B
+        if not b:
+            return a
+        s = self._s
+        d = _ratio_text(self._r, s * s)
+        rad = f"({d})" if "/" in d else d
+        sign = "+" if b > 0 else "-"
+        return f"{a}{sign}{_ratio_text(abs(b) * s, self._C)}√{rad}"
 
     # -- field operations --------------------------------------------------
 
@@ -517,8 +530,11 @@ def _int_surd_to_float(big_a: int, big_b: int, big_c: int,
 
 
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
-    """JSON form {"a": "p/q", "b": "r/s", "D": "u/v"} with decimal digits."""
-    return {"a": str(x.a), "b": str(x.b), "D": str(x.D)}
+    """JSON form {"a": "p/q", "b": "r/s", "D": "u/v"} with decimal digits,
+    written from the stored integers as `str` writes them."""
+    c, s = x._C, x._s
+    return {"a": _ratio_text(x._A, c), "b": _ratio_text(x._B * s, c),
+            "D": _ratio_text(x._r, s * s)}
 
 
 def surd_from_json(obj: dict[str, str]) -> QuadraticSurd:

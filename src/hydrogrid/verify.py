@@ -167,7 +167,7 @@ def _check_wavefunction_float(delta: Fraction, n_max: int) -> bool:
         values = tuple(coordinate.wavefunction_values(n, delta, 7))
         for k in (1, 3, 7):
             exact = float(values[k - 1])
-            approx = coordinate.wavefunction_float(n, delta, float(k * delta))
+            approx = coordinate.wavefunction_float(n, delta, k * delta)
             if not floats_close(exact, approx, rel_tol=1e-9, abs_tol=1e-12):
                 return False
     return True

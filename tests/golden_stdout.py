@@ -95,6 +95,13 @@ GOLDEN_STDOUT = [
     # check passes, so the CSV is the delta = 1 entry's
     ("verify --delta 1e20 --n 1..3 --kmax 8 --mode float",
      "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
+    # past 2**53 the grid point k*delta is no double: the float
+    # wavefunction check evaluates at the exact point, and every check
+    # passes
+    ("verify --delta 1e22 --n 1..8 --kmax 40 --mode float",
+     "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
+    ("verify --delta 1e40 --n 1..8 --kmax 40 --mode float",
+     "d24e0aefeeb0206e469b17471caced4cba55ada66d9ed764657153d130c65a18"),
     ("verify --delta 1 --n 1..3 --kmax 8 --output json",
      "3f6641350af5b8acdfa3f775e8f73906958c2fdbdbacd03da8947214cb160fc0"),
     ("verify --delta 3/4 --n 1..8 --kmax 41 --output json",
@@ -119,6 +126,12 @@ GOLDEN_STDOUT = [
      "008ff7ca80aea5af77fea3bfd9d8287ed2b08181c764787410f1f7713eaedfad"),
     ("coeffs --delta 7/3 --n 36..40 --kmax 39 --mode float --output json",
      "bfedb1b0a13d0a2b3f3192da000baba5e51f238dd5f130bc5d250be45e5e20ed"),
+    # exact tables at the sizes the benchmark runs, whose cells run to
+    # 600-900 characters
+    ("wavefunction --delta 3/4 --n 1..8 --kmax 166 --output csv --mode exact",
+     "18156177b69865d3a0f7f27e6b278c8d479c8857a8a2232d0d15935b035263ea"),
+    ("pollaczek --delta 1/2 --n 0..6 --jmax 162 --output json --mode exact",
+     "b3ff14e98eb18e8181f50b13e05d619a8ac3e91facae16c23b16615447b3b4dc"),
 ]
 
 

@@ -300,6 +300,47 @@ def test_stdout_golden_hash(argv, digest):
     assert stdout_digest(argv) == (0, digest)
 
 
+# The seed-1 job list of perfbench's tables-exact workload.
+BENCH_EXACT_TABLES = [
+    "wavefunction --delta 1/2 --n 1..8 --kmax 154 --mode exact",
+    "wavefunction --delta 3/4 --n 1..8 --kmax 166 --mode exact",
+    "pollaczek --delta 1/2 --n 0..6 --jmax 162 --mode exact",
+    "pollaczek --delta 3/4 --n 0..6 --jmax 168 --mode exact",
+    "coeffs --delta 1/2 --n 13..17 --kmax 133 --mode exact",
+    "coeffs --delta 3/4 --n 19..23 --kmax 187 --mode exact",
+]
+# Every golden table and the small verify report, each written as CSV.
+CSV_TABLES = sorted(
+    {argv.replace("--output json", "--output csv") for argv, _ in GOLDEN_STDOUT
+     if not argv.startswith("verify")} | set(BENCH_EXACT_TABLES)
+    | {"verify --delta 1 --n 1..3 --kmax 8"})
+
+
+@pytest.mark.parametrize("argv", CSV_TABLES)
+def test_csv_text_equals_the_csv_module(argv, monkeypatch, capsys):
+    import csv
+    import io
+
+    seen = []
+    join = cli._csv_text
+
+    def spy(header, rows):
+        seen.append((list(header), [list(row) for row in rows]))
+        return join(*seen[-1])
+
+    monkeypatch.setattr(cli, "_csv_text", spy)
+    assert main(argv.split() + ["--output", "csv"]) == 0
+    (header, rows), = seen
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert capsys.readouterr().out == join(header, rows) == buf.getvalue()
+    for row in [header, *rows]:
+        assert len(row) >= 2
+        assert not [cell for cell in row if set(cell) & set(',"\r\n')]
+
+
 # Surd columns per table; converge's E, gap and ratio are each one exact
 # value rounded once.
 SURD_COLUMNS = {"spectrum": 3, "wavefunction": 1, "pollaczek": 1,

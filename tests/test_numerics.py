@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import math
 import operator
 import os
@@ -16,6 +18,7 @@ import hydrogrid
 from hydrogrid.numerics import (
     MixedRadicandError,
     _int_surd_to_float,
+    _ratio_text,
     NegativeRadicandError,
     QuadraticSurd,
     as_surd,
@@ -337,7 +340,7 @@ _CLI = ("import runpy, sys\n"
 
 def test_each_process_loads_only_what_its_command_runs():
     # import hydrogrid loads no submodule; a CSV table loads neither the
-    # verify suite nor json, JSON output loads no csv, and nothing in src/
+    # verify suite nor json, no command loads csv, and nothing in src/
     # loads dataclasses
     added = _modules_added("import hydrogrid")
     assert "hydrogrid" in added
@@ -346,13 +349,13 @@ def test_each_process_loads_only_what_its_command_runs():
     assert {"hydrogrid.spectral", "hydrogrid.pollaczek"} <= added
     assert "hydrogrid.verify" not in added
     added = _modules_added(_CLI, "pollaczek", "--mode", "float")
-    assert {"hydrogrid.coordinate", "hydrogrid.pollaczek", "csv"} <= added
+    assert {"hydrogrid.coordinate", "hydrogrid.pollaczek"} <= added
     assert not added & {"hydrogrid.verify", "hydrogrid.spectral",
-                        "dataclasses", "inspect", "json"}
+                        "dataclasses", "inspect", "json", "csv"}
     for command in ("coeffs", "wavefunction"):  # pollaczek loads cmath
         added = _modules_added(_CLI, command, "--n", "2..3", "--mode", "float")
         assert "hydrogrid.coordinate" in added
-        assert not added & {"hydrogrid.pollaczek", "cmath"}
+        assert not added & {"hydrogrid.pollaczek", "cmath", "csv"}
     added = _modules_added(_CLI, "verify", "--n", "1..2", "--kmax", "4",
                            "--output", "json")
     assert {"hydrogrid.verify", "hydrogrid.spectral", "json"} <= added
@@ -504,6 +507,75 @@ def test_str_forms():
     assert str(QuadraticSurd(3, -2, 2)) == "3-2√2"
     assert str(QuadraticSurd(0, 1, Fraction(5, 4))) == "0+1√(5/4)"
     assert str(QuadraticSurd(Fraction(3, 2))) == "3/2"
+
+
+def reference_surd_text(x):
+    """`QuadraticSurd.__str__` as it was written over the Fraction-valued
+    a, b and D, kept as the oracle of the integer formatter."""
+    if not x._B:
+        return str(x.a)
+    d = x.D
+    rad = str(d) if d.denominator == 1 else f"({d})"
+    sign = "+" if x._B > 0 else "-"
+    return f"{x.a}{sign}{abs(x.b)}√{rad}"
+
+
+STEPS = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 3), Fraction(2, 3),
+         Fraction(7, 3))
+
+
+def test_surd_text_equals_the_fraction_form():
+    from hydrogrid import coordinate, pollaczek
+    root_2 = QuadraticSurd(0, 1, 2)
+    values = [QuadraticSurd(0), root_2 - QuadraticSurd(0, 1, 8) / 2]
+    for delta in STEPS:
+        for n in range(1, 7):
+            values += coordinate.wavefunction_values(n, delta, 40)
+            values += map(pollaczek.mass_point(n - 1, delta).sequence.value,
+                          range(41))
+    # the grid holds a D with a non-unit denominator, a negative b, zero,
+    # cells of hundreds of digits, and delta = 3/4 at n = 1, whose field
+    # is that of p = 25 = 5**2, so every value there is rational
+    assert any(x.D.denominator != 1 for x in values)
+    assert any(x.b < 0 for x in values)
+    assert any(x.is_zero() for x in values)
+    assert max(len(str(x)) for x in values) > 200
+    assert all(x.is_rational() for x in
+               coordinate.wavefunction_values(1, Fraction(3, 4), 40))
+    for x in values:
+        assert str(x) == reference_surd_text(x)
+        assert surd_to_json(x) == {"a": str(x.a), "b": str(x.b),
+                                   "D": str(x.D)}
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 6, -6, 35, -35, 2**64 + 1,
+                               -(3**90), 10**400 * 7])
+@pytest.mark.parametrize("d", [1, 2, 6, 7, 35, 3**90, 2**64, 10**400 * 14])
+def test_ratio_text_equals_fraction_str(n, d):
+    assert _ratio_text(n, d) == str(Fraction(n, d))
+
+
+def test_an_exact_csv_table_builds_fewer_fractions_than_rows(monkeypatch):
+    # a, b and D each build a Fraction; printing a surd reads none of them
+    import hydrogrid.cli as cli
+    from hydrogrid import coordinate
+
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    coordinate._state.cache_clear()
+    buf = io.StringIO()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    with contextlib.redirect_stdout(buf):
+        code = cli.main("wavefunction --delta 1/2 --n 1..4 --kmax 40".split())
+    monkeypatch.undo()
+    rows = buf.getvalue().splitlines()[1:]
+    assert code == 0 and len(rows) == 160
+    assert len(made) < len(rows)
 
 
 # Radicands for the model comparison: perfect squares (which fold), 0, and
