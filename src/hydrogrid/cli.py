@@ -59,8 +59,8 @@ def _rows_spectrum(cfg: RunConfig) -> Iterator[list[Cell]]:
         yield [n, _surd(cfg, ed.mu), _surd(cfg, ed.E), _surd(cfg, ed.q)]
 
 
-# The wavefunction and pollaczek tables read float cells straight from
-# the integers of their exact values, with no surd built.
+# The wavefunction and pollaczek tables read float cells from the field's
+# `q_floats` rows, with no exact power of q and no surd built.
 def _rows_wavefunction(cfg: RunConfig) -> Iterator[list[Cell]]:
     values = (wavefunction_values if cfg.mode == "exact"
               else wavefunction_floats)

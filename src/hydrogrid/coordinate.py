@@ -28,8 +28,8 @@ import operator
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
+from itertools import accumulate, islice, starmap
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .numerics import (QuadraticSurd, RationalLike, _index, _ReadOnly, _real,
                        _StateField, _step, as_surd, surd_pow)
@@ -419,28 +419,27 @@ def wavefunction(n: int, delta: RationalLike, k: int) -> QuadraticSurd:
     return ed.field.surd(*_horner(pairs, k), den) * surd_pow(ed.q, k)
 
 
-def _wavefunction_stream(n: int, delta: RationalLike, kmax: int,
-                         read: Callable[..., object]) -> Iterator:
-    """u^n_1, ..., u^n_kmax, each read by read(field, a, b, den), one of
-    the readers of the state's `field`, from u_k = (a + b sqrt(p))/den.
-
-    u_k = (Horner(a)(k) + sqrt(p) Horner(b)(k)) N_k / (den td^k), with
-    N_k / (den td^k) the field's running q-power from 1/den (see
-    `EigenData.polynomial`).  n, delta and kmax are checked before the
-    iteration starts.
-    """
+def _wavefunction_row(n: int, delta: RationalLike, kmax: int
+                      ) -> tuple[_StateField, int, Iterator[tuple[int, int]]]:
+    """The state's field, den and the pairs H(k) = (Horner(a)(k),
+    Horner(b)(k)) for k = 1..kmax, with u_k = H(k) q^k/den in the field
+    (see `EigenData.polynomial`).  n, delta and kmax are checked here,
+    before any pair is formed."""
     _index(kmax, "kmax", 0)
     ed = eigen_data(n, delta)
-    field = ed.field
     pairs, den = ed.polynomial
+    return ed.field, den, (_horner(pairs, k) for k in range(1, kmax + 1))
 
-    def stream() -> Iterator:
-        powers = field.q_powers(den=den)
-        next(powers)  # q^0
-        for k, (qnum, scale) in zip(range(1, kmax + 1), powers):
-            yield read(field, *field.mul(_horner(pairs, k), qnum), scale)
 
-    return stream()
+def _wavefunction_integers(n: int, delta: RationalLike,
+                           kmax: int) -> Iterator[tuple[int, int, int]]:
+    """u^n_1, ..., u^n_kmax as the field's integers (a, b, den):
+    H(k) (sqrt(p) - tn)^k over den td^k, the field's running q-power
+    from 1/den."""
+    field, den, row = _wavefunction_row(n, delta, kmax)
+    powers = islice(field.q_powers(den), 1, None)
+    return ((*field.mul(h, qnum), scale)
+            for h, (qnum, scale) in zip(row, powers))
 
 
 def wavefunction_values(n: int, delta: RationalLike,
@@ -450,14 +449,17 @@ def wavefunction_values(n: int, delta: RationalLike,
     Read from one integer stream, one surd per k; no value is kept once
     the caller has moved past it.
     """
-    return _wavefunction_stream(n, delta, kmax, _StateField.surd)
+    integers = _wavefunction_integers(n, delta, kmax)
+    return starmap(eigen_data(n, delta).field.surd, integers)
 
 
 def wavefunction_floats(n: int, delta: RationalLike,
                         kmax: int) -> Iterator[float]:
-    """The doubles nearest to u^n_1, ..., u^n_kmax, rounded straight from
-    the integers of `wavefunction_values`, with no surd built."""
-    return _wavefunction_stream(n, delta, kmax, _StateField.to_float)
+    """The doubles nearest to u^n_1, ..., u^n_kmax, rounded by the field's
+    `q_floats` from the small pairs H(k), with no exact power of q and no
+    surd built."""
+    field, den, row = _wavefunction_row(n, delta, kmax)
+    return field.q_floats(row, den)
 
 
 def wavefunction_float(n: int, delta: RationalLike,

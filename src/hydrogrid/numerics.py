@@ -25,7 +25,8 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Union
+from itertools import islice
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadraticSurd"]
@@ -196,6 +197,8 @@ class _StateField:
     as the surd (a + b sqrt(p))/den over D = p/td**2, so its r is p and
     its s is td (see `_root`), or by `to_float`, straight from the
     integers; `parts` reads any surd of the field back into its integers.
+    `q_floats` rounds a row of values q^k (a_k + b_k sqrt(p))/den from the
+    small pairs alone.
     """
 
     __slots__ = ("p", "td", "tn", "root")
@@ -236,6 +239,68 @@ class _StateField:
         while True:
             yield num, den
             num, den = self.mul(num, step), den * self.td
+
+    def q_floats(self, pairs: Iterable[tuple[int, int]],
+                 den: int) -> Iterator[float]:
+        """The doubles nearest to (a_k + b_k sqrt(p)) q^k/den for the
+        pairs (a_k, b_k), k = 1, 2, ..., with no exact power of q built.
+
+        One isqrt gives sqrt(p) in [lo, hi]/2**w, w = `_GUARD`, lo its
+        floor and hi its ceiling.  q = td/(sqrt(p) + tn), a quotient with
+        no cancellation, then lies in [qlo, qhi]/2**x, and q^k in
+        [plo, phi] 2**(e + w) by a running product whose ends keep w bits,
+        the low end rounded down and the high end up.  So each value lies
+        between two rationals, and when both round to one double, so does
+        the value, since rounding is monotone (Ziv's rounding test with a
+        fixed guard).  A pair whose enclosure holds 0 inside it, or whose
+        ends round apart or leave the double range, is rounded from the
+        exact q^k pair by `_int_surd_to_float`, which raises OverflowError
+        for a value beyond the double range.
+        """
+        w, p, tn, td = _GUARD, self.p, self.tn, self.td
+        lo = math.isqrt(p << 2 * w)
+        hi = lo + (lo * lo != p << 2 * w)
+        top, bottom = hi + (tn << w), lo + (tn << w)
+        x = top.bit_length() - td.bit_length()
+        plo = qlo = (td << w + x) // top
+        phi = qhi = -(-(td << w + x) // bottom)
+        e = -w - x
+        for k, (a, b) in enumerate(pairs, start=1):
+            # (a + b sqrt(p)) 2**w lies in [clo, chi]
+            clo, chi = (a << w) + b * lo, (a << w) + b * hi
+            if b < 0:
+                clo, chi = chi, clo
+            if clo >= 0:
+                value = _both_round(clo * plo, chi * phi, e, den)
+            elif chi <= 0:
+                value = _both_round(clo * phi, chi * plo, e, den)
+            else:
+                value = None
+            if value is None:
+                num, scale = next(islice(self.q_powers(den), k, None))
+                value = _int_surd_to_float(*self.mul((a, b), num), scale, p)
+            yield value
+            plo, phi, e = plo * qlo, phi * qhi, e - x
+            s = phi.bit_length() - w
+            if s > 0:
+                plo, phi, e = plo >> s, -(-phi >> s), e + s
+
+
+# The guard bits of `_StateField.q_floats`: the width of its enclosure of
+# sqrt(p) and of the ends of its running q^k.
+_GUARD = 128
+
+
+def _both_round(lo: int, hi: int, e: int, den: int) -> float | None:
+    """The double that lo 2**e/den and hi 2**e/den both round to, for
+    den > 0 and e < 0 (q^k <= 1 keeps e below -w), or None when they round
+    apart or leave the double range."""
+    den <<= -e
+    try:
+        value = lo / den
+        return value if value == hi / den else None
+    except OverflowError:
+        return None
 
 
 def _operands(r: int, s: int, y: object):

@@ -25,6 +25,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterator, Union
 
 from .coordinate import EigenData, _state
@@ -124,9 +125,11 @@ class ClosedFormSequence:
     With s = delta/(m+1), q = x_m - s and 1/q = x_m + s,
         P_j(x_m) = sum_{l<=min(j,m)} (-1)^l C(m,l) C(j-l+m+1, m+1) q^{j-2l},
     the coefficient of z^j in G(z) = (1 - zq)^{-(m+2)} (1 - z/q)^m.  The
-    sequence extends in order on demand and keeps each degree once, as
-    integers; `value(j)` builds a surd from them, and `float_value(j)`
-    and `floats()` round straight from them, each degree once.
+    sequence extends in order on demand and keeps each degree once:
+    `value(j)` builds a surd from the exact integers, and `float_value(j)`
+    and `floats()` read one float row, rounded by the field's `q_floats`
+    from the small pairs S_j alone, so no exact power of q is built for
+    a float.
 
     Why G generates P_j(x_m):
         (1 - zq)(1 - z/q) = 1 - 2xz + z**2;
@@ -138,12 +141,10 @@ class ClosedFormSequence:
     (a, b) for a + b sqrt(p), q = (sqrt(p) - tn)/td and
     1/q = (sqrt(p) + tn)/td.  With the pairs
         w_l = (-1)^l C(m,l) (sqrt(p) + tn)^{2l} td^{2(m-l)},
-        P_j(x_m) = (sqrt(p) - tn)^j S_j / td^{j+2m},
+        P_j(x_m) = q^j S_j / td^{2m},
         S_j = sum_l C(j-l+m+1, m+1) w_l,
-    and (sqrt(p) - tn)^j over td^{j+2m} is the field's running q-power
-    from 1 over td^{2m}.  Each degree costs m + 1 integer multiply-adds,
-    the binomial stepped in place: C(j-l+m, m+1) = C(j-l+m+1, m+1)
-    (j-l)/(j-l+m+1), which is 0 from l = j + 1 on.
+    and the exact q^j S_j is the field's running q-power from 1 over
+    td^{2m} times S_j (see `_sums` for S_j).
     """
 
     def __init__(self, mp: EigenData) -> None:
@@ -158,22 +159,51 @@ class ClosedFormSequence:
             c = (-1) ** l * math.comb(m, l) * td ** (2 * (m - l))
             self._w.append((c * power[0], c * power[1]))
             power = field.mul(power, step)
-        self._qpowers = field.q_powers(den=td ** (2 * m))
+        self._exact = zip(field.q_powers(den=td ** (2 * m)), self._sums())
+        # P_0 = 1, the family's initial value, then q^j S_j / td^{2m}
+        self._row = chain((1.0,), field.q_floats(
+            islice(self._sums(), 1, None), td ** (2 * m)))
         self._terms: list[tuple[int, int, int]] = []
         self._floats: list[float] = []
 
-    def _term(self, j: int) -> tuple[int, int, int]:
-        terms, m = self._terms, self.mp.m
-        while len(terms) <= j:
-            k = len(terms)
-            qnum, den = next(self._qpowers)
+    def _sums(self) -> Iterator[tuple[int, int]]:
+        """S_0, S_1, ... as pairs.
+
+        S_0..S_{m+1} are summed, the binomial stepped in place:
+        C(j-l+m, m+1) = C(j-l+m+1, m+1) (j-l)/(j-l+m+1), which is 0 from
+        l = j + 1 on.  S_j is a polynomial of degree m + 1 in j for every
+        j >= 0, since C(j-l+m+1, m+1) = (j-l+m+1)...(j-l+1)/(m+1)! is one
+        and vanishes at j - l = -m..-1 too.  So its forward differences
+        at 0 are formed from those m + 2 sums, and each later S_j costs
+        m + 1 additions.
+        """
+        m = self.mp.m
+        da, db = [], []
+        for k in range(m + 2):
             a = b = 0
             binom = math.comb(k + m + 1, m + 1)  # C(k-l+m+1, m+1) at l = 0
             for l, (wa, wb) in enumerate(self._w):
                 a += binom * wa
                 b += binom * wb
                 binom = binom * (k - l) // (k - l + m + 1)
-            terms.append((*self.mp.field.mul(qnum, (a, b)), den))
+            da.append(a)
+            db.append(b)
+        for i in range(1, m + 2):  # da[i], db[i] = the i-th differences at 0
+            for k in range(m + 1, i - 1, -1):
+                da[k] -= da[k - 1]
+                db[k] -= db[k - 1]
+        while True:
+            yield da[0], db[0]
+            for i in range(m + 1):
+                da[i] += da[i + 1]
+                db[i] += db[i + 1]
+
+    def _term(self, j: int) -> tuple[int, int, int]:
+        """P_j(x_m) as the field's integers (a, b, den)."""
+        terms = self._terms
+        while len(terms) <= j:
+            (qnum, den), pair = next(self._exact)
+            terms.append((*self.mp.field.mul(qnum, pair), den))
         return terms[j]
 
     # The indexed readers check the degree before the sequence is
@@ -189,10 +219,10 @@ class ClosedFormSequence:
     def floats(self) -> Iterator[float]:
         """P_0(x_m), P_1(x_m), ... as floats, in order and without end.
 
-        Reads the cached floats that `float_value` reads, extended by the
-        same loop, so each degree is rounded once however the two readers
-        interleave; a caller that sums the sequence makes no index check
-        per term.
+        Reads the cached row that `float_value` reads, extended by the
+        same loop from the field's `q_floats`, so each degree is rounded
+        once however the two readers interleave; a caller that sums the
+        sequence makes no index check per term.
         """
         floats = self._floats
         j = 0
@@ -205,7 +235,7 @@ class ClosedFormSequence:
     def _floats_through(self, j: int) -> list[float]:
         floats = self._floats
         while len(floats) <= j:
-            floats.append(self.mp.field.to_float(*self._term(len(floats))))
+            floats.append(next(self._row))
         return floats
 
 

@@ -528,10 +528,19 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
 def closed_form_vector(n: int, delta: RationalLike,
                        length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
+    entries = _closed_form_integers(n, delta, length)
+    field = mass_point(n - 1, delta).field
+    return tuple(field.surd(*entry) for entry in entries)
+
+
+def _closed_form_integers(n: int, delta: RationalLike,
+                          length: int) -> list[tuple[int, int, int]]:
+    """The entries of `closed_form_vector` as the integers (a, b, den) of
+    the mass point's field, read from its closed-form sequence."""
     _index(n, "state index", 1)
     _index(length, "vector length", 1)
     seq = mass_point(n - 1, delta).sequence
-    return tuple(seq.value(j) for j in range(length))
+    return [seq._term(j) for j in range(length)]
 
 
 def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
@@ -541,7 +550,11 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     Exact entries u_1..u_K, from any iterable (`wavefunction_values`
     too), are read in one pass, each as integers (A + B sqrt(r))/C over
     one radicand by `numerics._operands`, and mu with them: an entry or
-    mu over another field raises MixedRadicandError.  With
+    mu over another field raises MixedRadicandError.  An entry may also
+    be given as those integers, a tuple (A, B, C) of ints with C > 0,
+    with no surd built: it is read over the radicand r that the entries
+    and mu are read over, the first irrational one's among u_1, u_2 and
+    mu, and with B != 0 it needs one of them irrational.  With
     mu = (ma + mb sqrt(r))/mc and delta = dn/dd, row k times
     2 fd C_{k-1} C_k C_{k+1}, fd = k dd mc, is the integer pair
         fd C_k (u_{k-1} C_{k+1} + u_{k+1} C_{k-1})
@@ -558,10 +571,16 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     pc = hc = 1
     k = 0
     for k, entry in enumerate(entries):
-        a, b, c, r, s = _exact(r, s, entry, "entry")
+        if type(entry) is tuple:
+            a, b, c = _triple(entry)
+        else:
+            a, b, c, r, s = _exact(r, s, entry, "entry")
         if k >= 1:
             if k == 1:  # with the first row: one entry is a ValueError
                 ma, mb, mc, r, s = _exact(r, s, mu, "mu")
+            if not r and (b or hb):
+                raise ValueError("an entry (A, B, C) with B != 0 needs an "
+                                 "irrational mu or entry")
             kd = k * dd
             outer = kd * mc * hc  # fd C_k
             inner = 2 * pc * c
@@ -574,6 +593,19 @@ def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:
     if k < 1:
         raise ValueError("need at least two entries for one interior row")
     return best
+
+
+def _triple(entry: tuple) -> tuple[int, int, int]:
+    """An entry given as integers (A, B, C): TypeError unless it holds
+    three ints, ValueError unless C > 0."""
+    if len(entry) == 3:
+        a, b, c = entry
+        if type(a) is type(b) is type(c) is int:
+            if c > 0:
+                return entry
+            raise ValueError(f"an entry (A, B, C) needs C > 0, got {entry!r}")
+    raise TypeError(f"an entry tuple must hold three ints (A, B, C), "
+                    f"got {entry!r}")
 
 
 def _exact(r: int, s: int, value: object, what: str):
@@ -604,9 +636,10 @@ def inner_product(n: int, n2: int, delta: RationalLike,
                   tail_tol: float = 1e-12) -> float:
     """Truncated l2 inner product sum_k u_k^n u_k^n2.
 
-    Entries come from the exact closed form, each floated once per state
-    and read in order from the two states' cached rows (see
-    `ClosedFormSequence.floats`), and the truncation point is chosen from
+    Entries come from the exact closed form, each rounded once per state
+    by the field's `q_floats` kernel, from an enclosure of q^j with no
+    exact power built, and read in order from the two states' cached rows
+    (see `ClosedFormSequence.floats`); the truncation point is chosen from
     the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
     three terms, so the discarded tail is below tail_tol, which must be

@@ -74,12 +74,17 @@ def _check_beta_symmetry(limit: int = 12) -> bool:
 
 def _check_closed_vs_recursion(delta: Fraction, j_max: int, m_max: int) -> bool:
     """The closed-form sequence, from the generating function, against the
-    three-term recursion at each mass point."""
+    three-term recursion at each mass point, on the field's integers:
+    (a + b sqrt(p))/den and (A + B sqrt(p))/C are equal exactly when
+    a C = A den and b C = B den."""
     for m in range(m_max + 1):
         mp = pollaczek.mass_point(m, delta)
-        seq = pollaczek.pollaczek_seq(delta, mp.mu, j_max)
-        for j in range(j_max + 1):
-            if pollaczek.pollaczek_mass_closed(j, mp) != seq[j]:
+        seq = mp.sequence
+        values = pollaczek.pollaczek_seq(delta, mp.mu, j_max)
+        for j, value in enumerate(values):
+            a, b, den = seq._term(j)
+            big_a, big_b, c = mp.field.parts(value)
+            if a * c != big_a * den or b * c != big_b * den:
                 return False
     return True
 
@@ -140,7 +145,8 @@ def _check_ansatz_equivalence(delta: Fraction, n_max: int) -> bool:
 
 
 def _rows_vanish(delta: Fraction, n_max: int, vector) -> bool:
-    """Every interior row of vector(n) is exactly zero, for n = 1..n_max."""
+    """Every interior row of vector(n), the entries as the state's integers
+    (a, b, den), is exactly zero, for n = 1..n_max."""
     return all(spectral.eigen_residual(
         vector(n), delta, coordinate.eigen_data(n, delta).mu).is_zero()
         for n in range(1, n_max + 1))
@@ -148,8 +154,9 @@ def _rows_vanish(delta: Fraction, n_max: int, vector) -> bool:
 
 def _check_difference_residual(delta: Fraction, n_max: int, k_max: int) -> bool:
     # Rows 1..k_max over one pass of u_1..u_{k_max+1}, with u_0 = 0.
-    return _rows_vanish(delta, n_max, lambda n: coordinate.wavefunction_values(
-        n, delta, k_max + 1))
+    return _rows_vanish(delta, n_max,
+                        lambda n: coordinate._wavefunction_integers(
+                            n, delta, k_max + 1))
 
 
 def _check_continuum_limit() -> bool:
@@ -174,7 +181,7 @@ def _check_wavefunction_float(delta: Fraction, n_max: int) -> bool:
 
 
 def _check_tridiagonal_identity(delta: Fraction, n_max: int, k_max: int) -> bool:
-    return _rows_vanish(delta, n_max, lambda n: spectral.closed_form_vector(
+    return _rows_vanish(delta, n_max, lambda n: spectral._closed_form_integers(
         n, delta, k_max))
 
 

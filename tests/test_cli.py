@@ -8,7 +8,6 @@ import pytest
 import hydrogrid.cli as cli
 import hydrogrid.coordinate as coordinate
 import hydrogrid.numerics as numerics
-import hydrogrid.pollaczek as pollaczek
 from hydrogrid.cli import RunConfig, main, run
 
 from golden_stdout import GOLDEN_STDOUT, stdout_digest
@@ -357,21 +356,28 @@ SURD_COLUMNS = {"spectrum": 3, "wavefunction": 1, "pollaczek": 1,
 ])
 def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
                                                  tmp_path):
-    # Every float cell is rounded by the one integer core: `surd_to_float`
-    # reads the numerics global, the wavefunction stream and the
-    # closed-form sequence import the name.  The sequence keeps its floats,
-    # so the bundles that hold it are cleared for the count to see this
-    # run's cells.
+    # A float cell is rounded once: by the field's `q_floats` kernel (the
+    # wavefunction and pollaczek tables), or by the one integer core,
+    # `_int_surd_to_float`, which `surd_to_float` reads as the numerics
+    # global and which the kernel calls for an exact fallback.  The
+    # kernel's roundings and every call of the core are counted together.
+    # The sequence keeps its floats, so the bundles that hold it are
+    # cleared for the count to see this run's cells.
     calls = []
     original = numerics._int_surd_to_float
+    kernel = numerics._StateField.q_floats
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for mod in (numerics, coordinate, pollaczek, cli):
-        if hasattr(mod, "_int_surd_to_float"):
-            monkeypatch.setattr(mod, "_int_surd_to_float", counting)
+    def rounding(field, pairs, den):
+        for value in kernel(field, pairs, den):
+            calls.append(value)
+            yield value
+
+    monkeypatch.setattr(numerics, "_int_surd_to_float", counting)
+    monkeypatch.setattr(numerics._StateField, "q_floats", rounding)
     coordinate._state.cache_clear()
     out = tmp_path / f"table.{output}"
     assert main(argv.split() + ["--mode", "float", "--output", output,
@@ -381,6 +387,15 @@ def test_float_mode_converts_each_surd_cell_once(argv, output, monkeypatch,
     else:
         n_rows = len(json.loads(_read(out))["rows"])
     assert 0 < len(calls) <= n_rows * SURD_COLUMNS[argv.split()[0]]
+
+
+def test_float_pollaczek_beyond_the_double_range_exits_2(capsys):
+    # P_j(x_m) grows like (2 delta)^j, past the double range from j = 2 at
+    # delta = 1e300: the kernel's exact fallback raises OverflowError
+    argv = "pollaczek --delta 1e300 --n 0..3 --jmax 8 --mode float"
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == (
+        "", "error: integer division result too large for a float\n")
 
 
 NOT_A_RANGE = "--n must be an integer or a range 'lo..hi', got "

@@ -531,6 +531,21 @@ def test_wavefunction_float_matches_far_grid_values(k):
     assert floats_close(exact, approx, rel_tol=1e-9, abs_tol=0.0)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(7, 3),
+                                   Fraction(1, 100), Fraction(10 ** 20)],
+                         ids=str)
+def test_wavefunction_floats_round_as_the_exact_stream(delta):
+    # at 10**20 the first grid points of n >= 3 cancel past the kernel's
+    # guard bits and take its exact fallback, and every value from k = 17
+    # on underflows, so that sweep stops at k = 60
+    kmax = 60 if delta > 1 else 300
+    for n in range(1, 9):
+        field = eigen_data(n, delta).field
+        assert [x.hex() for x in wavefunction_floats(n, delta, kmax)] == [
+            field.to_float(*u).hex()
+            for u in coordinate._wavefunction_integers(n, delta, kmax)]
+
+
 @pytest.mark.parametrize("n", [8, 16, 20, 30])
 def test_wavefunction_float_is_accurate_up_to_n_30(n):
     # the monomial sum in doubles cancelled: 5.4e-12 relative at n = 8,
@@ -708,8 +723,10 @@ def test_windowed_residual_check_agrees_with_pointwise(broken, monkeypatch):
 
     monkeypatch.setattr("hydrogrid.coordinate.wavefunction",
                         lambda n, d, k: values[n][k])
-    monkeypatch.setattr("hydrogrid.coordinate.wavefunction_values",
-                        lambda n, d, kmax: iter(values[n][1:kmax + 1]))
+    monkeypatch.setattr("hydrogrid.coordinate._wavefunction_integers",
+                        lambda n, d, kmax: iter(
+                            [eigen_data(n, d).field.parts(u)
+                             for u in values[n][1:kmax + 1]]))
     pointwise = all(difference_residual(n, delta, k).is_zero()
                     for n in (1, 2, 3) for k in range(1, k_max + 1))
     assert pointwise == (broken in (None, 12))

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,9 @@ from hydrogrid.pollaczek import (
     pollaczek_seq,
     pollaczek_trig_conjugate,
 )
+
+from float_rows import GRAM_DELTAS, count_fallbacks, gram_rows
+from golden_stdout import GOLDEN_STDOUT, stdout_digest
 
 DELTAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
@@ -335,6 +339,60 @@ def test_closed_form_sequence_out_of_order_reads():
     for j in (25, 1, 41):
         assert sequence.float_value(j) == float(seq[j])
     assert sequence.value(41) == seq[41]
+
+
+# The float row's kernel against the exact route, bit for bit: at
+# delta = 10**20 every value from j = 17 on underflows, while the exact
+# integers pass 25 000 bits by j = 400, so that sweep stops at j = 60.
+@pytest.mark.parametrize("delta", [
+    Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(1, 3),
+    Fraction(7, 3), Fraction(1, 10), Fraction(2, 7), Fraction(5, 2),
+    Fraction(1, 100), Fraction(1, 10 ** 6), Fraction(10 ** 20)], ids=str)
+def test_float_rows_round_as_the_exact_route(delta):
+    jmax = 60 if delta > 10 ** 6 else 400
+    for m in range(11):
+        mp = mass_point(m, delta)
+        sequence = ClosedFormSequence(mp)
+        rows = [x.hex() for x in islice(sequence.floats(), jmax)]
+        assert rows == [mp.field.to_float(*sequence._term(j)).hex()
+                        for j in range(jmax)]
+
+
+@pytest.mark.parametrize("den", [3, 3 * 10 ** 400],
+                         ids=["normal", "underflow"])
+def test_a_pair_whose_enclosure_holds_zero_takes_the_exact_route(den):
+    # (9 + 4 sqrt(5))^40 = a + b sqrt(5) with a, b near 1e49, so
+    # a - b sqrt(5) = (9 + 4 sqrt(5))^-40 is near 1e-50: the kernel's
+    # 128-bit enclosure of b sqrt(5) holds 0 strictly inside.  Over
+    # 3 10**400 both ends underflow, to zeros of opposite sign.
+    field = mass_point(1, 1).field  # t = 1/2: p = 5, tn = 1, td = 2
+    assert (field.p, field.tn, field.td) == (5, 1, 2)
+    pair = (1, 0)
+    for _ in range(40):
+        pair = field.mul(pair, (9, 4))
+    a, b = pair
+    for tiny in ((a, -b), (-a, b)):
+        with count_fallbacks() as fallbacks:
+            value = next(field.q_floats([tiny], den))
+        assert len(fallbacks) == 1
+        # q = (sqrt(5) - 1)/2
+        exact = field.to_float(*field.mul(tiny, (-1, 1)), den * 2)
+        assert value.hex() == exact.hex()
+        assert math.copysign(1.0, value) == (1.0 if tiny[0] > 0 else -1.0)
+        assert (value == 0) == (den > 3)
+
+
+def test_no_row_of_verify_or_the_golden_runs_takes_the_exact_fallback():
+    # a loss of precision in the kernel shows here as fallbacks: verify's
+    # Gram rows at the steps of tests/float_rows.py, and every float row
+    # of the golden runs, each built cold
+    with count_fallbacks() as fallbacks:
+        for delta in GRAM_DELTAS:
+            gram_rows(delta)
+        coordinate._state.cache_clear()
+        for argv, digest in GOLDEN_STDOUT:
+            assert stdout_digest(argv) == (0, digest)
+    assert fallbacks == []
 
 
 def _check_both_reads(delta, m, jmax, floats_first):

@@ -624,6 +624,43 @@ def test_eigen_residual_takes_exact_entries_only(entries, mu):
         eigen_residual(entries, 1, mu)
 
 
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_eigen_residual_reads_entries_given_as_integers(n, delta):
+    # the field's integers (a, b, den) of an entry read as its surd, alone
+    # or mixed with surds, with no surd built for them
+    mu = eigen_data(n, delta).mu
+    field = eigen_data(n, delta).field
+    entries = spectral._closed_form_integers(n, delta, 20)
+    assert eigen_residual(iter(entries), delta, mu).is_zero()
+    a, b, den = entries[7]
+    entries[7] = (a + den, b, den)
+    surds = [field.surd(*entry) for entry in entries]
+    residual = eigen_residual(surds, delta, mu)
+    assert not residual.is_zero()
+    assert eigen_residual(entries, delta, mu) == residual
+    mixed = [s if k % 3 else e for k, (s, e) in enumerate(zip(surds, entries))]
+    assert eigen_residual(mixed, delta, mu) == residual
+
+
+@pytest.mark.parametrize("entry, error", [
+    ((1, 0), TypeError), ((1, 0, 1, 0), TypeError), ((1, 0.0, 1), TypeError),
+    ((True, 0, 1), TypeError), ((1, 0, 0), ValueError),
+    ((1, 0, -2), ValueError)])
+def test_eigen_residual_checks_an_entry_given_as_integers(entry, error):
+    with pytest.raises(error, match="entry"):
+        eigen_residual([Fraction(1), entry, 2], 1, Fraction(1))
+
+
+def test_eigen_residual_needs_a_radicand_for_an_irrational_integer_entry():
+    # B != 0 means nothing with every entry and mu rational
+    with pytest.raises(ValueError, match="irrational"):
+        eigen_residual([1, (1, 1, 1), 2], 1, Fraction(1))
+    assert eigen_residual([1, (1, 1, 1), 2], 1, QuadraticSurd(0, 1, 2)) \
+        == eigen_residual([1, QuadraticSurd(1, 1, 2), 2], 1,
+                          QuadraticSurd(0, 1, 2))
+
+
 def test_exp_part_values():
     assert exp_part(0, 3, Fraction(5, 7)) == 1
     assert exp_part(2, 1, 1) == QuadraticSurd(3, -2, 2)
@@ -745,27 +782,46 @@ def test_gram_matrix_bitwise_golden():
 
 
 def test_gram_matrix_floats_each_entry_once(monkeypatch):
-    # Every surd -> float conversion goes through the one integer core:
-    # `surd_to_float` reads the numerics global, the closed-form sequence
-    # imports the name.
-    converted = []
+    # Each entry P_j(x_m), j >= 1, is rounded by the field's `q_floats`
+    # kernel, and P_0 = 1 by none.  The kernel's roundings are counted
+    # with every call of the one integer core, `_int_surd_to_float`, which
+    # the kernel calls for an exact fallback and `surd_to_float` for the
+    # two decay factors q of each pair.
+    calls = []
     original = numerics._int_surd_to_float
+    kernel = numerics._StateField.q_floats
 
     def counting(*args):
-        converted.append(args)
+        calls.append(args)
         return original(*args)
 
-    for mod in (numerics, pollaczek, spectral):
-        if hasattr(mod, "_int_surd_to_float"):
-            monkeypatch.setattr(mod, "_int_surd_to_float", counting)
+    def rounding(field, pairs, den):
+        for value in kernel(field, pairs, den):
+            calls.append(value)
+            yield value
+
+    monkeypatch.setattr(numerics, "_int_surd_to_float", counting)
+    monkeypatch.setattr(numerics._StateField, "q_floats", rounding)
     coordinate._state.cache_clear()
     states = list(range(1, 7))
     spectral.gram_matrix(states, Fraction(1, 2))
     pairs = len(states) * (len(states) + 1) // 2
-    # One conversion per distinct (state, k) entry; on top of that the two
-    # decay factors q of each pair, and P_0 = 1, which every state shares.
-    assert len(set(converted)) > 1000
-    assert len(converted) <= len(set(converted)) + 2 * pairs + len(states)
+    # at most one rounding per distinct (state, k) entry, on top of q
+    entries = sum(len(mass_point(n - 1, Fraction(1, 2)).sequence._floats)
+                  for n in states)
+    assert entries > 1000
+    assert len(calls) <= entries + 2 * pairs
+
+
+def test_gram_matrix_keeps_no_exact_term():
+    # the float rows round from the small pairs S_j alone
+    coordinate._state.cache_clear()
+    states = list(range(1, 7))
+    gram_matrix(states, Fraction(1, 2))
+    for n in states:
+        sequence = mass_point(n - 1, Fraction(1, 2)).sequence
+        assert len(sequence._floats) > 70
+        assert sequence._terms == []
 
 
 def test_gram_matrix_builds_no_surd_per_term(monkeypatch):

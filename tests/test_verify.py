@@ -8,9 +8,11 @@ from hydrogrid import coordinate, pollaczek, spectral, verify
 DELTA = Fraction(1, 2)
 
 
-def _shifted(values, at):
-    """values with the entry at index `at` raised by one."""
-    return [v + 1 if i == at else v for i, v in enumerate(values)]
+def _shifted(entries, at):
+    """entries, the field's integers (a, b, den), with the entry at index
+    `at` raised by one."""
+    return [(a + den, b, den) if i == at else (a, b, den)
+            for i, (a, b, den) in enumerate(entries)]
 
 
 def _failing_checks():
@@ -21,37 +23,40 @@ def _failing_checks():
 
 def test_a_wrong_wavefunction_entry_fails_the_difference_residual(
         monkeypatch):
-    stream = coordinate.wavefunction_values
+    stream = coordinate._wavefunction_integers
 
     def planted(n, delta, kmax):
-        values = stream(n, delta, kmax)
-        return iter(_shifted(values, 12)) if n == 2 else values
+        entries = stream(n, delta, kmax)
+        return iter(_shifted(entries, 12)) if n == 2 else entries
 
-    monkeypatch.setattr(coordinate, "wavefunction_values", planted)
+    monkeypatch.setattr(coordinate, "_wavefunction_integers", planted)
     assert _failing_checks() == {"difference_residual_zero"}
 
 
 def test_a_wrong_eigenvector_entry_fails_the_tridiagonal_identity(
         monkeypatch):
-    vector = spectral.closed_form_vector
+    vector = spectral._closed_form_integers
 
     def planted(n, delta, length):
-        values = vector(n, delta, length)
-        return tuple(_shifted(values, 15)) if n == 3 else values
+        entries = vector(n, delta, length)
+        return _shifted(entries, 15) if n == 3 else entries
 
-    monkeypatch.setattr(spectral, "closed_form_vector", planted)
+    monkeypatch.setattr(spectral, "_closed_form_integers", planted)
     assert _failing_checks() == {"tridiagonal_eigen_identity"}
 
 
 def test_a_wrong_closed_form_value_fails_the_recursion_check(monkeypatch):
-    closed = pollaczek.pollaczek_mass_closed
+    # both checks read the closed form's integers: the recursion check
+    # all of its degrees, the tridiagonal identity those below kmax
+    term = pollaczek.ClosedFormSequence._term
 
-    def planted(j, mp):
-        value = closed(j, mp)
-        return value + 1 if (j, mp.m) == (9, 2) else value
+    def planted(self, j):
+        a, b, den = term(self, j)
+        return (a + den, b, den) if (j, self.mp.m) == (9, 2) else (a, b, den)
 
-    monkeypatch.setattr(pollaczek, "pollaczek_mass_closed", planted)
-    assert _failing_checks() == {"closed_form_equals_recursion"}
+    monkeypatch.setattr(pollaczek.ClosedFormSequence, "_term", planted)
+    assert _failing_checks() == {"closed_form_equals_recursion",
+                                 "tridiagonal_eigen_identity"}
 
 
 def test_a_wrong_sequence_value_at_j_eq_m_fails_the_branch_check(
