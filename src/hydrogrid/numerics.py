@@ -25,7 +25,6 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from itertools import islice
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
@@ -50,8 +49,10 @@ def floats_close(a: float, b: float, rel_tol: float = DEFAULT_REL_TOL,
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)$")
-_EXPONENT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# The literal forms `parse_rational` accepts, compiled on the first parse
+# through re's own cache rather than at import.
+_RATIONAL = r"^[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)$"
+_EXPONENT = r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
 
 
 def parse_rational(text: str, allow_exponent: bool = False) -> Fraction:
@@ -61,8 +62,8 @@ def parse_rational(text: str, allow_exponent: bool = False) -> Fraction:
     unless `allow_exponent` is set; binary floats never enter the parse.
     """
     s = text.strip()
-    ok = bool(_RATIONAL_RE.match(s)) or (allow_exponent
-                                         and _EXPONENT_RE.match(s))
+    ok = bool(re.match(_RATIONAL, s)) or (allow_exponent
+                                          and re.match(_EXPONENT, s))
     if not ok:
         raise ValueError(f"not an exact rational literal: {text!r}")
     try:
@@ -240,6 +241,19 @@ class _StateField:
             yield num, den
             num, den = self.mul(num, step), den * self.td
 
+    def _q_power(self, k: int) -> tuple[int, int]:
+        """(sqrt(p) - tn)^k as a pair, by binary powering: the pair that
+        `q_powers` reaches at k, in O(log k) products."""
+        base = (self.root[0] - self.tn, self.root[1])
+        power = (1, 0)
+        while True:
+            if k & 1:
+                power = self.mul(power, base)
+            k >>= 1
+            if not k:
+                return power
+            base = self.mul(base, base)
+
     def q_floats(self, pairs: Iterable[tuple[int, int]],
                  den: int) -> Iterator[float]:
         """The doubles nearest to (a_k + b_k sqrt(p)) q^k/den for the
@@ -254,8 +268,8 @@ class _StateField:
         the value, since rounding is monotone (Ziv's rounding test with a
         fixed guard).  A pair whose enclosure holds 0 inside it, or whose
         ends round apart or leave the double range, is rounded from the
-        exact q^k pair by `_int_surd_to_float`, which raises OverflowError
-        for a value beyond the double range.
+        exact q^k pair, formed by `_q_power`, by `_int_surd_to_float`,
+        which raises OverflowError for a value beyond the double range.
         """
         w, p, tn, td = _GUARD, self.p, self.tn, self.td
         lo = math.isqrt(p << 2 * w)
@@ -277,8 +291,8 @@ class _StateField:
             else:
                 value = None
             if value is None:
-                num, scale = next(islice(self.q_powers(den), k, None))
-                value = _int_surd_to_float(*self.mul((a, b), num), scale, p)
+                value = _int_surd_to_float(*self.mul((a, b), self._q_power(k)),
+                                           den * td ** k, p)
             yield value
             plo, phi, e = plo * qlo, phi * qhi, e - x
             s = phi.bit_length() - w
@@ -574,13 +588,31 @@ def _int_surd_to_float(big_a: int, big_b: int, big_c: int,
     between lo/(C 2**k) and (lo + 1)/(C 2**k).  When both ends round to
     the same double, so does x; otherwise the guard bits k double (Ziv's
     rounding test).  Rounding boundaries are dyadic and x is irrational,
-    so the loop ends; cancellation between A and B*sqrt(r) only costs
-    more bits.  A value beyond the double range raises OverflowError.
+    so the loop ends.  A value beyond the double range raises
+    OverflowError.
+
+    A and B*sqrt(r) cancel by more than a bit only when they differ in
+    sign and their sizes, a = bits(A) and h = (bits(B**2 r) + 1) // 2
+    with |B| sqrt(r) < 2**h, differ by at most one.  Then
+    |x| = |N|/(C (|A| + |B| sqrt(r))) with N = A**2 - B**2 r != 0, so with
+    n = bits(N) and c = bits(C),
+    2**(n - max(a, h) - c - 2) < |x| < 2**(n - a - c + 2).  Below
+    2**-1075, x rounds to the zero of its sign, A's when A**2 > B**2 r and
+    else B's, and no square root is taken.  Otherwise k starts at
+    max(a, h) - n + 66 when that is more than 64, where
+    |x| C 2**k > 2**64.
     """
     if big_b == 0:
         return big_a / big_c
     radicand *= big_b * big_b
     k = 64
+    a, h = big_a.bit_length(), (radicand.bit_length() + 1) // 2
+    if (big_a < 0) != (big_b < 0) and abs(a - h) <= 1:
+        norm = big_a * big_a - radicand
+        n = norm.bit_length()
+        if n - a - big_c.bit_length() + 2 <= -1075:
+            return -0.0 if (norm < 0) != (big_a < 0) else 0.0
+        k = max(k, max(a, h) - n + 66)
     while True:
         s = math.isqrt(radicand << 2 * k)
         lo = (big_a << k) + (s if big_b > 0 else -s - 1)

@@ -21,7 +21,6 @@ Three independent evaluation routes are provided:
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from fractions import Fraction
@@ -297,7 +296,9 @@ def _parameters(lam: RationalLike, a: RationalLike, b: RationalLike,
 def _trig_sum(first_base: complex, second_base: complex, theta: float,
               n: int) -> complex:
     """The degree-n sum in doubles, for 0 <= n <= 170: 171! leaves the
-    double range, so a higher degree is rejected before the sum starts."""
+    double range, so a higher degree is rejected before the sum starts.
+    Only these sums need `cmath`, so only they import it."""
+    import cmath
     _index(n, "degree", 0, 170)
     total = complex(0.0)
     for k in range(n + 1):

@@ -8,6 +8,10 @@ truncation artifacts of the continuous spectrum and are only counted,
 never matched.  Closed-form eigenvectors are exact surd sequences and
 must satisfy every interior row of the matrix relation with residual
 exactly zero.
+
+A process that only builds and solves operators loads this module and
+`numerics` alone: the closed-form and coordinate checks import
+`pollaczek` and `coordinate` where they call them.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from functools import cached_property
 from itertools import islice
 from fractions import Fraction
 
-from .coordinate import eigen_data, wavefunction_values
 from .numerics import (QuadraticSurd, RationalLike, _delta, _index, _make,
                        _operands, _ReadOnly, _real, _step, as_surd, surd_pow)
-from .pollaczek import mass_point
 
 
 class BracketError(ValueError):
@@ -528,6 +530,7 @@ def point_spectrum_above(op: TridiagonalOperator, threshold: float = 1.0,
 def closed_form_vector(n: int, delta: RationalLike,
                        length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
+    from .pollaczek import mass_point
     entries = _closed_form_integers(n, delta, length)
     field = mass_point(n - 1, delta).field
     return tuple(field.surd(*entry) for entry in entries)
@@ -537,6 +540,7 @@ def _closed_form_integers(n: int, delta: RationalLike,
                           length: int) -> list[tuple[int, int, int]]:
     """The entries of `closed_form_vector` as the integers (a, b, den) of
     the mass point's field, read from its closed-form sequence."""
+    from .pollaczek import mass_point
     _index(n, "state index", 1)
     _index(length, "vector length", 1)
     seq = mass_point(n - 1, delta).sequence
@@ -620,6 +624,7 @@ def _exact(r: int, s: int, value: object, what: str):
 
 def exp_part(k: int, n: int, delta: RationalLike) -> QuadraticSurd:
     """(sqrt(1 + (delta/n)**2) - delta/n)**k, exact."""
+    from .coordinate import eigen_data
     _index(k, "power", 0)
     return surd_pow(eigen_data(n, delta).q, k)
 
@@ -643,10 +648,10 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     the geometric decay envelope
     |u_k^n u_k^n2| <= c * k^(n+n2) * (q_n q_n2)^k, calibrated on the last
     three terms, so the discarded tail is below tail_tol, which must be
-    positive.  The envelope is max(w0 rho^2, w1 rho, w2) over the last
-    three |terms| w0, w1, w2, from term max(8, n+n2) on, where they all
-    exist.
+    positive.  `_truncated_sum` skips the envelope at the terms where it
+    cannot pass, with the same stopping term and bits.
     """
+    from .pollaczek import mass_point
     _index(n, "state index", 1)
     _index(n2, "state index", 1)
     _check_tol(tail_tol)
@@ -656,21 +661,41 @@ def inner_product(n: int, n2: int, delta: RationalLike,
     t = float(mp1.q) * float(mp2.q)
     if t >= 1.0:
         raise ValueError("non-convergent tail (decay factor >= 1)")
-    power = n + n2
+    return _truncated_sum(zip(mp1.sequence.floats(), mp2.sequence.floats()),
+                          t, n + n2, tail_tol)
+
+
+def _truncated_sum(rows, t: float, power: int,
+                   tail_tol: float) -> float | None:
+    """The sum of a*b over the pairs (a, b) of rows, read in order up to
+    the first term k at which the envelope bounds the tail below
+    tail_tol (None if rows ends first), for a decay factor 0 <= t < 1.
+
+    The envelope is max(w0 rho^2, w1 rho, w2) rho/(1 - rho),
+    rho = t ((k+1)/k)^power, over the last three |terms| w0, w1, w2, from
+    term max(8, power) on, where they all exist.  While
+    w2 t/(1 - t) >= tail_tol the envelope is skipped: (k+1)/k rounds to
+    at least 1, so its power is at least 1 and rho >= t; the max is at
+    least w2 and 1 - rho <= 1 - t; and every float operation is
+    monotone.  So there the envelope is at least tail_tol too, and the
+    stopping term and every returned bit are those of testing it at
+    every term.
+    """
     start = max(8, power)
+    cut = 1.0 - t
     total = w1 = w2 = 0.0
-    rows = zip(mp1.sequence.floats(), mp2.sequence.floats())
     for k, (a, b) in enumerate(rows, start=1):
         term = a * b
         total += term
         w0, w1, w2 = w1, w2, abs(term)
-        if k < start:
+        if k < start or w2 * t / cut >= tail_tol:
             continue
         rho = t * ((k + 1) / k) ** power
         if rho >= 1.0:
             continue
         if max(w0 * rho ** 2, w1 * rho, w2) * rho / (1.0 - rho) < tail_tol:
             return total
+    return None
 
 
 def gram_matrix(states: list[int], delta: RationalLike,
@@ -691,6 +716,7 @@ def gram_matrix(states: list[int], delta: RationalLike,
 def coordinate_ratio(n: int, delta: RationalLike, length: int = 8):
     """Exact global ratio wavefunction(k)/closed_form entry, verified
     constant over k = 1..length; returns the surd ratio."""
+    from .coordinate import wavefunction_values
     delta = _step(delta)
     vec = closed_form_vector(n, delta, length)
     values = wavefunction_values(n, delta, length)

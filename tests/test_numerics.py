@@ -7,14 +7,17 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hydrogrid
+from hydrogrid import numerics
 from hydrogrid.numerics import (
     MixedRadicandError,
     _int_surd_to_float,
@@ -293,6 +296,100 @@ def test_float_underflow_keeps_sign():
     assert _rounds_to(subnormal, value)
 
 
+class _CountingMath:
+    """`math` with each isqrt call's argument width recorded."""
+
+    def __init__(self):
+        self.isqrt_bits = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isqrt(self, n):
+        self.isqrt_bits.append(n.bit_length())
+        return math.isqrt(n)
+
+
+def test_plain_underflow_rounds_to_signed_zero_with_no_isqrt(monkeypatch):
+    # P_j(x_m) at delta = 10**20, j = 200..399, lies near q^j with
+    # q < 1e-19: each is below 2**-1075, with numerators of about 27000
+    # bits that cancel, and rounds to the zero of its exact sign
+    from hydrogrid.pollaczek import mass_point
+
+    sweep = []
+    for m in (0, 5, 10):
+        mp = mass_point(m, 10 ** 20)
+        for j in range(200, 400):
+            a, b, c = mp.sequence._term(j)
+            norm = a * a - b * b * mp.field.p
+            # |x| = |N|/(C |A - B sqrt(p)|) <= |N|/(C |A|) here
+            assert (a < 0) != (b < 0) and abs(norm) * 2 ** 1075 < c * abs(a)
+            sign = mp.field.surd(a, b, c).sign()
+            sweep.append((mp.field, (a, b, c), math.copysign(0.0, sign)))
+    assert {zero.hex() for *_, zero in sweep} == {"0x0.0p+0", "-0x0.0p+0"}
+    counting = _CountingMath()
+    monkeypatch.setattr(numerics, "math", counting)
+    start = time.perf_counter()
+    for field, term, zero in sweep:
+        assert field.to_float(*term).hex() == zero.hex()
+    # about 0.15 s, where each value's isqrt took 1.6 s for the sweep
+    assert time.perf_counter() - start < 3.0
+    assert counting.isqrt_bits == []
+
+
+def test_cancelling_values_start_with_the_guard_bits_they_need(monkeypatch):
+    # (1 - sqrt(2))^k cancels by about 2.5 k bits: the bracket starts
+    # wide enough, so one isqrt decides it, and from k = 1100 on, below
+    # 2**-1075, none is run
+    counting = _CountingMath()
+    monkeypatch.setattr(numerics, "math", counting)
+    for k in (40, 400, 840, 1100, 3000):
+        x = surd_pow(QuadraticSurd(1, -1, 2), k)
+        counting.isqrt_bits.clear()
+        with mpmath.workprec(4 * k + 200):
+            want = float((1 - mpmath.sqrt(2)) ** k)
+        assert surd_to_float(x).hex() == want.hex()
+        assert surd_to_float(-x).hex() == (-want).hex()
+        assert len(counting.isqrt_bits) == (0 if k >= 1100 else 2)
+
+
+def test_q_floats_fallback_forms_q_power_by_binary_powering(monkeypatch):
+    # q = sqrt(1 + t**2) - t near 1 keeps q^k in range at k >= 2000; a
+    # pair a + b sqrt(p) in (0, 1) with b = 2**200 lies inside the
+    # kernel's 128-bit enclosure of zero, so each takes the exact route
+    from float_rows import count_fallbacks
+    from hydrogrid.numerics import _StateField
+
+    field = _StateField(Fraction(1, 1000))
+    b = 2 ** 200
+    straddle = (-math.isqrt(b * b * field.p), b)
+    ks = range(2000, 2101, 20)
+    pairs = [straddle if k in ks else (1, 0) for k in range(1, ks[-1] + 1)]
+    exact = list(islice(field.q_powers(), ks[-1] + 1))
+    products = []
+    mul = _StateField.mul
+
+    def counting(self, x, y):
+        products.append(x)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(_StateField, "mul", counting)
+    start = time.perf_counter()
+    with count_fallbacks() as fallbacks:
+        row = list(field.q_floats(pairs, 7))
+    assert time.perf_counter() - start < 2.0
+    assert len(fallbacks) == len(ks)
+    # at most 2 bits(k) products per fallback, where a walk from q^0
+    # takes k + 1
+    assert len(products) <= 2 * ks[-1].bit_length() * len(ks)
+    for k in ks:
+        num, den = exact[k]
+        want = _int_surd_to_float(*mul(field, straddle, num), 7 * den,
+                                  field.p)
+        assert 0.0 < want < 1.0
+        assert row[k - 1].hex() == want.hex()
+
+
 def test_rational_operand_multiply_and_divide():
     x = QuadraticSurd(Fraction(3, 2), Fraction(-5, 7), Fraction(5, 4))
     for r in (3, -2, Fraction(7, 9), Fraction(-1, 5)):
@@ -338,6 +435,12 @@ _CLI = ("import runpy, sys\n"
         "    pass")
 
 
+# the library calls of one `solvers` benchmark job, at small sizes
+_SOLVERS = ("import hydrogrid as h\n"
+            "h.point_spectrum_above(h.build_truncated(1, 300))\n"
+            "h.solve_constraint_system(h.ansatz_constraint_system(6, 1))")
+
+
 def test_each_process_loads_only_what_its_command_runs():
     # import hydrogrid loads no submodule; a CSV table loads neither the
     # verify suite nor json, no command loads csv, and nothing in src/
@@ -345,14 +448,20 @@ def test_each_process_loads_only_what_its_command_runs():
     added = _modules_added("import hydrogrid")
     assert "hydrogrid" in added
     assert not [m for m in added if m.startswith("hydrogrid.")]
+    # the operator and its solvers need no Pollaczek code, and only the
+    # trigonometric sums need cmath
     added = _modules_added("import hydrogrid\nhydrogrid.spectral.sturm_count")
-    assert {"hydrogrid.spectral", "hydrogrid.pollaczek"} <= added
-    assert "hydrogrid.verify" not in added
+    assert "hydrogrid.spectral" in added
+    assert not added & {"hydrogrid.pollaczek", "hydrogrid.coordinate",
+                        "hydrogrid.verify", "cmath"}
+    added = _modules_added(_SOLVERS)
+    assert {"hydrogrid.coordinate", "hydrogrid.spectral"} <= added
+    assert not added & {"hydrogrid.pollaczek", "hydrogrid.verify", "cmath"}
     added = _modules_added(_CLI, "pollaczek", "--mode", "float")
     assert {"hydrogrid.coordinate", "hydrogrid.pollaczek"} <= added
     assert not added & {"hydrogrid.verify", "hydrogrid.spectral",
-                        "dataclasses", "inspect", "json", "csv"}
-    for command in ("coeffs", "wavefunction"):  # pollaczek loads cmath
+                        "dataclasses", "inspect", "json", "csv", "cmath"}
+    for command in ("coeffs", "wavefunction"):
         added = _modules_added(_CLI, command, "--n", "2..3", "--mode", "float")
         assert "hydrogrid.coordinate" in added
         assert not added & {"hydrogrid.pollaczek", "cmath", "csv"}
@@ -360,6 +469,17 @@ def test_each_process_loads_only_what_its_command_runs():
                            "--output", "json")
     assert {"hydrogrid.verify", "hydrogrid.spectral", "json"} <= added
     assert not added & {"dataclasses", "inspect", "csv"}
+
+
+def test_import_cost_reports_each_module_a_solvers_job_loads():
+    from import_cost import job_costs
+
+    costs = job_costs("solvers")
+    assert [name for name, *_ in costs] == [
+        "hydrogrid", "hydrogrid.numerics", "hydrogrid.spectral",
+        "hydrogrid.coordinate"]
+    assert all(compile_ms > 0 and run_ms >= 0
+               for _, compile_ms, run_ms in costs)
 
 
 _PUBLIC = {

@@ -884,6 +884,58 @@ def test_inner_product_equals_the_list_window_sum(delta):
                 assert got.hex() == want.hex(), (n, n2, tail_tol)
 
 
+def envelope_every_term(rows, t, power, tail_tol):
+    """The truncated sum with the decay envelope tested at every term from
+    max(8, power) on, the loop `spectral._truncated_sum` must reproduce:
+    the same stopping term and the same bits."""
+    start = max(8, power)
+    total = w1 = w2 = 0.0
+    for k, (a, b) in enumerate(rows, start=1):
+        term = a * b
+        total += term
+        w0, w1, w2 = w1, w2, abs(term)
+        if k < start:
+            continue
+        rho = t * ((k + 1) / k) ** power
+        if rho >= 1.0:
+            continue
+        if max(w0 * rho ** 2, w1 * rho, w2) * rho / (1.0 - rho) < tail_tol:
+            return total
+
+
+def _stopping(sum_rows, rows, *args):
+    """(the sum's hex, or None if rows ran out, and the number of rows
+    read) of one truncated sum."""
+    it = iter(rows)
+    total = sum_rows(it, *args)
+    read = len(rows) - sum(1 for _ in it)
+    return None if total is None else total.hex(), read
+
+
+def test_truncated_sum_stops_where_the_envelope_at_every_term_stops():
+    # random decay factors, powers, tolerances and weight streams: rows
+    # that decay like k^(power/2) t^(k/2) times random weights, some
+    # zero, some of either sign, some with a slower decay than t, and
+    # some cut short so that neither sum stops
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        t = float(rng.choice([rng.uniform(0.0, 1.0),
+                              1.0 - 10.0 ** -rng.uniform(1, 4),
+                              10.0 ** -rng.uniform(1, 30)]))
+        power = int(rng.integers(2, 40))
+        tail_tol = 10.0 ** -rng.uniform(1, 18)
+        size = int(rng.integers(1, 3000))
+        k = np.arange(1, size + 1)
+        decay = np.sqrt(float(rng.uniform(t, 1.0)) if rng.random() < 0.2
+                        else t) ** k * k ** (power / 2)
+        weights = rng.standard_normal((2, size)) * 10.0 ** rng.uniform(-5, 5)
+        weights[:, rng.random(size) < 0.1] = 0.0
+        rows = list(zip((weights[0] * decay).tolist(),
+                        (weights[1] * decay).tolist()))
+        assert (_stopping(spectral._truncated_sum, rows, t, power, tail_tol)
+                == _stopping(envelope_every_term, rows, t, power, tail_tol))
+
+
 def test_sequence_floats_share_float_value_cache():
     seq = mass_point(3, Fraction(2, 7)).sequence
     head = seq.float_value(5)
