@@ -11,6 +11,8 @@ mode so exactness never silently degrades.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -185,10 +187,22 @@ def _write(cfg: RunConfig, text: str) -> None:
         return
     target = _resolve_out_path(cfg.out_path)
     parent = os.path.dirname(target)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    opened = False
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            opened = True
+            fh.write(text)
+    except OSError as exc:
+        # No partial file is left behind (a device such as /dev/full is no
+        # file to remove), and the run exits 2 as for any input it cannot
+        # honour: exit 1 means a failed verify check.
+        if opened and os.path.isfile(target):
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        raise ValueError(
+            f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def run(cfg: RunConfig) -> int:
@@ -330,5 +344,21 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def entry() -> int:
+    """The program entry: `python -m hydrogrid.cli` and the `hydrogrid`
+    console script both run it.
+
+    Every object the interpreter, `site` and the CLI's imports made by now
+    lives until the process ends, so it is moved to the collector's
+    permanent generation: each later collection, including the full ones
+    that interpreter shutdown forces, walks only what the run allocates.
+    Cycles the run makes are still collected, and shutdown (atexit
+    handlers, flushing stdout) is as before.  `main` leaves the collector
+    alone, so an in-process caller keeps its heap as it is.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

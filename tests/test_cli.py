@@ -1,5 +1,10 @@
+import errno
+import gc
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -446,3 +451,128 @@ def test_run_verification_rejects_what_the_cli_rejects(args, error, message):
     from hydrogrid.verify import run_verification
     with pytest.raises(error, match=message):
         run_verification(*args)
+
+
+@pytest.mark.parametrize("argv", [
+    "pollaczek --delta 1/2 --n 0..3 --jmax 5",
+    "verify --delta 1/2 --n 1..2 --kmax 4",
+])
+def test_an_unwritable_out_exits_2_with_one_line(argv, tmp_path, capsys):
+    # a directory as --out raised IsADirectoryError: a traceback and exit
+    # 1, which a script reads as a failed verify check
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {tmp_path}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch,
+                                                  capsys):
+    def full_disk(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def half_then_fail(text):
+            write(text[:len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = half_then_fail
+        return fh
+
+    out = tmp_path / "spectrum.csv"
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    assert main(["spectrum", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _python(*args):
+    """`python args` in a fresh interpreter with no bytecode written; its
+    output is UTF-8 whatever the locale."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True)
+
+
+def _program(argv):
+    """`python -m hydrogrid.cli argv`, as the benchmark and a shell run
+    it."""
+    return _python("-m", "hydrogrid.cli", *argv)
+
+
+def _output(argv):
+    words = argv.split()
+    return words[words.index("--output") + 1] if "--output" in words else "csv"
+
+
+# The first golden entry of each command in each output format.
+PROGRAM_GOLDEN = [
+    next(entry for entry in GOLDEN_STDOUT
+         if entry[0].split()[0] == command and _output(entry[0]) == output)
+    for command in cli.COMMANDS for output in ("csv", "json")]
+
+
+@pytest.mark.parametrize("argv, digest", PROGRAM_GOLDEN)
+def test_the_program_prints_the_golden_bytes(argv, digest):
+    proc = _program(argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# Exit 0 from a verify program is checked with its golden bytes above.
+def test_the_program_rejects_what_main_rejects(capsys):
+    argv = ["spectrum", "--delta", "0", "--n", "1..1"]
+    proc = _program(argv)
+    assert proc.returncode == 2 == main(argv)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == capsys.readouterr().err
+    assert b"error: delta must be > 0" in proc.stderr
+
+
+def test_the_program_freezes_the_heap_and_still_runs_atexit():
+    # runpy runs the module's __main__ guard as `python -m` does; a
+    # handler registered before it reports the freeze after the exit
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+            " file=sys.stderr))\n"
+            "sys.argv[0] = 'hydrogrid'\n"
+            "runpy.run_module('hydrogrid.cli', run_name='__main__')\n")
+    proc = _python("-c", code, "spectrum", "--n", "1..1")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"n,mu,E,q\n")
+    word, count = proc.stderr.split()
+    assert word == b"frozen" and int(count) > 0
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert main(["pollaczek", "--delta", "1/2", "--n", "0..2",
+                 "--jmax", "6"]) == 0
+    assert main(["verify", "--delta", "1", "--n", "1..3", "--kmax", "8"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+def test_the_entry_freezes_the_heap_once_then_returns_mains_status(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main",
+                        lambda argv=None: calls.append("main") or 3)
+    assert cli.entry() == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_the_console_script_runs_the_entry():
+    import importlib
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hydrogrid"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry

@@ -482,6 +482,14 @@ def test_import_cost_reports_each_module_a_solvers_job_loads():
                for _, compile_ms, run_ms in costs)
 
 
+def test_import_cost_runs_a_cli_job_through_the_program_entry():
+    # the entry freezes the heap; a solvers job never enters the CLI
+    from import_cost import job_report
+
+    frozen = [job_report(kind)["frozen"] for kind in ("coeffs", "solvers")]
+    assert frozen[0] > 0 == frozen[1]
+
+
 _PUBLIC = {
     "coordinate": [
         "AlphaTable", "ConstraintSystem", "EigenData", "LaguerreRef",
