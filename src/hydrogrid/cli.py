@@ -186,21 +186,32 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
         return
     target = _resolve_out_path(cfg.out_path)
+    missing = []  # the parent's directories that do not exist, deepest first
     parent = os.path.dirname(target)
+    while parent and not os.path.lexists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    made = []
     opened = False
     try:
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        for path in reversed(missing):
+            os.mkdir(path)
+            made.append(path)
         with open(target, "w", encoding="utf-8", newline="") as fh:
             opened = True
             fh.write(text)
     except OSError as exc:
-        # No partial file is left behind (a device such as /dev/full is no
-        # file to remove), and the run exits 2 as for any input it cannot
-        # honour: exit 1 means a failed verify check.
+        # Nothing the run made is left behind: no partial file (a device
+        # such as /dev/full is no file to remove) and no directory it
+        # created, deepest first.  A parent that is a file fails the open
+        # or mkdir below it as "Not a directory".  The run exits 2 as for
+        # any input it cannot honour: exit 1 means a failed verify check.
         if opened and os.path.isfile(target):
             with contextlib.suppress(OSError):
                 os.remove(target)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise ValueError(
             f"cannot write {target}: {exc.strerror or exc}") from None
 
@@ -353,10 +364,14 @@ def entry() -> int:
     permanent generation: each later collection, including the full ones
     that interpreter shutdown forces, walks only what the run allocates.
     Cycles the run makes are still collected, and shutdown (atexit
-    handlers, flushing stdout) is as before.  `main` leaves the collector
-    alone, so an in-process caller keeps its heap as it is.
+    handlers, flushing stdout) is as before.  stdout is then set to write
+    UTF-8, as `--out` files are, whatever the locale's encoding.  `main`
+    leaves the collector and stdout alone, so an in-process caller keeps
+    its heap and its stream as they are.
     """
     gc.freeze()
+    with contextlib.suppress(AttributeError):  # no stdout, or no text file
+        sys.stdout.reconfigure(encoding="utf-8")
     return main()
 
 

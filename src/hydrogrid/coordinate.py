@@ -28,7 +28,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, starmap
+from itertools import accumulate, starmap
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .numerics import (QuadraticSurd, RationalLike, _index, _ReadOnly, _real,
@@ -433,13 +433,11 @@ def _wavefunction_row(n: int, delta: RationalLike, kmax: int
 
 def _wavefunction_integers(n: int, delta: RationalLike,
                            kmax: int) -> Iterator[tuple[int, int, int]]:
-    """u^n_1, ..., u^n_kmax as the field's integers (a, b, den):
-    H(k) (sqrt(p) - tn)^k over den td^k, the field's running q-power
-    from 1/den."""
+    """u^n_1, ..., u^n_kmax as the field's integers (a, b, den td^k),
+    formed by the field's `q_integers` from the pairs H(k), as
+    `wavefunction_floats` rounds them."""
     field, den, row = _wavefunction_row(n, delta, kmax)
-    powers = islice(field.q_powers(den), 1, None)
-    return ((*field.mul(h, qnum), scale)
-            for h, (qnum, scale) in zip(row, powers))
+    return field.q_integers(row, den)
 
 
 def wavefunction_values(n: int, delta: RationalLike,

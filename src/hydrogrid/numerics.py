@@ -198,8 +198,9 @@ class _StateField:
     as the surd (a + b sqrt(p))/den over D = p/td**2, so its r is p and
     its s is td (see `_root`), or by `to_float`, straight from the
     integers; `parts` reads any surd of the field back into its integers.
-    `q_floats` rounds a row of values q^k (a_k + b_k sqrt(p))/den from the
-    small pairs alone.
+    A row of values q^k (a_k + b_k sqrt(p))/den, k = 1, 2, ..., is formed
+    from the small pairs by two twin kernels: `q_integers` exactly, and
+    `q_floats` rounded, with no exact power of q built.
     """
 
     __slots__ = ("p", "td", "tn", "root")
@@ -232,27 +233,17 @@ class _StateField:
     def to_float(self, a: int, b: int, den: int) -> float:
         return _int_surd_to_float(a, b, den, self.p)
 
-    def q_powers(self, den: int = 1) -> Iterator[tuple[tuple[int, int], int]]:
-        """q^k for k = 0, 1, ... as (pair, denominator): the running
-        product (sqrt(p) - tn)^k over den td^k."""
+    def q_integers(self, pairs: Iterable[tuple[int, int]],
+                   den: int) -> Iterator[tuple[int, int, int]]:
+        """(a_k + b_k sqrt(p)) q^k/den for the pairs (a_k, b_k),
+        k = 1, 2, ..., as the field's integers (a, b, den td^k): each pair
+        times one running power of sqrt(p) - tn, the exact twin of
+        `q_floats`."""
         step = (self.root[0] - self.tn, self.root[1])
-        num = (1, 0)
-        while True:
-            yield num, den
-            num, den = self.mul(num, step), den * self.td
-
-    def _q_power(self, k: int) -> tuple[int, int]:
-        """(sqrt(p) - tn)^k as a pair, by binary powering: the pair that
-        `q_powers` reaches at k, in O(log k) products."""
-        base = (self.root[0] - self.tn, self.root[1])
-        power = (1, 0)
-        while True:
-            if k & 1:
-                power = self.mul(power, base)
-            k >>= 1
-            if not k:
-                return power
-            base = self.mul(base, base)
+        power, td = (1, 0), self.td
+        for pair in pairs:
+            power, den = self.mul(power, step), den * td
+            yield (*self.mul(pair, power), den)
 
     def q_floats(self, pairs: Iterable[tuple[int, int]],
                  den: int) -> Iterator[float]:
@@ -267,9 +258,10 @@ class _StateField:
         between two rationals, and when both round to one double, so does
         the value, since rounding is monotone (Ziv's rounding test with a
         fixed guard).  A pair whose enclosure holds 0 inside it, or whose
-        ends round apart or leave the double range, is rounded from the
-        exact q^k pair, formed by `_q_power`, by `_int_surd_to_float`,
-        which raises OverflowError for a value beyond the double range.
+        ends round apart or leave the double range, is rounded from its
+        exact value, q^k formed by the surd's own `**`, by one call of
+        `_int_surd_to_float`, which raises OverflowError for a value beyond
+        the double range.
         """
         w, p, tn, td = _GUARD, self.p, self.tn, self.td
         lo = math.isqrt(p << 2 * w)
@@ -291,8 +283,9 @@ class _StateField:
             else:
                 value = None
             if value is None:
-                value = _int_surd_to_float(*self.mul((a, b), self._q_power(k)),
-                                           den * td ** k, p)
+                q = self.surd(self.root[0] - tn, self.root[1], td)
+                u = self.surd(a, b, den) * q ** k
+                value = _int_surd_to_float(u._A, u._B, u._C, p)
             yield value
             plo, phi, e = plo * qlo, phi * qhi, e - x
             s = phi.bit_length() - w

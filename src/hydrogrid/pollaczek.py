@@ -124,11 +124,12 @@ class ClosedFormSequence:
     With s = delta/(m+1), q = x_m - s and 1/q = x_m + s,
         P_j(x_m) = sum_{l<=min(j,m)} (-1)^l C(m,l) C(j-l+m+1, m+1) q^{j-2l},
     the coefficient of z^j in G(z) = (1 - zq)^{-(m+2)} (1 - z/q)^m.  The
-    sequence extends in order on demand and keeps each degree once:
-    `value(j)` builds a surd from the exact integers, and `float_value(j)`
-    and `floats()` read one float row, rounded by the field's `q_floats`
-    from the small pairs S_j alone, so no exact power of q is built for
-    a float.
+    sequence extends in order on demand and keeps each degree once, in
+    two rows read through one cache helper: `value(j)` builds a surd from
+    the exact row, formed by the field's `q_integers`, and
+    `float_value(j)` and `floats()` read the float row, rounded by the
+    field's `q_floats` from the same small pairs S_j, so no exact power
+    of q is built for a float.
 
     Why G generates P_j(x_m):
         (1 - zq)(1 - z/q) = 1 - 2xz + z**2;
@@ -142,8 +143,8 @@ class ClosedFormSequence:
         w_l = (-1)^l C(m,l) (sqrt(p) + tn)^{2l} td^{2(m-l)},
         P_j(x_m) = q^j S_j / td^{2m},
         S_j = sum_l C(j-l+m+1, m+1) w_l,
-    and the exact q^j S_j is the field's running q-power from 1 over
-    td^{2m} times S_j (see `_sums` for S_j).
+    so both rows are P_0 = 1 followed by the field's two kernels over
+    S_1, S_2, ... and td^{2m} (see `_sums` for S_j).
     """
 
     def __init__(self, mp: EigenData) -> None:
@@ -158,10 +159,13 @@ class ClosedFormSequence:
             c = (-1) ** l * math.comb(m, l) * td ** (2 * (m - l))
             self._w.append((c * power[0], c * power[1]))
             power = field.mul(power, step)
-        self._exact = zip(field.q_powers(den=td ** (2 * m)), self._sums())
-        # P_0 = 1, the family's initial value, then q^j S_j / td^{2m}
+        # P_0 = 1, the family's initial value, then q^j S_j / td^{2m},
+        # exact and rounded
+        den = td ** (2 * m)
+        self._exact = chain(((1, 0, 1),), field.q_integers(
+            islice(self._sums(), 1, None), den))
         self._row = chain((1.0,), field.q_floats(
-            islice(self._sums(), 1, None), td ** (2 * m)))
+            islice(self._sums(), 1, None), den))
         self._terms: list[tuple[int, int, int]] = []
         self._floats: list[float] = []
 
@@ -197,13 +201,17 @@ class ClosedFormSequence:
                 da[i] += da[i + 1]
                 db[i] += db[i + 1]
 
+    @staticmethod
+    def _read(cache: list, row: Iterator, j: int):
+        """Item j of a row, which the cache holds in order: the cache is
+        first extended from the row through j."""
+        while len(cache) <= j:
+            cache.append(next(row))
+        return cache[j]
+
     def _term(self, j: int) -> tuple[int, int, int]:
         """P_j(x_m) as the field's integers (a, b, den)."""
-        terms = self._terms
-        while len(terms) <= j:
-            (qnum, den), pair = next(self._exact)
-            terms.append((*self.mp.field.mul(qnum, pair), den))
-        return terms[j]
+        return self._read(self._terms, self._exact, j)
 
     # The indexed readers check the degree before the sequence is
     # extended: 5.0 would extend it and then fail.
@@ -213,29 +221,21 @@ class ClosedFormSequence:
 
     def float_value(self, j: int) -> float:
         _index(j, "degree", 0)
-        return self._floats_through(j)[j]
+        return self._read(self._floats, self._row, j)
 
     def floats(self) -> Iterator[float]:
         """P_0(x_m), P_1(x_m), ... as floats, in order and without end.
 
         Reads the cached row that `float_value` reads, extended by the
-        same loop from the field's `q_floats`, so each degree is rounded
-        once however the two readers interleave; a caller that sums the
-        sequence makes no index check per term.
+        same helper, so each degree is rounded once however the two
+        readers interleave; a caller that sums the sequence makes no
+        index check per term.
         """
-        floats = self._floats
+        floats, row = self._floats, self._row
         j = 0
         while True:
-            if j == len(floats):
-                self._floats_through(j)
-            yield floats[j]
+            yield floats[j] if j < len(floats) else self._read(floats, row, j)
             j += 1
-
-    def _floats_through(self, j: int) -> list[float]:
-        floats = self._floats
-        while len(floats) <= j:
-            floats.append(next(self._row))
-        return floats
 
 
 def _closed_branch_high(j: int, mp: EigenData) -> QuadraticSurd:

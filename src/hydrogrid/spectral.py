@@ -531,20 +531,10 @@ def closed_form_vector(n: int, delta: RationalLike,
                        length: int) -> tuple[QuadraticSurd, ...]:
     """Exact eigenvector entries u_k = P_{k-1}(x_{n-1}), k = 1..length."""
     from .pollaczek import mass_point
-    entries = _closed_form_integers(n, delta, length)
-    field = mass_point(n - 1, delta).field
-    return tuple(field.surd(*entry) for entry in entries)
-
-
-def _closed_form_integers(n: int, delta: RationalLike,
-                          length: int) -> list[tuple[int, int, int]]:
-    """The entries of `closed_form_vector` as the integers (a, b, den) of
-    the mass point's field, read from its closed-form sequence."""
-    from .pollaczek import mass_point
     _index(n, "state index", 1)
     _index(length, "vector length", 1)
-    seq = mass_point(n - 1, delta).sequence
-    return [seq._term(j) for j in range(length)]
+    value = mass_point(n - 1, delta).sequence.value
+    return tuple(value(j) for j in range(length))
 
 
 def eigen_residual(entries, delta: RationalLike, mu) -> QuadraticSurd:

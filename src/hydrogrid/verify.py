@@ -181,8 +181,9 @@ def _check_wavefunction_float(delta: Fraction, n_max: int) -> bool:
 
 
 def _check_tridiagonal_identity(delta: Fraction, n_max: int, k_max: int) -> bool:
-    return _rows_vanish(delta, n_max, lambda n: spectral._closed_form_integers(
-        n, delta, k_max))
+    # u_k = P_{k-1}(x_{n-1}), k = 1..k_max, as the sequence's integers
+    return _rows_vanish(delta, n_max, lambda n: map(
+        pollaczek.mass_point(n - 1, delta).sequence._term, range(k_max)))
 
 
 def _check_bisection_mass_points(op: spectral.TridiagonalOperator) -> bool:

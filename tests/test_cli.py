@@ -1,6 +1,7 @@
 import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -488,20 +489,35 @@ def test_a_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def _python(*args):
-    """`python args` in a fresh interpreter with no bytecode written; its
-    output is UTF-8 whatever the locale."""
+@pytest.mark.parametrize("out, error", [
+    ("new/sub/", "Is a directory"), ("file/x.csv", "Not a directory"),
+    ("file/new/x.csv", "Not a directory")])
+def test_a_failed_out_leaves_the_directory_as_it_was(out, error, tmp_path,
+                                                     monkeypatch, capsys):
+    # the directories the run made for --out are removed, and a parent
+    # that is a file is named as that, not as the mkdir's "File exists"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept")
+    assert main(["spectrum", "--n", "1..1", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {error}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def _python(*args, **env):
+    """`python args` in a fresh interpreter with no bytecode written, in
+    the inherited environment and locale, updated by env."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONIOENCODING="utf-8")
+               **env)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True)
 
 
-def _program(argv):
+def _program(argv, **env):
     """`python -m hydrogrid.cli argv`, as the benchmark and a shell run
     it."""
-    return _python("-m", "hydrogrid.cli", *argv)
+    return _python("-m", "hydrogrid.cli", *argv, **env)
 
 
 def _output(argv):
@@ -521,6 +537,34 @@ def test_the_program_prints_the_golden_bytes(argv, digest):
     proc = _program(argv.split())
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# An exact CSV cell prints sqrt as the non-ASCII '√'.
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("argv, digest", [
+    entry for entry in PROGRAM_GOLDEN
+    if entry[0].startswith("spectrum") and "--mode exact" in entry[0]])
+def test_the_program_prints_utf8_whatever_the_locale(encoding, argv, digest):
+    proc = _program(argv.split(), PYTHONIOENCODING=encoding)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_the_entry_sets_stdout_to_utf8_and_main_leaves_it(monkeypatch):
+    def ascii_stdout():
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        return stdout
+
+    argv = ["spectrum", "--n", "1..1"]
+    stdout = ascii_stdout()
+    assert main(argv) == 2 and stdout.encoding == "ascii"
+    monkeypatch.setattr(sys, "argv", ["hydrogrid", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # keep pytest's heap
+    stdout = ascii_stdout()
+    assert cli.entry() == 0 and stdout.encoding == "utf-8"
+    stdout.flush()
+    assert "√".encode() in stdout.buffer.getvalue()
 
 
 # Exit 0 from a verify program is checked with its golden bytes above.

@@ -10,7 +10,6 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 
 import mpmath
 import pytest
@@ -365,27 +364,26 @@ def test_q_floats_fallback_forms_q_power_by_binary_powering(monkeypatch):
     straddle = (-math.isqrt(b * b * field.p), b)
     ks = range(2000, 2101, 20)
     pairs = [straddle if k in ks else (1, 0) for k in range(1, ks[-1] + 1)]
-    exact = list(islice(field.q_powers(), ks[-1] + 1))
+    exact = list(field.q_integers(pairs, 7))
     products = []
-    mul = _StateField.mul
+    mul = QuadraticSurd.__mul__
 
-    def counting(self, x, y):
-        products.append(x)
-        return mul(self, x, y)
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
 
-    monkeypatch.setattr(_StateField, "mul", counting)
+    monkeypatch.setattr(QuadraticSurd, "__mul__", counting)
     start = time.perf_counter()
     with count_fallbacks() as fallbacks:
         row = list(field.q_floats(pairs, 7))
     assert time.perf_counter() - start < 2.0
     assert len(fallbacks) == len(ks)
-    # at most 2 bits(k) products per fallback, where a walk from q^0
+    # at most 2 bits(k) + 1 surd products per fallback, q^k by binary
+    # powering and one product with the pair, where a walk from q^0
     # takes k + 1
-    assert len(products) <= 2 * ks[-1].bit_length() * len(ks)
+    assert len(ks) < len(products) <= (2 * ks[-1].bit_length() + 1) * len(ks)
     for k in ks:
-        num, den = exact[k]
-        want = _int_surd_to_float(*mul(field, straddle, num), 7 * den,
-                                  field.p)
+        want = field.to_float(*exact[k - 1])
         assert 0.0 < want < 1.0
         assert row[k - 1].hex() == want.hex()
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hydrogrid import coordinate
 from hydrogrid.coordinate import EigenData, eigen_data
@@ -358,20 +358,21 @@ def test_float_rows_round_as_the_exact_route(delta):
                         for j in range(jmax)]
 
 
-@pytest.mark.parametrize("den", [3, 3 * 10 ** 400],
-                         ids=["normal", "underflow"])
+# (9 + 4 sqrt(5))^40 = A + B sqrt(5) with A, B near 1e49, so
+# A - B sqrt(5) = (9 + 4 sqrt(5))^-40 is near 1e-50: over p = 5 the
+# kernel's 128-bit enclosure of B sqrt(5) holds 0 strictly inside.  Over
+# 3 10**400 both ends underflow, to zeros of opposite sign.
+POWER = QuadraticSurd(9, 4, 5) ** 40
+A, B = int(POWER.a), int(POWER.b)
+STRADDLE = [(A, -B), (-A, B)]
+DENS = [3, 3 * 10 ** 400]
+
+
+@pytest.mark.parametrize("den", DENS, ids=["normal", "underflow"])
 def test_a_pair_whose_enclosure_holds_zero_takes_the_exact_route(den):
-    # (9 + 4 sqrt(5))^40 = a + b sqrt(5) with a, b near 1e49, so
-    # a - b sqrt(5) = (9 + 4 sqrt(5))^-40 is near 1e-50: the kernel's
-    # 128-bit enclosure of b sqrt(5) holds 0 strictly inside.  Over
-    # 3 10**400 both ends underflow, to zeros of opposite sign.
     field = mass_point(1, 1).field  # t = 1/2: p = 5, tn = 1, td = 2
     assert (field.p, field.tn, field.td) == (5, 1, 2)
-    pair = (1, 0)
-    for _ in range(40):
-        pair = field.mul(pair, (9, 4))
-    a, b = pair
-    for tiny in ((a, -b), (-a, b)):
+    for tiny in STRADDLE:
         with count_fallbacks() as fallbacks:
             value = next(field.q_floats([tiny], den))
         assert len(fallbacks) == 1
@@ -380,6 +381,54 @@ def test_a_pair_whose_enclosure_holds_zero_takes_the_exact_route(den):
         assert value.hex() == exact.hex()
         assert math.copysign(1.0, value) == (1.0 if tiny[0] > 0 else -1.0)
         assert (value == 0) == (den > 3)
+
+
+# A pair is zero, of either sign, up to 2**200 in each part, or one whose
+# value a + b sqrt(p) is within 1 of 0 for the p it is read over.
+_PART = st.integers(-2 ** 200, 2 ** 200)
+_PAIR = st.one_of(st.just((0, 0)), st.tuples(_PART, _PART),
+                  st.tuples(st.booleans(), st.integers(1, 2 ** 200),
+                            st.integers(0, 1)))
+
+
+def _pairs_over(field, drawn):
+    """The drawn pairs as pairs of the field.  A near-zero draw
+    (sign, b, s) becomes (-isqrt(b**2 p) - s, b), negated for sign; over
+    Q, p = root**2, a pair folds to (a + b root, 0), as every pair of that
+    field has b = 0."""
+    pairs = []
+    for a, b, *near in drawn:
+        if near:  # a is the sign, near[0] is s
+            sign = -1 if a else 1
+            a, b = sign * (-math.isqrt(b * b * field.p) - near[0]), sign * b
+        pairs.append((a, b) if field.root[1] else (a + b * field.root[0], 0))
+    return pairs
+
+
+@pytest.mark.parametrize("n, delta", [
+    (1, Fraction(1, 2)), (3, Fraction(1, 2)), (1, Fraction(1, 100)),
+    (3, Fraction(1, 100)), (1, Fraction(10 ** 20)), (3, Fraction(10 ** 20)),
+    (1, Fraction(3, 4))], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.lists(_PAIR, min_size=1, max_size=24),
+       den=st.one_of(st.integers(1, 10 ** 30), st.sampled_from(DENS)))
+@example(drawn=[STRADDLE[0]], den=DENS[0])
+@example(drawn=[STRADDLE[1]], den=DENS[0])
+@example(drawn=[STRADDLE[0]], den=DENS[1])
+@example(drawn=[STRADDLE[1]], den=DENS[1])
+def test_the_two_kernels_form_one_row(n, delta, drawn, den):
+    # The exact kernel's k-th triple is (a_k + b_k sqrt(p)) q^k/den, and
+    # the float kernel rounds it bit for bit; at n = 1, delta = 3/4,
+    # t = 3/4 gives p = 25 and the field is Q
+    ed = eigen_data(n, delta)
+    field = ed.field
+    pairs = _pairs_over(field, drawn)
+    triples = list(field.q_integers(pairs, den))
+    assert [field.surd(*triple) for triple in triples] == [
+        field.surd(a, b, den) * ed.q ** k
+        for k, (a, b) in enumerate(pairs, start=1)]
+    assert [x.hex() for x in field.q_floats(pairs, den)] == [
+        field.to_float(*triple).hex() for triple in triples]
 
 
 def test_no_row_of_verify_or_the_golden_runs_takes_the_exact_fallback():

@@ -631,7 +631,8 @@ def test_eigen_residual_reads_entries_given_as_integers(n, delta):
     # or mixed with surds, with no surd built for them
     mu = eigen_data(n, delta).mu
     field = eigen_data(n, delta).field
-    entries = spectral._closed_form_integers(n, delta, 20)
+    term = eigen_data(n, delta).sequence._term
+    entries = [term(j) for j in range(20)]
     assert eigen_residual(iter(entries), delta, mu).is_zero()
     a, b, den = entries[7]
     entries[7] = (a + den, b, den)

@@ -33,18 +33,6 @@ def test_a_wrong_wavefunction_entry_fails_the_difference_residual(
     assert _failing_checks() == {"difference_residual_zero"}
 
 
-def test_a_wrong_eigenvector_entry_fails_the_tridiagonal_identity(
-        monkeypatch):
-    vector = spectral._closed_form_integers
-
-    def planted(n, delta, length):
-        entries = vector(n, delta, length)
-        return _shifted(entries, 15) if n == 3 else entries
-
-    monkeypatch.setattr(spectral, "_closed_form_integers", planted)
-    assert _failing_checks() == {"tridiagonal_eigen_identity"}
-
-
 def test_a_wrong_closed_form_value_fails_the_recursion_check(monkeypatch):
     # both checks read the closed form's integers: the recursion check
     # all of its degrees, the tridiagonal identity those below kmax
